@@ -18,8 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ModelError, NumericsError, RateError
-from .model import ModelSpec
+from .errors import ModelError, NumericsError
+from .model import ModelSpec, rate
 
 __all__ = [
     "VectorField",
@@ -47,15 +47,12 @@ class VectorField:
         return self.fn(m)
 
 
-def _checked_rate(model: ModelSpec, N: float, m: np.ndarray, i: int, j: int, fn) -> float:
-    with np.errstate(all="ignore"):
-        value = float(fn(N, m))
-    if not math.isfinite(value) or value < 0.0:
-        raise RateError(
-            model.state_names[i], model.state_names[j], m,
-            f"evaluated to {value}",
-        )
-    return value
+def _intensities(table, N: float, m) -> list:
+    # plain floats evaluate faster than numpy scalars, to the same bits
+    arr = np.asarray(m, dtype=float).tolist()
+    q = table.evaluate(N, arr)
+    table.check(q, arr, occupied=True)
+    return table.intensities(q, arr)
 
 
 def intensity(model: ModelSpec, N: float, m, s: str, t: str) -> float:
@@ -64,39 +61,15 @@ def intensity(model: ModelSpec, N: float, m, s: str, t: str) -> float:
     The short-circuit makes the intensity well defined even where the
     bare rate expression is singular in an empty state.
     """
-    i = model.index_of(s)
-    j = model.index_of(t)
-    arr = np.asarray(m, dtype=float)
-    if arr[i] == 0.0:
-        return 0.0
-    for ti, tj, fn in model.transitions():
-        if (ti, tj) == (i, j):
-            return float(arr[i]) * _checked_rate(model, N, arr, i, j, fn)
-    return 0.0
+    k = model._pair(s, t)
+    m_s = float(np.asarray(m, dtype=float)[model.index_of(s)])
+    return 0.0 if k is None or m_s == 0.0 else m_s * rate(model, N, m, s, t)
 
 
 def drift(model: ModelSpec, N: float, m) -> np.ndarray:
     """Drift vector at occupancy m for population size N."""
-    arr = np.asarray(m, dtype=float)
-    out = np.zeros(model.n_states)
-    for i, j, fn in model.transitions():
-        if arr[i] == 0.0:
-            continue
-        flow = float(arr[i]) * _checked_rate(model, N, arr, i, j, fn)
-        out[i] -= flow
-        out[j] += flow
-    return out
-
-
-def _declared_limit_drift(model: ModelSpec, arr: np.ndarray) -> np.ndarray:
-    out = np.zeros(model.n_states)
-    for i, j, fn in model.limit_transitions():
-        if arr[i] == 0.0:
-            continue
-        flow = float(arr[i]) * _checked_rate(model, math.nan, arr, i, j, fn)
-        out[i] -= flow
-        out[j] += flow
-    return out
+    table = model._rate_table
+    return table.net(_intensities(table, N, m))
 
 
 def limit_drift(model: ModelSpec, m, mode: str = "declared") -> np.ndarray:
@@ -107,14 +80,14 @@ def limit_drift(model: ModelSpec, m, mode: str = "declared") -> np.ndarray:
     values differ by less than 1e-9 in max norm, and raises
     NumericsError if that never happens by 2^20.
     """
-    arr = np.asarray(m, dtype=float)
     if mode == "declared":
-        return _declared_limit_drift(model, arr)
+        table = model._limit()
+        return table.net(_intensities(table, math.nan, m))
     if mode != "numeric":
         raise ModelError(f"unknown limit mode {mode!r}")
     prev: Optional[np.ndarray] = None
     for k in range(7, 21):
-        cur = drift(model, float(2**k), arr)
+        cur = drift(model, float(2**k), m)
         if prev is not None and float(np.max(np.abs(cur - prev))) < 1e-9:
             return cur
         prev = cur

@@ -17,7 +17,7 @@ from typing import Iterator, Mapping
 import numpy as np
 from scipy import sparse
 
-from .errors import ModelError, NumericsError, RateError
+from .errors import ModelError, NumericsError
 from .meandrift import poisson_weights
 from .model import ModelSpec, check_counts
 
@@ -131,52 +131,32 @@ def generator(model: ModelSpec, space: LumpedStateSpace) -> sparse.csr_matrix:
         )
     N = space.N
     states = space.states
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for i, j, fn in model.transitions():
+    table = model._rate_table
+    # max(N, 1): at N = 0 the only count vector is all zeros
+    coords = [states[:, c] / max(N, 1) for c in range(space.n_states)]
+    q = table.evaluate(float(N), coords, (space.size,))
+    table.check(q, coords, occupied=True)
+    rows = [np.empty(0, dtype=np.int64)]
+    cols = [np.empty(0, dtype=np.int64)]
+    vals = [np.empty(0)]
+    for k, (i, j) in enumerate(zip(table.sources, table.targets)):
         src = np.nonzero(states[:, i] > 0)[0]
-        if src.size == 0:
-            continue
-        coords = [states[src, c].astype(float) / N for c in range(space.n_states)]
-        with np.errstate(all="ignore"):
-            q = np.broadcast_to(
-                np.asarray(fn(float(N), coords), dtype=float), src.shape
-            )
-        bad = ~np.isfinite(q) | (q < 0)
-        if np.any(bad):
-            k = int(np.nonzero(bad)[0][0])
-            raise RateError(
-                model.state_names[i],
-                model.state_names[j],
-                states[src[k]] / N,
-                f"evaluated to {q[k]}",
-            )
-        rates = states[src, i].astype(float) * q
+        rates = states[src, i] * q[k, src]
         live = rates > 0
-        if not np.any(live):
-            continue
         src = src[live]
-        rates = rates[live]
-        targets = states[src].copy()
+        targets = states[src]
         targets[:, i] -= 1
         targets[:, j] += 1
-        tgt = np.fromiter(
+        rows.append(src)
+        cols.append(np.fromiter(
             (space.index[tuple(row)] for row in targets.tolist()),
             dtype=np.int64,
             count=len(src),
-        )
-        rows.append(src)
-        cols.append(tgt)
-        vals.append(rates)
-    if rows:
-        row_idx = np.concatenate(rows)
-        col_idx = np.concatenate(cols)
-        data = np.concatenate(vals)
-    else:
-        row_idx = np.empty(0, dtype=np.int64)
-        col_idx = np.empty(0, dtype=np.int64)
-        data = np.empty(0)
+        ))
+        vals.append(rates[live])
+    row_idx = np.concatenate(rows)
+    col_idx = np.concatenate(cols)
+    data = np.concatenate(vals)
     diag = np.zeros(space.size)
     np.add.at(diag, row_idx, data)
     all_rows = np.concatenate([row_idx, np.arange(space.size)])

@@ -11,8 +11,10 @@ tau/(2I) of the mass, which bounds the neglected joint mass by tau.
 Lattice points with K_s = 0 contribute nothing (the intensity factor
 vanishes), so rates singular in an empty state stay harmless.
 
-For rates that depend on a single occupancy coordinate there is a
-one-dimensional fast path.
+``mean_drift`` always sums over the full rectangle of all I
+coordinates.  ``simple_poisson_mean`` computes one intensity whose rate
+reads a single occupancy coordinate on that coordinate's window alone;
+it is not used by ``mean_drift``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift import VectorField
-from .errors import ModelError, NumericsError, RateError
+from .errors import ModelError, NumericsError
 from .model import ModelSpec
 
 __all__ = [
@@ -38,8 +40,8 @@ __all__ = [
 
 LATTICE_POINT_CAP = 10**8
 
-# chunk size (lattice points) for the rectangular sum, to bound peak
-# memory while keeping numpy batches large
+# rate values per chunk of the rectangular sum, counted across all
+# transitions, to bound peak memory while keeping numpy batches large
 _CHUNK = 1 << 22
 
 
@@ -105,36 +107,26 @@ def poisson_weights(lam: float, tau: float) -> PoissonWeights:
     )
 
 
-def _pair_fn(model: ModelSpec, s: str, t: str):
-    if s == t:
-        raise ModelError("rates are defined for distinct state pairs")
-    i = model.index_of(s)
-    j = model.index_of(t)
-    for ti, tj, fn in model.transitions():
-        if (ti, tj) == (i, j):
-            return i, j, fn
-    return i, j, None
+def _window_lattice_sum(table, N: float, windows, ks=None) -> list:
+    """Sum (k_s/N) * Q_{s,t}(k/N) * prod(weights) over the window rectangle.
 
-
-def _window_lattice_sum(
-    model: ModelSpec, N: float, windows, i: int, fn, s: str, t: str
-) -> float:
-    """Sum (k_i/N) * Q(k/N) * prod(weights) over the window rectangle.
-
-    Evaluates in chunks along coordinate 0 with a fixed accumulation
-    order, so results do not depend on chunk size.
+    Returns one sum per transition in ks (default: all of the table).
+    Evaluates in chunks along coordinate 0, each chunk holding at most
+    _CHUNK rate values across those transitions, and adds the chunk
+    sums in order; the float result can therefore change in its last
+    bits with the chunk size.
     """
-    n_states = model.n_states
+    n_states = len(windows)
     sizes = [len(w.probs) for w in windows]
     points = math.prod(sizes)
     if points > LATTICE_POINT_CAP:
         raise NumericsError(
             f"mean intensity enumeration needs {points} lattice points "
-            f"(cap {LATTICE_POINT_CAP}); use the single-coordinate fast "
-            f"path or a larger tail tolerance"
+            f"(cap {LATTICE_POINT_CAP}); use a larger tail tolerance"
         )
+    ks = range(len(table.fns)) if ks is None else ks
     rest = math.prod(sizes[1:])
-    chunk0 = max(1, min(sizes[0], _CHUNK // max(rest, 1)))
+    chunk0 = max(1, min(sizes[0], _CHUNK // max(rest * len(ks), 1)))
 
     def shaped(arr: np.ndarray, axis: int) -> np.ndarray:
         shape = [1] * n_states
@@ -142,45 +134,27 @@ def _window_lattice_sum(
         return arr.reshape(shape)
 
     supports = [w.support().astype(float) for w in windows]
-    total = 0.0
+    totals = [0.0] * len(ks)
     for start in range(0, sizes[0], chunk0):
         stop = min(sizes[0], start + chunk0)
         coords = []
         for c in range(n_states):
             sup = supports[c][start:stop] if c == 0 else supports[c]
             coords.append(shaped(sup / N, c))
-        with np.errstate(all="ignore"):
-            q = np.broadcast_to(
-                fn(N, coords), tuple(len(c.ravel()) for c in coords)
-            ).copy()
-        # zero out the k_i = 0 face before weighting: those points
-        # contribute nothing and the rate may be singular there
-        if i == 0:
-            if start == 0 and windows[0].k_min == 0:
-                q[0, ...] = 0.0
-        elif windows[i].k_min == 0:
-            index = [slice(None)] * n_states
-            index[i] = 0
-            q[tuple(index)] = 0.0
-        if not np.all(np.isfinite(q)):
-            bad = np.argwhere(~np.isfinite(q))[0]
-            point = [
-                float(coords[c].ravel()[bad[c]]) for c in range(n_states)
-            ]
-            raise RateError(s, t, point, "evaluated to a non-finite value")
-        if np.any(q < 0):
-            bad = np.argwhere(q < 0)[0]
-            point = [
-                float(coords[c].ravel()[bad[c]]) for c in range(n_states)
-            ]
-            raise RateError(s, t, point, "evaluated to a negative value")
-        part = q
-        for c in range(n_states):
-            w = windows[c].probs[start:stop] if c == 0 else windows[c].probs
-            part = part * shaped(w, c)
-        part = part * (coords[i])  # intensity factor k_i/N
-        total += float(part.sum())
-    return total
+        q = table.evaluate(N, coords, (stop - start, *sizes[1:]), ks)
+        table.check(q, coords, occupied=True, ks=ks)
+        for pos, k in enumerate(ks):
+            i = table.sources[k]
+            part = q[pos]
+            if coords[i].flat[0] == 0:
+                # the k_i = 0 face carries no intensity, whatever the rate
+                np.moveaxis(part, i, 0)[0] = 0.0
+            for c in range(n_states):
+                w = windows[c].probs[start:stop] if c == 0 else windows[c].probs
+                part = part * shaped(w, c)
+            part = part * (coords[i])  # intensity factor k_i/N
+            totals[pos] += float(part.sum())
+    return totals
 
 
 def _clamped(x: float) -> float:
@@ -209,23 +183,18 @@ def poisson_mean_intensity(
     NumericsError when the rectangular enumeration would exceed the
     lattice point cap.
     """
-    i, _, fn = _pair_fn(model, s, t)
-    if fn is None:
+    k = model._pair(s, t)
+    if k is None:
         return 0.0
     _, windows = _coordinate_windows(model, N, m, tau)
-    return _window_lattice_sum(model, N, windows, i, fn, s, t)
+    return _window_lattice_sum(model._rate_table, N, windows, ks=(k,))[0]
 
 
 def mean_drift(model: ModelSpec, N: float, m, tau: float = 1e-10) -> np.ndarray:
     """Mean drift vector: Poisson-averaged intensities on e_t - e_s."""
-    arr, windows = _coordinate_windows(model, N, m, tau)
-    out = np.zeros(model.n_states)
-    for i, j, fn in model.transitions():
-        s, t = model.state_names[i], model.state_names[j]
-        value = _window_lattice_sum(model, N, windows, i, fn, s, t)
-        out[i] -= value
-        out[j] += value
-    return out
+    _, windows = _coordinate_windows(model, N, m, tau)
+    table = model._rate_table
+    return table.net(_window_lattice_sum(table, N, windows))
 
 
 def simple_poisson_mean(
@@ -245,11 +214,11 @@ def simple_poisson_mean(
     """
     from . import expr as ex
 
-    i = model.index_of(s)
-    model.index_of(t)
+    k = model._pair(s, t)
     jdx = model.index_of(j)
-    node = model.rate_expr(s, t)
-    occ_vars = [v for v in ex.free_vars(node) if v.startswith("m[")]
+    if k is None:
+        return 0.0
+    occ_vars = [v for v in ex.free_vars(model.rates[s, t]) if v.startswith("m[")]
     allowed = f"m[{j}]"
     extra = [v for v in occ_vars if v != allowed]
     if extra:
@@ -257,18 +226,14 @@ def simple_poisson_mean(
             f"rate {s} -> {t} depends on {', '.join(extra)}, not only on "
             f"{allowed}; use poisson_mean_intensity"
         )
-    _, _, fn = _pair_fn(model, s, t)
-    if fn is None:
-        return 0.0
     arr = np.asarray(m, dtype=float)
     w = poisson_weights(N * _clamped(float(arr[jdx])), tau)
     coords: list = [0.0] * model.n_states
     coords[jdx] = w.support() / N
-    with np.errstate(all="ignore"):
-        q = np.broadcast_to(np.asarray(fn(N, coords), dtype=float), w.probs.shape)
-    if not np.all(np.isfinite(q)) or np.any(q < 0):
-        raise RateError(s, t, arr, "evaluated to an invalid value on the window")
-    return float(arr[i]) * float(np.dot(q, w.probs))
+    table = model._rate_table
+    q = table.evaluate(N, coords, w.probs.shape, ks=(k,))
+    table.check(q, coords, ks=(k,))
+    return float(arr[table.sources[k]]) * float(np.dot(q[0], w.probs))
 
 
 def mean_drift_field(

@@ -18,11 +18,12 @@ document:
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -46,9 +47,121 @@ __all__ = [
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-# Compiled rate functions take (N, m) with m indexable by state
-# position; entries may be floats or broadcastable numpy arrays.
-RateFn = Callable[[float, Sequence], object]
+
+class _RateTable:
+    """One rate table compiled once, in canonical (source, target) order.
+
+    Transition k is ``entries[k]`` = (source, target, fn), also held as
+    ``sources[k]``, ``targets[k]`` and ``fns[k]``; ``index`` maps a
+    (source, target) index pair to k and ``out[i]`` is the range of k
+    whose source is state i.  Every place that evaluates transitions
+    goes through ``evaluate`` and ``check``, on all transitions or on
+    the positions ``ks``.
+    """
+
+    def __init__(self, state_names, entries):
+        self.state_names = state_names
+        self.entries = tuple(entries)
+        self.sources = tuple(i for i, _, _ in entries)
+        self.targets = tuple(j for _, j, _ in entries)
+        self.fns = tuple(fn for _, _, fn in entries)
+        self.index = {(i, j): k for k, (i, j, _) in enumerate(entries)}
+        starts = [bisect.bisect_left(self.sources, i)
+                  for i in range(len(state_names) + 1)]
+        self.out = tuple(map(range, starts, starts[1:]))
+
+    def evaluate(self, N, m, shape=None, ks=None):
+        """Rates of the transitions ks (default: all) at occupancy m.
+
+        With ``shape`` None, m is one point and the result is a list of
+        floats.  Otherwise m holds floats or arrays that broadcast to
+        ``shape`` and the result is an array of shape (len(ks), *shape).
+        Domain violations give inf or nan as under numpy; ``check``
+        rejects them.
+        """
+        fns = self.fns if ks is None else [self.fns[k] for k in ks]
+        with np.errstate(all="ignore"):
+            if shape is not None:
+                # numpy operands: plain floats raise on x/0
+                N, m = np.float64(N), [np.asarray(c, dtype=float) for c in m]
+                q = np.empty((len(fns), *shape))
+                for pos, fn in enumerate(fns):
+                    q[pos] = fn(N, m)
+                return q
+            try:
+                return [fn(N, m) for fn in fns]
+            except ZeroDivisionError:
+                # plain floats raise on x/0 where numpy gives inf or nan
+                m = [np.float64(x) for x in m]
+                return [fn(np.float64(N), m) for fn in fns]
+
+    def check(self, q, m, occupied: bool = False, ks=None) -> None:
+        """Raise RateError at the first negative or non-finite rate in q.
+
+        q comes from ``evaluate`` at the same m and ks.  With
+        ``occupied``, transitions whose source occupancy is zero are not
+        looked at: their intensity is zero whatever the rate, so a rate
+        singular in an empty source state is harmless there.
+        """
+        ks = range(len(q)) if ks is None else ks
+        if isinstance(q, np.ndarray):
+            if not q.size or q.min() >= 0.0 and q.max() < math.inf:
+                return
+            bad = ~(np.isfinite(q) & (q >= 0.0))
+            if occupied:
+                for pos, k in enumerate(ks):
+                    bad[pos] &= m[self.sources[k]] != 0
+            if not bad.any():
+                return
+            pos, *where = np.unravel_index(np.argmax(bad), bad.shape)
+            k, value = ks[pos], q[(pos, *where)]
+            m = [np.broadcast_to(c, q.shape[1:])[tuple(where)] for c in m]
+        else:
+            for k, value in zip(ks, q):
+                if not (0.0 <= value < math.inf
+                        or occupied and m[self.sources[k]] == 0):
+                    break
+            else:
+                return
+        raise RateError(
+            self.state_names[self.sources[k]],
+            self.state_names[self.targets[k]],
+            m,
+            f"evaluated to {float(value)}",
+        )
+
+    def intensities(self, q, m) -> list:
+        """m_s * rate for every transition; zero where m_s is zero."""
+        return [
+            m[i] * value if m[i] != 0 else 0.0
+            for i, value in zip(self.sources, q)
+        ]
+
+    def net(self, flows) -> np.ndarray:
+        """Sum of each transition's flow along e_t - e_s."""
+        out = [0.0] * len(self.state_names)
+        for i, j, flow in zip(self.sources, self.targets, flows):
+            out[i] -= flow
+            out[j] += flow
+        return np.array(out, dtype=float)
+
+    def slot_row(self, rates, i: int, D: int):
+        """Per-agent move probabilities out of state i in a slot of width 1/D.
+
+        ``rates`` are the rates of the transitions in ``out[i]``, in
+        order.  Returns their probabilities and total; a total above 1
+        means the slot is too coarse and raises SlotResolutionError.
+        """
+        eps = 1.0 / D
+        probs = [eps * q for q in rates]
+        total = math.fsum(probs)
+        if total > 1.0:
+            raise SlotResolutionError(
+                f"total slot probability {total:.6g} out of state "
+                f"{self.state_names[i]} exceeds 1; increase D above "
+                f"{math.ceil(D * total)}"
+            )
+        return probs, total
 
 
 @dataclass(frozen=True)
@@ -66,8 +179,10 @@ class ModelSpec:
     limit_rates: Optional[Mapping[tuple[str, str], ex.Expr]] = None
 
     _index: Mapping[str, int] = field(init=False, repr=False, compare=False)
-    _rate_fns: tuple = field(init=False, repr=False, compare=False)
-    _limit_fns: Optional[tuple] = field(init=False, repr=False, compare=False)
+    _rate_table: _RateTable = field(init=False, repr=False, compare=False)
+    _limit_table: Optional[_RateTable] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         names = self.state_names
@@ -86,12 +201,12 @@ class ModelSpec:
         index = {s: i for i, s in enumerate(names)}
         object.__setattr__(self, "_index", index)
         object.__setattr__(
-            self, "_rate_fns", self._compile_table(self.rates, allow_n=True)
+            self, "_rate_table", self._compile_table(self.rates, allow_n=True)
         )
         limit = None
         if self.limit_rates is not None:
             limit = self._compile_table(self.limit_rates, allow_n=False)
-        object.__setattr__(self, "_limit_fns", limit)
+        object.__setattr__(self, "_limit_table", limit)
 
     def _compile_table(self, table, allow_n: bool):
         compiled = []
@@ -118,10 +233,10 @@ class ModelSpec:
                         f"rate {s} -> {t} uses undeclared parameter {var!r}"
                     )
             fn = ex.compile_fn(node, self.params, self._index)
-            compiled.append((self._index[s], self._index[t], fn, node))
+            compiled.append((self._index[s], self._index[t], fn))
         # canonical order: by (source, target) index
         compiled.sort(key=lambda item: (item[0], item[1]))
-        return tuple(compiled)
+        return _RateTable(self.state_names, compiled)
 
     @property
     def n_states(self) -> int:
@@ -133,14 +248,23 @@ class ModelSpec:
         except KeyError:
             raise ModelError(f"unknown state {state!r}") from None
 
+    def _pair(self, s: str, t: str) -> Optional[int]:
+        """Position of transition s -> t in the rate table; None if undeclared."""
+        if s == t:
+            raise ModelError("rates are defined for distinct state pairs")
+        return self._rate_table.index.get((self.index_of(s), self.index_of(t)))
+
     def transitions(self) -> tuple:
         """Declared transitions as (source_index, target_index, rate_fn)."""
-        return tuple((i, j, fn) for i, j, fn, _ in self._rate_fns)
+        return self._rate_table.entries
 
     def limit_transitions(self) -> tuple:
-        if self._limit_fns is None:
+        return self._limit().entries
+
+    def _limit(self) -> _RateTable:
+        if self._limit_table is None:
             raise ModelError("model declares no limit rates")
-        return tuple((i, j, fn) for i, j, fn, _ in self._limit_fns)
+        return self._limit_table
 
     @property
     def has_limit(self) -> bool:
@@ -148,10 +272,7 @@ class ModelSpec:
 
     def rate_expr(self, s: str, t: str) -> ex.Expr:
         """Rate expression for an ordered pair; zero when undeclared."""
-        if s == t:
-            raise ModelError("rates are defined for distinct state pairs")
-        self.index_of(s)
-        self.index_of(t)
+        self._pair(s, t)
         return self.rates.get((s, t), ex.Num(0.0))
 
 
@@ -213,21 +334,16 @@ def rate(model: ModelSpec, N: float, m, s: str, t: str) -> float:
 
     The result must be finite and non-negative; anything else raises
     RateError identifying the transition and the occupancy.
+    Undeclared pairs have rate zero.
     """
-    if s == t:
-        raise ModelError("rates are defined for distinct state pairs")
-    i = model.index_of(s)
-    j = model.index_of(t)
-    for ti, tj, fn, node in model._rate_fns:
-        if (ti, tj) == (i, j):
-            with np.errstate(all="ignore"):
-                value = float(fn(N, np.asarray(m, dtype=float)))
-            if not math.isfinite(value):
-                raise RateError(s, t, m, f"evaluated to {value}")
-            if value < 0.0:
-                raise RateError(s, t, m, f"evaluated to negative value {value}")
-            return value
-    return 0.0
+    k = model._pair(s, t)
+    if k is None:
+        return 0.0
+    table = model._rate_table
+    arr = np.asarray(m, dtype=float)
+    q = table.evaluate(N, arr, ks=(k,))
+    table.check(q, arr, ks=(k,))
+    return float(q[0])
 
 
 def slot_probability(
@@ -241,25 +357,15 @@ def slot_probability(
     """
     if D <= 0:
         raise ModelError("slot count D must be positive")
+    k = model._pair(s, t)
+    table = model._rate_table
     i = model.index_of(s)
-    model.index_of(t)
-    eps = 1.0 / D
-    total = 0.0
-    wanted = 0.0
+    ks = table.out[i]
     arr = np.asarray(m, dtype=float)
-    for ti, tj, fn, _ in model._rate_fns:
-        if ti != i:
-            continue
-        target = model.state_names[tj]
-        q = rate(model, N, arr, s, target)
-        total += eps * q
-        if target == t:
-            wanted = eps * q
-    if total > 1.0:
-        raise SlotResolutionError(
-            f"total slot probability {total:.6g} out of state {s} exceeds 1; "
-            f"increase D above {math.ceil(D * total)}"
-        )
+    q = table.evaluate(N, arr, ks=ks)
+    table.check(q, arr, ks=ks)
+    probs, _ = table.slot_row(q, i, D)
+    wanted = 0.0 if k is None else float(probs[k - ks.start])
     return min(1.0, max(0.0, wanted))
 
 
@@ -315,32 +421,27 @@ def validate(
     estimates the drift's Lipschitz constant and bound from consecutive
     sample pairs.
     """
-    from .drift import drift
-
     if sample_count < 2:
         raise ModelError("sample_count must be at least 2")
+    table = model._rate_table
     points = sample_simplex(model.n_states, sample_count, seed)
     failures: list[str] = []
     max_rate = 0.0
     bound = 0.0
     lipschitz = 0.0
     drifts = np.full((sample_count, model.n_states), np.nan)
-    for k, m in enumerate(points):
-        point_ok = True
-        for i, j, fn in model.transitions():
-            s, t = model.state_names[i], model.state_names[j]
-            try:
-                q = rate(model, N, m, s, t)
-            except ModelError as err:
-                point_ok = False
-                if len(failures) < 10:
-                    failures.append(str(err))
-                continue
-            max_rate = max(max_rate, q)
-        if point_ok:
-            vec = drift(model, N, m)
-            drifts[k] = vec
-            bound = max(bound, float(np.linalg.norm(vec)))
+    for k, m in enumerate(points.tolist()):
+        q = table.evaluate(N, m)
+        valid = [float(x) for x in q if 0.0 <= x < math.inf]
+        max_rate = max([max_rate, *valid])
+        try:
+            table.check(q, m)
+        except RateError as err:
+            if len(failures) < 10:
+                failures.append(str(err))
+            continue
+        drifts[k] = vec = table.net(table.intensities(q, m))
+        bound = max(bound, float(np.linalg.norm(vec)))
     for k in range(sample_count - 1):
         if np.any(np.isnan(drifts[k])) or np.any(np.isnan(drifts[k + 1])):
             continue

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .drift import _checked_rate, drift
-from .errors import ModelError, NumericsError, SlotResolutionError
+from .drift import drift
+from .errors import ModelError, NumericsError
 from .model import ModelSpec, check_counts
 from .odesolve import Trajectory
 
@@ -131,7 +131,7 @@ def simulate_ctmc(model: ModelSpec, N: int, init, t_end: float, rng) -> SimPath:
     if not math.isfinite(t_end) or t_end < 0:
         raise ModelError("t_end must be finite and non-negative")
     counts = check_counts(init, N, model.n_states).astype(np.int64)
-    trans = model.transitions()
+    table = model._rate_table
     n = model.n_states
     z = np.zeros((n, n), dtype=np.int64)
     times = [0.0]
@@ -139,12 +139,12 @@ def simulate_ctmc(model: ModelSpec, N: int, init, t_end: float, rng) -> SimPath:
     zs = [z.copy()]
     t = 0.0
     while True:
-        m = counts / float(N)
-        weights = [
-            0.0 if counts[i] == 0
-            else float(counts[i]) * _checked_rate(model, N, m, i, j, fn)
-            for i, j, fn in trans
-        ]
+        # plain floats: this runs once per event
+        c = counts.tolist()
+        m = [x / N for x in c]
+        q = table.evaluate(N, m)
+        table.check(q, m, occupied=True)
+        weights = table.intensities(q, c)
         total = math.fsum(weights)
         if total <= 0.0:
             break
@@ -159,7 +159,7 @@ def simulate_ctmc(model: ModelSpec, N: int, init, t_end: float, rng) -> SimPath:
             if u < acc:
                 pick = k
                 break
-        i, j, _ = trans[pick]
+        i, j = table.sources[pick], table.targets[pick]
         counts[i] -= 1
         counts[j] += 1
         z[i, j] += 1
@@ -167,17 +167,6 @@ def simulate_ctmc(model: ModelSpec, N: int, init, t_end: float, rng) -> SimPath:
         snaps.append(counts.copy())
         zs.append(z.copy())
     return _finish_path(N, t_end, times, snaps, zs)
-
-
-def _rows_by_source(model: ModelSpec):
-    rows: dict = {}
-    for i, j, fn in model.transitions():
-        rows.setdefault(i, ([], []))
-        rows[i][0].append(j)
-        rows[i][1].append(fn)
-    return tuple(
-        (i, tuple(js), tuple(fns)) for i, (js, fns) in sorted(rows.items())
-    )
 
 
 def simulate_slotted(
@@ -196,7 +185,7 @@ def simulate_slotted(
     if not math.isfinite(t_end) or t_end < 0:
         raise ModelError("t_end must be finite and non-negative")
     counts = check_counts(init, N, model.n_states).astype(np.int64)
-    by_source = _rows_by_source(model)
+    table = model._rate_table
     n = model.n_states
     eps = 1.0 / D
     n_slots = int(math.floor(t_end * D + 1e-9))
@@ -206,28 +195,21 @@ def simulate_slotted(
     zs = [z.copy()]
     slot = 0
     while slot < n_slots:
-        m = counts / float(N)
+        c = counts.tolist()
+        m = [x / N for x in c]
+        q = table.evaluate(N, m)
+        table.check(q, m, occupied=True)
         rows = []
         stay_all = 1.0
-        for i, targets, fns in by_source:
-            if counts[i] == 0:
+        for i, ks in enumerate(table.out):
+            if c[i] == 0:
                 continue
-            probs = [
-                eps * _checked_rate(model, N, m, i, j, fn)
-                for j, fn in zip(targets, fns)
-            ]
-            total = math.fsum(probs)
-            if total > 1.0:
-                raise SlotResolutionError(
-                    f"total slot probability {total:.6g} out of state "
-                    f"{model.state_names[i]} exceeds 1; increase D above "
-                    f"{math.ceil(D * total)}"
-                )
+            probs, total = table.slot_row(q[ks.start:ks.stop], i, D)
             if total <= 0.0:
                 continue
             pvec = np.array(probs + [max(0.0, 1.0 - total)])
-            rows.append((i, targets, pvec))
-            stay_all *= (1.0 - total) ** int(counts[i])
+            rows.append((i, [table.targets[k] for k in ks], pvec))
+            stay_all *= (1.0 - total) ** c[i]
         if not rows:
             break
         p_move = 1.0 - stay_all

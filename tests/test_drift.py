@@ -64,6 +64,14 @@ def test_intensity_zero_at_empty_state_even_if_rate_singular():
     assert np.array_equal(vec, np.zeros(2))
 
 
+def test_intensity_rejects_self_pairs_and_unknown_states():
+    model = builtin_example()
+    with pytest.raises(ModelError, match="distinct state pairs"):
+        intensity(model, 10, (0.5, 0.5), "idle", "idle")
+    with pytest.raises(ModelError, match="unknown state"):
+        intensity(model, 10, (0.5, 0.5), "idle", "busy")
+
+
 def test_intensity_is_occupancy_times_rate():
     model = builtin_example()
     m = (0.25, 0.75)

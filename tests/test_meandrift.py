@@ -212,6 +212,19 @@ def test_simple_poisson_mean_agrees_with_full_enumeration():
         assert fast == pytest.approx(full, abs=2e-10)
 
 
+def test_simple_poisson_mean_ignores_the_other_transitions():
+    # b -> a is singular at m[b] = 0 and a -> b reads no coordinate:
+    # only a -> b is evaluated, on the window of m[a]
+    doc = (
+        "states = a, b\n"
+        "rate a -> b : 0.2\n"
+        "rate b -> a : min(1, 0.001/m[b])\n"
+    )
+    model = load_model(doc)
+    got = simple_poisson_mean(model, 12, (0.3, 0.7), "a", "b", j="a")
+    assert got == pytest.approx(0.3 * 0.2, abs=1e-10)
+
+
 def test_simple_poisson_mean_rejects_multi_coordinate_rates():
     model = builtin_example()
     with pytest.raises(ModelError, match="not only"):

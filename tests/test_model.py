@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from popdrift.drift import drift, intensity, limit_drift
 from popdrift.errors import ModelError, RateError, SlotResolutionError
+from popdrift.exact import enumerate_states, generator
+from popdrift.meandrift import mean_drift, poisson_mean_intensity
 from popdrift.model import (
     ModelSpec,
     builtin_example,
@@ -18,6 +21,7 @@ from popdrift.model import (
     slot_probability,
     validate,
 )
+from popdrift.sim import simulate_ctmc, simulate_slotted
 from popdrift import expr as ex
 
 P1, P2 = 0.008, 0.05
@@ -65,6 +69,78 @@ def test_rate_rejects_negative_and_nonfinite():
     model = load_model("states = a, b\nrate a -> b : 1/m[b]\n")
     with pytest.raises(RateError):
         rate(model, 5, (1.0, 0.0), "a", "b")
+
+
+BAD_DOC = "states = a, b\nrate a -> b : m[a]-1\nlimit a -> b : m[a]-1\n"
+SINGULAR_DOC = "states = a, b\nrate a -> b : 1/m[a]\nlimit a -> b : 1/m[a]\n"
+
+# every entry point that evaluates transitions, called at occupancy m
+# (counts N*m for the samplers and the count chain)
+ENTRY_POINTS = {
+    "rate": lambda model, m: rate(model, 4, m, "a", "b"),
+    "intensity": lambda model, m: intensity(model, 4, m, "a", "b"),
+    "drift": lambda model, m: drift(model, 4, m),
+    "limit_drift": lambda model, m: limit_drift(model, m),
+    "poisson_mean_intensity":
+        lambda model, m: poisson_mean_intensity(model, 4, m, "a", "b"),
+    "mean_drift": lambda model, m: mean_drift(model, 4, m),
+    "generator": lambda model, m: generator(model, enumerate_states(2, 4)),
+    "simulate_ctmc": lambda model, m: simulate_ctmc(
+        model, 4, [round(4 * x) for x in m], 5.0, np.random.default_rng(0)
+    ),
+    "simulate_slotted": lambda model, m: simulate_slotted(
+        model, 4, 10, [round(4 * x) for x in m], 5.0, np.random.default_rng(0)
+    ),
+}
+INTENSITY_BASED = sorted(set(ENTRY_POINTS) - {"rate"})
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_raises_the_same_rate_error(entry):
+    model = load_model(BAD_DOC)
+    with pytest.raises(RateError, match=r"rate a -> b at m=\(.*\): evaluated to -"):
+        ENTRY_POINTS[entry](model, (0.25, 0.75))
+
+
+# b -> a is negative everywhere; a -> b is valid
+MIXED_DOC = "states = a, b\nrate a -> b : 0.5\nrate b -> a : -1\n"
+SINGLE_PAIR = {
+    "rate": lambda model: rate(model, 4, (0.25, 0.75), "a", "b"),
+    "slot_probability":
+        lambda model: slot_probability(model, 4, (0.25, 0.75), "a", "b", D=10),
+    "intensity": lambda model: intensity(model, 4, (0.25, 0.75), "a", "b"),
+    "poisson_mean_intensity":
+        lambda model: poisson_mean_intensity(model, 4, (0.25, 0.75), "a", "b"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SINGLE_PAIR))
+def test_single_pair_entry_points_evaluate_only_their_pairs(entry):
+    model = load_model(MIXED_DOC)
+    assert SINGLE_PAIR[entry](model) > 0.0
+    with pytest.raises(RateError, match="rate b -> a"):
+        drift(model, 4, (0.25, 0.75))
+
+
+def test_validate_reports_the_rate_error():
+    report = validate(load_model(BAD_DOC), 4, sample_count=20)
+    assert not report.ok and not report.nonnegative
+    assert all("rate a -> b at m=" in f for f in report.failures)
+
+
+@pytest.mark.parametrize("entry", INTENSITY_BASED)
+def test_rate_singular_in_empty_source_is_no_error(entry):
+    ENTRY_POINTS[entry](load_model(SINGULAR_DOC), (0.0, 1.0))
+
+
+def test_slot_resolution_error_is_the_same_everywhere():
+    model = load_model("states = a, b\nrate a -> b : 200\n")
+    with pytest.raises(SlotResolutionError) as direct:
+        slot_probability(model, 3, (1.0, 0.0), "a", "b", D=100)
+    with pytest.raises(SlotResolutionError) as sampled:
+        simulate_slotted(model, 3, 100, (3, 0), 1.0, np.random.default_rng(0))
+    assert "increase D above 200" in str(direct.value)
+    assert str(direct.value) == str(sampled.value)
 
 
 def test_slot_probability_scales_like_rate():
