@@ -93,6 +93,11 @@ def _second_state(model: ModelSpec) -> int:
     return 1
 
 
+def _check_population(N: int) -> None:
+    if N < 1:
+        raise ModelError("population size N must be at least 1")
+
+
 def _emit(lines, out: Optional[str]) -> None:
     text = "\n".join(lines) + "\n"
     if out is None:
@@ -182,6 +187,7 @@ def _cmd_ode(args):
 
 def _cmd_exact(args):
     model = _load(args)
+    _check_population(args.N)
     space = enumerate_states(model.n_states, args.N)
     counts = largest_remainder_counts(np.asarray(args.init), args.N)
     dist = transient(
@@ -318,6 +324,8 @@ def _compare_row(model, N, args, seed):
 def _cmd_compare(args):
     model = _load(args)
     _second_state(model)
+    for N in args.Ns:
+        _check_population(N)
     columns = ["phi2_drift", "phi2_meandrift", "phi2_exact"]
     if args.reps > 0:
         columns += ["phi2_sim_mean", "phi2_sim_stderr"]

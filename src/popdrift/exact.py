@@ -2,17 +2,18 @@
 
 With N agents and I states the process of state counts is a finite
 CTMC on the lattice of count vectors summing to N.  A move s -> t from
-count vector n happens at rate n_s * Q_{s,t}(n/N).  The transient law
-is computed by uniformization: pi(t) = sum_k Poisson(k; Lam*t) *
-pi(0) P_u^k with P_u = I + gen/Lam, truncated by tail mass and split
-into time segments so each segment's Poisson rate stays moderate.
+count vector n happens at rate n_s * Q_{s,t}(n/N).  Count vectors are
+ranked by arithmetic (combinatorial number system), not looked up.  The
+transient law is computed by uniformization: pi(t) = sum_k Poisson(k;
+Lam*t) * pi(0) P_u^k with P_u = I + gen/Lam (kept transposed for CSR
+products), truncated by tail mass and split into time segments so each
+segment's Poisson rate stays moderate; each segment checks its mass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -38,15 +39,7 @@ STATE_SPACE_CAP = 10**6
 # the hard cap below is a safety net the splitting makes unreachable
 _SEGMENT_RATE_MAX = 1e4
 _TERM_CAP = 10**9
-
-
-def _count_vectors(n_states: int, N: int) -> Iterator[tuple[int, ...]]:
-    if n_states == 1:
-        yield (N,)
-        return
-    for first in range(N + 1):
-        for rest in _count_vectors(n_states - 1, N - first):
-            yield (first, *rest)
+_MASS_ULPS = 16 * np.finfo(float).eps  # mass rounding per kernel product
 
 
 @dataclass(frozen=True)
@@ -56,18 +49,28 @@ class LumpedStateSpace:
     N: int
     n_states: int
     states: np.ndarray
-    index: Mapping[tuple[int, ...], int] = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return self.states.shape[0]
 
+    def rank(self, counts) -> np.ndarray:
+        """Lexicographic positions of the count vectors in the rows of counts.
+
+        Knuth, TAOCP 7.2.1.3: coordinate c, with M agents left before it,
+        skips C(M+p, p) - C(M-n_c+p, p) vectors, p = I-1-c.  Rows outside
+        the space get meaningless ranks; index_of checks its input.
+        """
+        binom = np.ones((self.n_states, self.N + 1), dtype=np.int64)
+        for p in range(1, self.n_states):
+            binom[p] = np.cumsum(binom[p - 1])  # binom[p, m] = C(m+p, p)
+        head = np.asarray(counts, dtype=np.int64)[..., :-1]
+        after = self.N - np.cumsum(head, axis=-1)
+        p = np.arange(self.n_states - 1, 0, -1)
+        return (binom[p, after + head] - binom[p, after]).sum(axis=-1)
+
     def index_of(self, counts) -> int:
-        key = tuple(int(x) for x in counts)
-        try:
-            return self.index[key]
-        except KeyError:
-            raise ModelError(f"count vector {key} not in the state space") from None
+        return int(self.rank(check_counts(counts, self.N, self.n_states)))
 
 
 def enumerate_states(n_states: int, N: int, cap: int = STATE_SPACE_CAP) -> LumpedStateSpace:
@@ -82,9 +85,17 @@ def enumerate_states(n_states: int, N: int, cap: int = STATE_SPACE_CAP) -> Lumpe
         raise ModelError(
             f"state space needs {size} count vectors, above the cap {cap}"
         )
-    states = np.array(list(_count_vectors(n_states, N)), dtype=np.int64)
-    index = {tuple(int(x) for x in row): k for k, row in enumerate(states)}
-    return LumpedStateSpace(N=N, n_states=n_states, states=states, index=index)
+    # each step appends a coordinate: a prefix with r agents left
+    # expands into r + 1 rows that take 0..r of them
+    states = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([N], dtype=np.int64)
+    for _ in range(n_states - 1):
+        reps = left + 1
+        value = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        states = np.column_stack([np.repeat(states, reps, axis=0), value])
+        left = np.repeat(left, reps) - value
+    states = np.column_stack([states, left])
+    return LumpedStateSpace(N=N, n_states=n_states, states=states)
 
 
 @dataclass(frozen=True)
@@ -113,9 +124,8 @@ class LumpedDistribution:
 
 def point_mass(space: LumpedStateSpace, counts, time: float = 0.0) -> LumpedDistribution:
     """Distribution concentrated on one count vector."""
-    arr = check_counts(counts, space.N, space.n_states)
     probs = np.zeros(space.size)
-    probs[space.index_of(arr)] = 1.0
+    probs[space.index_of(counts)] = 1.0
     return LumpedDistribution(space=space, probs=probs, time=time)
 
 
@@ -136,29 +146,17 @@ def generator(model: ModelSpec, space: LumpedStateSpace) -> sparse.csr_matrix:
     coords = [states[:, c] / max(N, 1) for c in range(space.n_states)]
     q = table.evaluate(float(N), coords, (space.size,))
     table.check(q, coords, occupied=True)
-    rows = [np.empty(0, dtype=np.int64)]
-    cols = [np.empty(0, dtype=np.int64)]
-    vals = [np.empty(0)]
-    for k, (i, j) in enumerate(zip(table.sources, table.targets)):
-        src = np.nonzero(states[:, i] > 0)[0]
-        rates = states[src, i] * q[k, src]
-        live = rates > 0
-        src = src[live]
-        targets = states[src]
-        targets[:, i] -= 1
-        targets[:, j] += 1
-        rows.append(src)
-        cols.append(np.fromiter(
-            (space.index[tuple(row)] for row in targets.tolist()),
-            dtype=np.int64,
-            count=len(src),
-        ))
-        vals.append(rates[live])
-    row_idx = np.concatenate(rows)
-    col_idx = np.concatenate(cols)
-    data = np.concatenate(vals)
-    diag = np.zeros(space.size)
-    np.add.at(diag, row_idx, data)
+    sources = np.asarray(table.sources, dtype=np.int64)
+    dests = np.asarray(table.targets, dtype=np.int64)
+    occ = states[:, sources].T
+    # a rate may be singular where its source is empty; that entry is 0
+    rates = occ * np.where(occ > 0, q, 0.0)
+    # transition-major order: bincount adds each row's rates in q's order
+    k, row_idx = np.nonzero(rates > 0)
+    data = rates[k, row_idx]
+    e = np.eye(space.n_states, dtype=np.int64)
+    col_idx = space.rank(states[row_idx] - e[sources[k]] + e[dests[k]])
+    diag = np.bincount(row_idx, weights=data, minlength=space.size)
     all_rows = np.concatenate([row_idx, np.arange(space.size)])
     all_cols = np.concatenate([col_idx, np.arange(space.size)])
     all_data = np.concatenate([data, -diag])
@@ -180,7 +178,8 @@ def transient(
 
     The horizon is split into segments with Lam*dt <= 1e4; within each
     segment the Poisson-weighted power series is truncated to tail mass
-    tol/segments and the result renormalized.
+    tol/segments and renormalized, after checking that it kept the
+    Poisson mass it summed up to rounding (gen rows must sum to zero).
     """
     if t < 0:
         raise ModelError(f"time must be non-negative, got {t}")
@@ -192,14 +191,13 @@ def transient(
             f"generator shape {gen.shape} does not match {size} states"
         )
     pi = init.probs.copy()
-    lam = float(np.max(-gen.diagonal())) if size else 0.0
-    lam += 1e-12
+    lam = float(np.max(-gen.diagonal())) + 1e-12
     if t == 0.0 or lam * t == 0.0:
         return LumpedDistribution(space=init.space, probs=pi, time=init.time + t)
     n_seg = max(1, math.ceil(lam * t / _SEGMENT_RATE_MAX))
     dt = t / n_seg
     seg_tol = tol / n_seg
-    kernel = (sparse.eye(size, format="csr") + gen.multiply(1.0 / lam)).tocsr()
+    kernel_t = (sparse.eye(size, format="csr") + gen.multiply(1.0 / lam)).T.tocsr()
     for _ in range(n_seg):
         w = poisson_weights(lam * dt, seg_tol)
         if w.k_max > _TERM_CAP:
@@ -212,10 +210,11 @@ def transient(
             if k >= w.k_min:
                 acc += w.probs[k - w.k_min] * v
             if k < w.k_max:
-                v = v @ kernel
+                v = kernel_t @ v
         total = float(acc.sum())
-        if total <= 0:
-            raise NumericsError("uniformization lost all probability mass")
+        want = (1.0 - w.tail) * float(pi.sum())
+        if not abs(total - want) <= _MASS_ULPS * (w.k_max + 1):
+            raise NumericsError(f"uniformization kept mass {total!r}, not {want!r}")
         pi = acc / total
     return LumpedDistribution(space=init.space, probs=pi, time=init.time + t)
 

@@ -86,6 +86,22 @@ def test_numerics_error_exits_3(capsys, tmp_path):
     assert err.startswith("error: numerics:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--N", "0", "--init", "1,0", "--t", "1"),
+        ("exact", "--N", "0", "--init", "1,0", "--t", "1"),
+        ("compare", "--Ns", "0,2", "--t", "1", "--init", "1,0"),
+    ],
+    ids=["simulate", "exact", "compare"],
+)
+def test_population_below_one_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: model: population size N must be at least 1\n"
+    assert out == ""
+
+
 def test_validate_failure_exits_2(capsys, tmp_path):
     path = write_model(tmp_path, BAD_RANGE_DOC)
     code, out, err = run(capsys, "validate", "--model", path, "--N", "20")

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
-from popdrift.errors import ModelError, RateError
+from popdrift.errors import ModelError, NumericsError, RateError
 from popdrift.exact import (
     LumpedDistribution,
     enumerate_states,
@@ -16,6 +17,24 @@ from popdrift.exact import (
     transient,
 )
 from popdrift.model import builtin_example, load_model
+
+CONTENTION_DOC = """states = idle, backoff, send
+param a = 0.05
+param b = 0.2
+param c = 0.5
+rate idle -> send : a*pow(1-a/2, N*m[idle])
+rate idle -> backoff : a*(1 - pow(1-a/2, N*m[idle]))
+rate backoff -> idle : b*pow(1-c/2, N*m[send])
+rate send -> idle : c
+"""
+FOUR_STATE_DOC = """states = a, b, c, d
+rate a -> b : 1 + m[c]
+rate a -> d : 0.2*m[d]
+rate b -> a : min(1, m[b] + 0.1)
+rate b -> c : 0.5*m[a] + 0.3
+rate c -> d : exp(-m[d])
+rate d -> a : 0.7
+"""
 
 P1, P2 = 0.008, 0.05
 LAM1 = P1 * (1 - (1 - P1 / 2))  # single idle agent, nobody else around
@@ -47,6 +66,16 @@ def test_enumeration_is_lexicographic_complete_and_unique():
             assert space.index_of(r) == k
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [(1, 1, 1), (3,), (-1, 4), (4, -1), (1, 1), (2, 2)],
+    ids=["long", "short", "negative-first", "negative-last", "sum-low", "sum-high"],
+)
+def test_index_of_rejects_vectors_outside_the_space(counts):
+    with pytest.raises(ModelError):
+        enumerate_states(2, 3).index_of(counts)
+
+
 def test_enumerate_cap():
     with pytest.raises(ModelError, match="cap"):
         enumerate_states(3, 2000, cap=10**6)
@@ -64,6 +93,32 @@ def test_generator_n1_example_rates():
     assert gen[i_backoff, i_backoff] == pytest.approx(-MU1, rel=1e-12)
     assert LAM1 == pytest.approx(3.2e-5, abs=1e-12)
     assert MU1 == pytest.approx(0.04875, abs=1e-12)
+
+
+def dense_generator(model, space):
+    """Reference generator: one state at a time, targets found by dict."""
+    index = {tuple(row): k for k, row in enumerate(space.states.tolist())}
+    gen = np.zeros((space.size, space.size))
+    for k, counts in enumerate(space.states.tolist()):
+        m = [c / space.N for c in counts]
+        for s, t, fn in model.transitions():
+            if counts[s] == 0:
+                continue
+            target = list(counts)
+            target[s] -= 1
+            target[t] += 1
+            rate = counts[s] * fn(float(space.N), m)
+            gen[k, index[tuple(target)]] += rate
+            gen[k, k] -= rate
+    return gen
+
+
+@pytest.mark.parametrize("doc, N", [(CONTENTION_DOC, 8), (FOUR_STATE_DOC, 5)])
+def test_generator_matches_state_by_state_assembly(doc, N):
+    model = load_model(doc)
+    space = enumerate_states(model.n_states, N)
+    want = dense_generator(model, space)
+    assert np.array_equal(generator(model, space).toarray(), want)
 
 
 def test_generator_zero_model():
@@ -145,6 +200,15 @@ def test_transient_segments_long_horizons():
     want = init.probs @ expm(gen.toarray() * t)
     assert np.max(np.abs(got.probs - want)) <= 1e-10
     assert got.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("excess", [0.01, -0.01])
+def test_transient_rejects_rows_that_do_not_sum_to_zero(excess):
+    # hand-built N=1 chain whose rows leak or gain mass
+    space = enumerate_states(2, 1)
+    gen = sparse.csr_matrix([[-1.0, 1.0 + excess], [2.0, -2.0 + excess]])
+    with pytest.raises(NumericsError, match="mass"):
+        transient(gen, point_mass(space, (1, 0)), 1.0)
 
 
 def test_transient_mass_conservation_random_models():

@@ -1,4 +1,5 @@
-"""Invariants checked on small random models drawn from a fixed rate pool.
+"""Invariants checked on small count-vector spaces and on small random
+models drawn from a fixed rate pool.
 
 Each model has two or three states and a few transitions whose rates
 come from the pool below, with the occupancy coordinate they read drawn
@@ -71,6 +72,17 @@ def counts_of(m, N):
     counts = np.floor(m * N).astype(np.int64)
     counts[0] += N - counts.sum()
     return counts
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(0, 15))
+def test_ranks_number_a_complete_lexicographic_enumeration(n_states, N):
+    space = enumerate_states(n_states, N)
+    assert np.array_equal(space.rank(space.states), np.arange(space.size))
+    rows = [tuple(r) for r in space.states.tolist()]
+    assert rows == sorted(set(rows))  # lexicographic, no repeats
+    assert all(min(r) >= 0 and sum(r) == N for r in rows)
+    assert len(rows) == math.comb(N + n_states - 1, n_states - 1)  # complete
 
 
 @SETTINGS
