@@ -35,7 +35,6 @@ from .meandrift import (
     mean_drift_field,
     poisson_mean_intensity,
     poisson_weights,
-    simple_poisson_mean,
 )
 from .model import (
     ModelSpec,
@@ -112,7 +111,6 @@ __all__ = [
     "poisson_weights",
     "pretty",
     "sample_simplex",
-    "simple_poisson_mean",
     "simulate_ctmc",
     "simulate_slotted",
     "slot_probability",

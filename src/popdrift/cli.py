@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -87,14 +86,12 @@ def _load(args) -> ModelSpec:
         return load_model(fh.read())
 
 
-def _second_state(model: ModelSpec) -> int:
-    if model.n_states < 2:
-        raise ModelError("model needs at least two states for this command")
-    return 1
+# the column reported by compare and chaos; every model has at least two states
+_SECOND_STATE = 1
 
 
-def _check_population(N: int) -> None:
-    if N < 1:
+def _check_population(N) -> None:
+    if not N >= 1:  # also rejects NaN
         raise ModelError("population size N must be at least 1")
 
 
@@ -124,6 +121,7 @@ def _load_reference(path: str, model: ModelSpec) -> Trajectory:
 
 def _cmd_validate(args):
     model = _load(args)
+    _check_population(args.N)
     report = validate(model, N=args.N, sample_count=args.samples, seed=args.seed)
     header = (
         "N,samples,ok,nonnegative,max_rate,rate_warning,"
@@ -152,6 +150,7 @@ def _cmd_validate(args):
 
 def _cmd_drift(args):
     model = _load(args)
+    _check_population(args.N)
     vec = drift(model, args.N, np.asarray(args.m))
     header = ",".join(f"F_{s}" for s in model.state_names)
     return [header, ",".join(_fmt(v) for v in vec)], 0
@@ -159,6 +158,7 @@ def _cmd_drift(args):
 
 def _cmd_meandrift(args):
     model = _load(args)
+    _check_population(args.N)
     vec = mean_drift(model, args.N, np.asarray(args.m), tau=args.tau)
     header = ",".join(f"Ftilde_{s}" for s in model.state_names)
     return [header, ",".join(_fmt(v) for v in vec)], 0
@@ -166,6 +166,8 @@ def _cmd_meandrift(args):
 
 def _cmd_ode(args):
     model = _load(args)
+    if args.variant != "limit" and args.N is not None:
+        _check_population(args.N)
     times = np.linspace(0.0, args.t, args.points)
     traj = solve(
         model,
@@ -232,7 +234,7 @@ def _cmd_simulate(args):
     )
     config = _sim_config(args, model, grid, hist)
     reference = _load_reference(args.ref, model) if args.ref else None
-    stats = ensemble(model, config, reference=reference, jobs=args.jobs)
+    stats = ensemble(model, config, reference=reference)
     header = (
         "t,"
         + ",".join(f"mean_phi_{s}" for s in model.state_names)
@@ -265,7 +267,7 @@ def _cmd_simulate(args):
 
 def _compare_row(model, N, args, seed):
     init = np.asarray(args.init)
-    second = _second_state(model)
+    second = _SECOND_STATE
     cells = {}
     notes = []
     try:
@@ -323,26 +325,14 @@ def _compare_row(model, N, args, seed):
 
 def _cmd_compare(args):
     model = _load(args)
-    _second_state(model)
     for N in args.Ns:
         _check_population(N)
     columns = ["phi2_drift", "phi2_meandrift", "phi2_exact"]
     if args.reps > 0:
         columns += ["phi2_sim_mean", "phi2_sim_stderr"]
-    results: list = [None] * len(args.Ns)
-
-    def work(k: int) -> None:
-        results[k] = _compare_row(model, args.Ns[k], args, args.seed + k)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(work, range(len(args.Ns))))
-    else:
-        for k in range(len(args.Ns)):
-            work(k)
-
     lines = ["N," + ",".join(columns)]
-    for N, (cells, notes) in zip(args.Ns, results):
+    for k, N in enumerate(args.Ns):
+        cells, notes = _compare_row(model, N, args, args.seed + k)
         for note in notes:
             sys.stderr.write(note + "\n")
         row = [str(N)]
@@ -354,9 +344,9 @@ def _cmd_compare(args):
 
 def _cmd_chaos(args):
     model = _load(args)
-    second = (
-        model.index_of(args.state) if args.state else _second_state(model)
-    )
+    for N in args.Ns:
+        _check_population(N)
+    second = model.index_of(args.state) if args.state else _SECOND_STATE
     state_name = model.state_names[second]
     init = np.asarray(args.init)
     lines = [f"N,lambda,tv_{state_name}"]
@@ -377,7 +367,7 @@ def _cmd_chaos(args):
             sample_times=(0.0, args.t),
             hist=((args.t, second),),
         )
-        stats = ensemble(model, config, jobs=args.jobs)
+        stats = ensemble(model, config)
         tv = poisson_marginal_fit(stats.histograms[(args.t, second)], lam)
         lines.append(",".join([str(N), _fmt(lam), _fmt(tv)]))
     return lines, 0
@@ -389,6 +379,13 @@ def _add_model(p):
         help="model document path (default: the bundled example)",
     )
     p.add_argument("--out", help="write CSV here instead of standard output")
+
+
+def _add_jobs(p):
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility; runs are sequential and it has no effect",
+    )
 
 
 def build_parser() -> _Parser:
@@ -454,7 +451,7 @@ def build_parser() -> _Parser:
     p.add_argument("--hist", type=_hist_request, action="append",
                    help="<time>,<state>: collect an agent-count histogram")
     p.add_argument("--ref", help="trajectory CSV for sup-distance statistics")
-    p.add_argument("--jobs", type=int, default=1)
+    _add_jobs(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
@@ -471,7 +468,7 @@ def build_parser() -> _Parser:
                    help="simulation replications per N (0 disables)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", type=_sim_mode, default=("ctmc", None))
-    p.add_argument("--jobs", type=int, default=1)
+    _add_jobs(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser(
@@ -486,7 +483,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", type=_sim_mode, default=("ctmc", None))
     p.add_argument("--state", help="state name (default: the second state)")
     p.add_argument("--step", type=float, help="ODE integrator step")
-    p.add_argument("--jobs", type=int, default=1)
+    _add_jobs(p)
     p.set_defaults(func=_cmd_chaos)
 
     return parser
@@ -496,6 +493,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ModelError("jobs must be at least 1")
         lines, code = args.func(args)
         _emit(lines, args.out)
     except (ModelError, ExprError) as exc:

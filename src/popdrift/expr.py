@@ -14,6 +14,14 @@ over the grammar
 
 ``N`` is reserved for the population size.  ``pow(0, 0)`` evaluates
 to 1.  Syntax errors carry a 1-based column number.
+
+An expression nests at most 100 levels (``_MAX_DEPTH``): a number,
+name or occupancy term is one level, and each operator, function
+call, unary minus and pair of grouping parentheses adds one level
+above the deepest of its operands.  So ``1-(1-m[a])`` has depth 5
+and a sum of k terms has depth k.  The limit keeps the parser, the
+tree walkers and the compiled source within the interpreter's
+recursion and bracket-nesting limits.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "Num",
@@ -99,6 +109,8 @@ Expr = Union[Num, Name, Occ, Neg, BinOp, Call]
 # function name -> arity
 FUNCTIONS = {"pow": 2, "exp": 1, "ln": 1, "min": 2, "max": 2}
 
+_MAX_DEPTH = 100
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -136,6 +148,15 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent.
+
+    Each parse_* takes ``level``, the depth that the parentheses, calls
+    and unary minuses open around it add at least, and returns (node,
+    depth of its tree).  ``nest`` enforces _MAX_DEPTH both ways: going
+    down, so the recursion stops early, and coming up, because chains
+    of binary operators deepen the tree without recursing.
+    """
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
@@ -156,51 +177,66 @@ class _Parser:
             )
         return self.advance()
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
+    @staticmethod
+    def nest(tok: _Token, *depths: int) -> int:
+        """Depth of a level opened at tok over operands of these depths."""
+        depth = 1 + max(depths, default=0)
+        if depth > _MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nests deeper than {_MAX_DEPTH} levels", tok.column
+            )
+        return depth
+
+    def parse_expr(self, level: int) -> tuple[Expr, int]:
+        node, depth = self.parse_term(level)
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.parse_term())
-        return node
+            tok = self.advance()
+            right, rdepth = self.parse_term(level)
+            node, depth = BinOp(tok.kind, node, right), self.nest(tok, depth, rdepth)
+        return node, depth
 
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
+    def parse_term(self, level: int) -> tuple[Expr, int]:
+        node, depth = self.parse_factor(level)
         while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            node = BinOp(op, node, self.parse_factor())
-        return node
+            tok = self.advance()
+            right, rdepth = self.parse_factor(level)
+            node, depth = BinOp(tok.kind, node, right), self.nest(tok, depth, rdepth)
+        return node, depth
 
-    def parse_factor(self) -> Expr:
-        if self.peek().kind == "-":
-            self.advance()
-            return Neg(self.parse_factor())
-        return self.parse_atom()
+    def parse_factor(self, level: int) -> tuple[Expr, int]:
+        tok = self.peek()
+        if tok.kind != "-":
+            return self.parse_atom(level)
+        self.advance()
+        operand, depth = self.parse_factor(self.nest(tok, level))
+        return Neg(operand), self.nest(tok, depth)
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self, level: int) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 1
         if tok.kind == "(":
             self.advance()
-            node = self.parse_expr()
+            node, depth = self.parse_expr(self.nest(tok, level))
             self.expect(")")
-            return node
+            return node, self.nest(tok, depth)
         if tok.kind == "ident":
             self.advance()
             if tok.text == "m" and self.peek().kind == "[":
                 self.advance()
                 state = self.expect("ident")
                 self.expect("]")
-                return Occ(state.text)
+                return Occ(state.text), 1
             if self.peek().kind == "(":
                 if tok.text not in FUNCTIONS:
                     raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.column)
                 self.advance()
-                args = [self.parse_expr()]
+                inner = self.nest(tok, level)
+                args = [self.parse_expr(inner)]
                 while self.peek().kind == ",":
                     self.advance()
-                    args.append(self.parse_expr())
+                    args.append(self.parse_expr(inner))
                 self.expect(")")
                 if len(args) != FUNCTIONS[tok.text]:
                     raise ExprSyntaxError(
@@ -208,8 +244,9 @@ class _Parser:
                         f"got {len(args)}",
                         tok.column,
                     )
-                return Call(tok.text, tuple(args))
-            return Name(tok.text)
+                depth = self.nest(tok, *(d for _, d in args))
+                return Call(tok.text, tuple(a for a, _ in args)), depth
+            return Name(tok.text), 1
         raise ExprSyntaxError(
             f"unexpected {tok.text or 'end of input'!r}", tok.column
         )
@@ -218,10 +255,11 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse expression text into an AST.
 
-    Raises ExprSyntaxError with a 1-based column on malformed input.
+    Raises ExprSyntaxError with a 1-based column on malformed input and
+    on expressions nested deeper than 100 levels.
     """
     parser = _Parser(text)
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr(0)
     tok = parser.peek()
     if tok.kind != "end":
         raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.column)
@@ -332,100 +370,97 @@ def _prec(e: Expr) -> int:
     return _PREC_ATOM
 
 
+def _render(e: Expr, leaf: Callable[[Expr], str]) -> str:
+    """Text of e with the fewest parentheses that keep its tree.
+
+    ``leaf`` renders the Num, Name and Occ nodes.
+    """
+    if isinstance(e, (Num, Name, Occ)):
+        return leaf(e)
+    if isinstance(e, Neg):
+        inner = _render(e.operand, leaf)
+        if _prec(e.operand) < _PREC_NEG:
+            inner = f"({inner})"
+        return f"-{inner}"
+    if isinstance(e, BinOp):
+        p = _prec(e)
+        left = _render(e.left, leaf)
+        if _prec(e.left) < p:
+            left = f"({left})"
+        right = _render(e.right, leaf)
+        if _prec(e.right) <= p:
+            right = f"({right})"
+        return f"{left}{e.op}{right}"
+    if isinstance(e, Call):
+        return f"{e.func}({', '.join(_render(a, leaf) for a in e.args)})"
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _text_leaf(e: Expr) -> str:
+    if isinstance(e, Num):
+        return repr(e.value)
+    if isinstance(e, Name):
+        return e.ident
+    return f"m[{e.state}]"
+
+
 def pretty(e: Expr) -> str:
     """Render an AST back to expression text.
 
     The output reparses to a structurally identical AST.
     """
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Name):
-        return e.ident
-    if isinstance(e, Occ):
-        return f"m[{e.state}]"
-    if isinstance(e, Neg):
-        inner = pretty(e.operand)
-        if _prec(e.operand) < _PREC_NEG:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, BinOp):
-        p = _PREC_ADD if e.op in ("+", "-") else _PREC_MUL
-        left = pretty(e.left)
-        if _prec(e.left) < p:
-            left = f"({left})"
-        right = pretty(e.right)
-        if _prec(e.right) <= p:
-            right = f"({right})"
-        return f"{left}{e.op}{right}"
-    if isinstance(e, Call):
-        return f"{e.func}({', '.join(pretty(a) for a in e.args)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    return _render(e, _text_leaf)
 
 
-# Value type for the compiled fast path: scalars or numpy arrays, as
-# long as they broadcast together.
-Value = Union[float, "object"]
+# Names the compiled source may read besides N and m.  Python's unary
+# minus and binary + - * / share the expression language's precedence
+# and associativity, so the rendered source is the same tree; a
+# negative parameter's literal is a unary minus, which binds like an
+# atom next to those operators.
+_KERNEL_GLOBALS = {
+    "__builtins__": {},
+    "pow": np.power,
+    "exp": np.exp,
+    "ln": np.log,
+    "min": np.minimum,
+    "max": np.maximum,
+    "inf": math.inf,
+    "nan": math.nan,
+}
 
 
 def compile_fn(
     e: Expr,
     params: Mapping[str, float],
     state_index: Mapping[str, int],
-) -> Callable[[float, Sequence[Value]], Value]:
+) -> Callable[[float, Sequence], object]:
     """Compile an expression to ``f(N, m)`` with parameters baked in.
 
     ``m`` is indexed by state position and may hold floats or numpy
-    arrays; operations broadcast elementwise.  The compiled function is
-    unchecked: domain violations produce inf/nan under numpy semantics
-    rather than raising, so callers validate results.  Unbound names
-    raise ExprEvalError here, at compile time.
+    arrays; operations broadcast elementwise.  The expression is
+    rendered once as Python source in which parameters and numbers are
+    float literals and occupancies are ``m[index]``, so no model name
+    reaches the source.  The compiled function is unchecked: domain
+    violations produce inf/nan under numpy semantics rather than
+    raising, so callers validate results.  Unbound names raise
+    ExprEvalError here, at compile time.
     """
-    import numpy as np
 
-    if isinstance(e, Num):
-        value = e.value
-        return lambda N, m: value
-    if isinstance(e, Name):
-        if e.ident == "N":
-            return lambda N, m: N
+    def leaf(node: Expr) -> str:
+        if isinstance(node, Occ):
+            try:
+                return f"m[{state_index[node.state]}]"
+            except KeyError:
+                raise ExprEvalError(
+                    f"unknown state in occupancy term m[{node.state}]"
+                ) from None
+        if isinstance(node, Num):
+            return repr(node.value)
+        if node.ident == "N":
+            return "N"
         try:
-            value = float(params[e.ident])
+            return repr(float(params[node.ident]))
         except KeyError:
-            raise ExprEvalError(f"unbound identifier {e.ident!r}") from None
-        return lambda N, m: value
-    if isinstance(e, Occ):
-        try:
-            i = state_index[e.state]
-        except KeyError:
-            raise ExprEvalError(f"unknown state in occupancy term m[{e.state}]") from None
-        return lambda N, m: m[i]
-    if isinstance(e, Neg):
-        f = compile_fn(e.operand, params, state_index)
-        return lambda N, m: -f(N, m)
-    if isinstance(e, BinOp):
-        lf = compile_fn(e.left, params, state_index)
-        rf = compile_fn(e.right, params, state_index)
-        if e.op == "+":
-            return lambda N, m: lf(N, m) + rf(N, m)
-        if e.op == "-":
-            return lambda N, m: lf(N, m) - rf(N, m)
-        if e.op == "*":
-            return lambda N, m: lf(N, m) * rf(N, m)
-        return lambda N, m: lf(N, m) / rf(N, m)
-    if isinstance(e, Call):
-        fns = [compile_fn(a, params, state_index) for a in e.args]
-        if e.func == "pow":
-            bf, ef = fns
-            return lambda N, m: np.power(bf(N, m), ef(N, m))
-        if e.func == "exp":
-            (af,) = fns
-            return lambda N, m: np.exp(af(N, m))
-        if e.func == "ln":
-            (af,) = fns
-            return lambda N, m: np.log(af(N, m))
-        if e.func == "min":
-            af, bf = fns
-            return lambda N, m: np.minimum(af(N, m), bf(N, m))
-        af, bf = fns
-        return lambda N, m: np.maximum(af(N, m), bf(N, m))
-    raise TypeError(f"not an expression node: {e!r}")
+            raise ExprEvalError(f"unbound identifier {node.ident!r}") from None
+
+    return eval(f"lambda N, m: {_render(e, leaf)}", dict(_KERNEL_GLOBALS))

@@ -10,11 +10,8 @@ Poisson pmf is truncated to a window around its mode holding all but
 tau/(2I) of the mass, which bounds the neglected joint mass by tau.
 Lattice points with K_s = 0 contribute nothing (the intensity factor
 vanishes), so rates singular in an empty state stay harmless.
-
 ``mean_drift`` always sums over the full rectangle of all I
-coordinates.  ``simple_poisson_mean`` computes one intensity whose rate
-reads a single occupancy coordinate on that coordinate's window alone;
-it is not used by ``mean_drift``.
+coordinates.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ __all__ = [
     "poisson_weights",
     "poisson_mean_intensity",
     "mean_drift",
-    "simple_poisson_mean",
     "mean_drift_field",
     "LATTICE_POINT_CAP",
 ]
@@ -195,45 +191,6 @@ def mean_drift(model: ModelSpec, N: float, m, tau: float = 1e-10) -> np.ndarray:
     _, windows = _coordinate_windows(model, N, m, tau)
     table = model._rate_table
     return table.net(_window_lattice_sum(table, N, windows))
-
-
-def simple_poisson_mean(
-    model: ModelSpec,
-    N: float,
-    m,
-    s: str,
-    t: str,
-    j: str,
-    tau: float = 1e-10,
-) -> float:
-    """One-dimensional fast path for rates depending only on m[j].
-
-    Computes m_s * sum_k Q((k/N) e_j) * P(K_j = k) over the truncated
-    window.  The precondition that the rate reads no other occupancy
-    coordinate is checked via its free variables.
-    """
-    from . import expr as ex
-
-    k = model._pair(s, t)
-    jdx = model.index_of(j)
-    if k is None:
-        return 0.0
-    occ_vars = [v for v in ex.free_vars(model.rates[s, t]) if v.startswith("m[")]
-    allowed = f"m[{j}]"
-    extra = [v for v in occ_vars if v != allowed]
-    if extra:
-        raise ModelError(
-            f"rate {s} -> {t} depends on {', '.join(extra)}, not only on "
-            f"{allowed}; use poisson_mean_intensity"
-        )
-    arr = np.asarray(m, dtype=float)
-    w = poisson_weights(N * _clamped(float(arr[jdx])), tau)
-    coords: list = [0.0] * model.n_states
-    coords[jdx] = w.support() / N
-    table = model._rate_table
-    q = table.evaluate(N, coords, w.probs.shape, ks=(k,))
-    table.check(q, coords, ks=(k,))
-    return float(arr[table.sources[k]]) * float(np.dot(q[0], w.probs))
 
 
 def mean_drift_field(

@@ -12,7 +12,6 @@ finite-difference check of the mean dynamics.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -280,18 +279,14 @@ def ensemble(
     model: ModelSpec,
     config: SimConfig,
     reference: Optional[Trajectory] = None,
-    jobs: int = 1,
 ) -> SimStats:
     """Run config.reps independent replications and aggregate.
 
-    Replication r uses the r-th spawn of the master seed, so results do
-    not depend on execution order; jobs > 1 distributes fixed 64-rep
-    chunks over threads and reduces them in chunk order, which keeps
-    every statistic bit-identical across parallelism degrees.  More
-    than 1% failed replications aborts.
+    Replication r uses the r-th spawn of the master seed.  Replications
+    run in fixed chunks of 64; each chunk's moment sums are formed
+    first and then added to the totals in chunk order.  More than 1%
+    failed replications aborts.
     """
-    if jobs < 1:
-        raise ModelError("jobs must be at least 1")
     for _, s in config.hist:
         if not 0 <= s < model.n_states:
             raise ModelError(f"histogram state index {s} out of range")
@@ -300,65 +295,53 @@ def ensemble(
     R = config.reps
     n = model.n_states
     streams = np.random.SeedSequence(config.seed).spawn(R)
-    n_chunks = (R + _CHUNK_REPS - 1) // _CHUNK_REPS
 
-    chunk_sum = np.zeros((n_chunks, grid.size, n))
-    chunk_sumsq = np.zeros((n_chunks, grid.size, n))
+    total = np.zeros((grid.size, n))
+    totalsq = np.zeros((grid.size, n))
     sup_all = np.full(R, np.nan)
     z_all = np.zeros((R, n, n), dtype=np.int64)
     ok = np.zeros(R, dtype=bool)
-    hist_keys = tuple(config.hist)
-    hist_parts = {
-        key: np.zeros((n_chunks, config.N + 1), dtype=np.int64)
-        for key in hist_keys
+    histograms = {
+        key: np.zeros(config.N + 1, dtype=np.int64) for key in config.hist
     }
-    errors: list = [None] * n_chunks
-
-    def run_chunk(c: int) -> None:
-        lo = c * _CHUNK_REPS
-        hi = min(R, lo + _CHUNK_REPS)
-        for r in range(lo, hi):
+    first_error = None
+    for lo in range(0, R, _CHUNK_REPS):
+        part = np.zeros((grid.size, n))
+        partsq = np.zeros((grid.size, n))
+        for r in range(lo, min(R, lo + _CHUNK_REPS)):
             rng = np.random.default_rng(streams[r])
             try:
                 path = _simulate(model, config, rng)
                 occ = path.occupancy_at(grid)
-                hist_vals = {
-                    key: int(path.counts_at(key[0])[0, key[1]])
-                    for key in hist_keys
-                }
+                hist_vals = [
+                    int(path.counts_at(t)[0, s]) for t, s in histograms
+                ]
             except (ModelError, NumericsError) as exc:
-                if errors[c] is None:
-                    errors[c] = str(exc)
+                if first_error is None:
+                    first_error = str(exc)
                 continue
-            chunk_sum[c] += occ
-            chunk_sumsq[c] += occ * occ
+            part += occ
+            partsq += occ * occ
             if ref_vals is not None:
                 gaps = np.sqrt(((occ - ref_vals) ** 2).sum(axis=1))
                 sup_all[r] = gaps.max()
             z_all[r] = path.jump_totals
-            for key, k in hist_vals.items():
-                hist_parts[key][c, k] += 1
+            for tally, k in zip(histograms.values(), hist_vals):
+                tally[k] += 1
             ok[r] = True
-
-    if jobs == 1:
-        for c in range(n_chunks):
-            run_chunk(c)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run_chunk, range(n_chunks)))
+        total += part
+        totalsq += partsq
 
     n_ok = int(ok.sum())
     failures = R - n_ok
     if failures > 0.01 * R:
-        detail = next((e for e in errors if e), "unknown failure")
         raise ModelError(
-            f"{failures} of {R} replications failed; first failure: {detail}"
+            f"{failures} of {R} replications failed; "
+            f"first failure: {first_error}"
         )
     if n_ok == 0:
         raise ModelError("all replications failed")
 
-    total = chunk_sum.sum(axis=0)
-    totalsq = chunk_sumsq.sum(axis=0)
     mean = total / n_ok
     if n_ok > 1:
         var = np.maximum(0.0, (totalsq - n_ok * mean * mean) / (n_ok - 1))
@@ -373,7 +356,7 @@ def ensemble(
         mean=mean,
         stderr=stderr,
         z_counts=z_all[ok],
-        histograms={key: part.sum(axis=0) for key, part in hist_parts.items()},
+        histograms=histograms,
         reps=R,
         failures=failures,
         sup_distances=sup,

@@ -1,10 +1,14 @@
 """CLI round trips: CSV output, exit codes, reproducibility."""
 
 import math
+import re
 
 import pytest
 
 from popdrift.cli import main
+from popdrift.errors import ModelError
+from popdrift.expr import _MAX_DEPTH
+from popdrift.model import load_model
 
 ZERO_DOC = "states = a, b\nrate a -> b : 0\n"
 BAD_RANGE_DOC = "states = a, b\nrate a -> b : 1 - 3*m[b]\nrate b -> a : 0.1\n"
@@ -92,13 +96,77 @@ def test_numerics_error_exits_3(capsys, tmp_path):
         ("simulate", "--N", "0", "--init", "1,0", "--t", "1"),
         ("exact", "--N", "0", "--init", "1,0", "--t", "1"),
         ("compare", "--Ns", "0,2", "--t", "1", "--init", "1,0"),
+        ("validate", "--N", "0"),
+        ("drift", "--N", "0", "--m", "1,0"),
+        ("drift", "--N", "nan", "--m", "1,0"),
+        ("meandrift", "--N", "0.5", "--m", "1,0"),
+        ("ode", "--variant", "drift", "--N", "0", "--init", "1,0", "--t", "1"),
+        ("ode", "--variant", "meandrift", "--N", "nan", "--init", "1,0",
+         "--t", "1"),
+        ("chaos", "--Ns", "2,0", "--t", "1", "--init", "1,0", "--reps", "5"),
     ],
-    ids=["simulate", "exact", "compare"],
+    ids=["simulate", "exact", "compare", "validate", "drift", "drift-nan",
+         "meandrift", "ode-drift", "ode-meandrift-nan", "chaos"],
 )
 def test_population_below_one_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err == "error: model: population size N must be at least 1\n"
+    assert out == ""
+
+
+def test_limit_ode_ignores_population(capsys):
+    code, out, _ = run(
+        capsys, "ode", "--variant", "limit", "--N", "0", "--init", "1,0",
+        "--t", "1", "--points", "2",
+    )
+    assert code == 0
+    assert len(rows(out)) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--N", "2", "--init", "1,0", "--t", "1", "--reps", "2"),
+        ("compare", "--Ns", "2", "--t", "10", "--init", "1,0"),
+        ("chaos", "--Ns", "2", "--t", "1", "--init", "1,0", "--reps", "2"),
+    ],
+    ids=["simulate", "compare", "chaos"],
+)
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(capsys, argv, jobs):
+    code, out, err = run(capsys, *argv, "--jobs", jobs)
+    assert code == 2
+    assert err == "error: model: jobs must be at least 1\n"
+    assert out == ""
+
+
+def deep_doc(depth):
+    """A model whose a -> b rate nests exactly depth levels deep."""
+    k = (depth - 1) // 2
+    rate = "1-(" * k + "*".join(["m[a]"] * (depth - 2 * k)) + ")" * k
+    return f"states = a, b\nrate a -> b : {rate}\n"
+
+
+def test_rate_at_the_nesting_limit_runs(capsys, tmp_path):
+    path = write_model(tmp_path, deep_doc(_MAX_DEPTH))
+    code, out, err = run(capsys, "drift", "--model", path, "--N", "10", "--m", "1,0")
+    assert code == 0, err
+    assert rows(out)[0] == ["F_a", "F_b"]
+
+
+@pytest.mark.parametrize("depth", [_MAX_DEPTH + 1, 601])
+def test_rate_over_the_nesting_limit_exits_2(capsys, tmp_path, depth):
+    with pytest.raises(ModelError, match=r"line 2: expression nests deeper"):
+        load_model(deep_doc(depth))
+    path = write_model(tmp_path, deep_doc(depth))
+    code, out, err = run(capsys, "drift", "--model", path, "--N", "10", "--m", "1,0")
+    assert code == 2
+    assert re.fullmatch(
+        rf"error: model: line 2: expression nests deeper than {_MAX_DEPTH} "
+        r"levels \(column \d+\)\n",
+        err,
+    )
     assert out == ""
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from popdrift.expr import (
+    _MAX_DEPTH,
     BinOp,
     Call,
     ExprEvalError,
@@ -199,3 +200,74 @@ def test_compile_rejects_unbound_names():
 def test_compile_pow_zero_zero():
     fn = compile_fn(parse("pow(m[a], m[a])"), {}, {"a": 0})
     assert fn(1.0, [0.0]) == 1.0
+    assert np.array_equal(fn(1.0, [np.zeros(3)]), np.ones(3))
+    assert np.array_equal(fn(1.0, (np.array([0.0, 2.0]),)), [1.0, 4.0])
+
+
+# names that are Python keywords, builtins, or the language's own words
+ODD_NAMES = ("if", "lambda", "None", "exp", "m")
+ODD_EXPRS = (
+    "if", "lambda", "None", "exp", "m", "N*if", "-None", "None*m[if]",
+    "if*m[lambda] + None", "exp(m[m])*lambda", "min(if, m[None])",
+    "max(m, m[exp])", "pow(lambda, 2) - m/(1 + m[m])", "ln(1 + m[if])*exp",
+    "pow(m[None], m[None])",
+)
+
+
+@pytest.mark.parametrize("value", [math.inf, -0.5, -0.0, 0.25])
+def test_compile_matches_evaluate_for_odd_names(value):
+    # no state or parameter name reaches the compiled source, so names
+    # that would clash with Python or with the kernel's own names work
+    params = {name: value for name in ODD_NAMES}
+    state_index = {name: k for k, name in enumerate(ODD_NAMES)}
+    m = [0.0, 0.1, 0.2, 0.3, 0.4]
+    bindings = {"N": 7.0, **params}
+    bindings.update({f"m[{name}]": m[k] for name, k in state_index.items()})
+    checked = 0
+    for text in ODD_EXPRS:
+        ast = parse(text)
+        try:
+            want = evaluate(ast, bindings)
+        except ExprEvalError:
+            continue
+        with np.errstate(all="ignore"):
+            got = compile_fn(ast, params, state_index)(7.0, m)
+        assert got == pytest.approx(want, rel=1e-12, nan_ok=True), text
+        assert math.copysign(1.0, got) == math.copysign(1.0, want), text
+        checked += 1
+    assert checked >= 10
+
+
+def nested_text(depth: int) -> str:
+    """1-(1-(...)) around a product of m[a] factors, exactly depth levels deep."""
+    k = (depth - 1) // 2
+    return "1-(" * k + "*".join(["m[a]"] * (depth - 2 * k)) + ")" * k
+
+
+DEPTH_SHAPES = {
+    "nested": nested_text,
+    "sum": lambda d: "+".join(["m[a]"] * d),
+    "parens": lambda d: "(" * (d - 1) + "m[a]" + ")" * (d - 1),
+    "negations": lambda d: "-" * (d - 1) + "m[a]",
+    "calls": lambda d: "max(1, " * (d - 1) + "m[a]" + ")" * (d - 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEPTH_SHAPES))
+def test_nesting_limit_is_exact_and_what_it_accepts_compiles(shape):
+    text = DEPTH_SHAPES[shape]
+    ast = parse(text(_MAX_DEPTH))
+    assert parse(pretty(ast)) == ast
+    fn = compile_fn(ast, {}, {"a": 0})
+    want = evaluate(ast, {"m[a]": 0.5})
+    assert fn(10.0, [0.5]) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ExprSyntaxError, match=f"deeper than {_MAX_DEPTH} levels") as err:
+        parse(text(_MAX_DEPTH + 1))
+    assert 1 <= err.value.column <= len(text(_MAX_DEPTH + 1))
+
+
+def test_nesting_far_beyond_the_limit_is_a_syntax_error():
+    for text in ("(" * 5000 + "1" + ")" * 5000, "-" * 5000 + "1",
+                 "+".join(["1"] * 5000), nested_text(601)):
+        with pytest.raises(ExprSyntaxError, match="deeper than"):
+            parse(text)

@@ -12,7 +12,6 @@ from popdrift.meandrift import (
     mean_drift_field,
     poisson_mean_intensity,
     poisson_weights,
-    simple_poisson_mean,
 )
 from popdrift.model import builtin_example, load_model, sample_simplex
 
@@ -186,61 +185,68 @@ def test_truncation_stability():
         assert np.max(np.abs(loose - tight)) <= 1e-7
 
 
-def test_simple_poisson_mean_constant_rate():
+def test_poisson_mean_intensity_constant_rate():
     model = load_model("states = a, b\nrate a -> b : 0.2\n")
-    got = simple_poisson_mean(model, 12, (0.3, 0.7), "a", "b", j="b")
+    got = poisson_mean_intensity(model, 12, (0.3, 0.7), "a", "b")
     assert got == pytest.approx(0.3 * 0.2, abs=1e-10)
 
 
-def test_simple_poisson_mean_linear_cross_coordinate():
+def test_poisson_mean_intensity_linear_cross_coordinate():
+    # independent coordinates: E[(K_a/N)(K_b/N)] = m_a * m_b
     model = load_model("states = a, b\nrate a -> b : m[b]\n")
-    got = simple_poisson_mean(model, 12, (0.3, 0.7), "a", "b", j="b")
+    got = poisson_mean_intensity(model, 12, (0.3, 0.7), "a", "b")
     assert got == pytest.approx(0.3 * 0.7, abs=1e-10)
 
 
-def test_simple_poisson_mean_agrees_with_full_enumeration():
+def test_poisson_mean_intensity_factorizes_over_independent_coordinates():
+    # a rate reading only m[idle] on backoff -> idle averages to
+    # m_backoff * sum_k Q(k/N) P(K_idle = k)
     doc = (
         "states = idle, backoff\n"
         "param p1 = 0.008\nparam p2 = 0.05\n"
         "rate backoff -> idle : p2*pow(1-p1/2, N*m[idle])\n"
     )
     model = load_model(doc)
+    N = 30
+    ks = np.arange(200)
     for m1 in (0.2, 0.8):
         m = (m1, 1 - m1)
-        fast = simple_poisson_mean(model, 30, m, "backoff", "idle", j="idle")
-        full = poisson_mean_intensity(model, 30, m, "backoff", "idle")
-        assert fast == pytest.approx(full, abs=2e-10)
+        one_d = (1 - m1) * float(
+            np.dot(P2 * (1 - P1 / 2) ** ks, sp_poisson.pmf(ks, N * m1))
+        )
+        full = poisson_mean_intensity(model, N, m, "backoff", "idle")
+        assert full == pytest.approx(one_d, abs=2e-10)
 
 
-def test_simple_poisson_mean_ignores_the_other_transitions():
-    # b -> a is singular at m[b] = 0 and a -> b reads no coordinate:
-    # only a -> b is evaluated, on the window of m[a]
-    doc = (
-        "states = a, b\n"
-        "rate a -> b : 0.2\n"
-        "rate b -> a : min(1, 0.001/m[b])\n"
-    )
+def test_poisson_mean_intensity_ignores_the_other_transitions():
+    # b -> a is negative everywhere: only a -> b is evaluated
+    doc = "states = a, b\nrate a -> b : 0.2\nrate b -> a : -1\n"
     model = load_model(doc)
-    got = simple_poisson_mean(model, 12, (0.3, 0.7), "a", "b", j="a")
+    got = poisson_mean_intensity(model, 12, (0.3, 0.7), "a", "b")
     assert got == pytest.approx(0.3 * 0.2, abs=1e-10)
 
 
-def test_simple_poisson_mean_rejects_multi_coordinate_rates():
+def test_poisson_mean_intensity_averages_multi_coordinate_rates():
+    # the bundled rate reads both coordinates; its average is the
+    # two-dimensional Poisson sum
     model = builtin_example()
-    with pytest.raises(ModelError, match="not only"):
-        simple_poisson_mean(model, 10, (0.5, 0.5), "idle", "backoff", j="idle")
+    N, m = 10, (0.5, 0.5)
+    ks = np.arange(80)
+    pmf = sp_poisson.pmf(ks, N * 0.5)
+    k1, k2 = np.meshgrid(ks, ks, indexing="ij")
+    q = P1 * (1 - (1 - P1 / 2) ** k1 * (1 - P2 / 2) ** k2)
+    want = float(np.sum(k1 / N * q * np.outer(pmf, pmf)))
+    got = poisson_mean_intensity(model, N, m, "idle", "backoff")
+    assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_self_coordinate_average_gains_second_moment_term():
-    # For rate m[a] on a -> b the full average is the Poisson second
-    # moment E[(K/N)^2] = m^2 + m/N, not m^2; the fast path, which
-    # factors out m_a, gives m^2.  The gap is real and stays.
+    # For rate m[a] on a -> b the average is the Poisson second moment
+    # E[(K/N)^2] = m^2 + m/N, not the m^2 of factoring out m_a
     model = load_model("states = a, b\nrate a -> b : m[a]\n")
     N, m_a = 10, 0.4
     full = poisson_mean_intensity(model, N, (m_a, 1 - m_a), "a", "b")
-    fast = simple_poisson_mean(model, N, (m_a, 1 - m_a), "a", "b", j="a")
     assert full == pytest.approx(m_a**2 + m_a / N, abs=1e-10)
-    assert fast == pytest.approx(m_a**2, abs=1e-10)
 
 
 def test_mean_drift_field_metadata():

@@ -122,6 +122,24 @@ def test_single_pair_entry_points_evaluate_only_their_pairs(entry):
         drift(model, 4, (0.25, 0.75))
 
 
+def test_transitions_yield_kernels_for_points_and_arrays():
+    # (source, target, fn) where fn takes a tuple point or a tuple of
+    # arrays; the benchmark's kernel timings rely on this
+    model = builtin_example()
+    a = np.linspace(0.0, 1.0, 5)
+    seen = []
+    for i, j, fn in model.transitions():
+        seen.append((i, j))
+        s, t = model.state_names[i], model.state_names[j]
+        point = fn(160.0, (0.45, 0.55))
+        assert point == rate(model, 160, (0.45, 0.55), s, t)
+        batch = fn(160.0, (a, 1.0 - a))
+        assert batch.shape == a.shape
+        for x, value in zip(a, batch):
+            assert value == pytest.approx(fn(160.0, (x, 1.0 - x)), rel=1e-14)
+    assert seen == [(0, 1), (1, 0)]
+
+
 def test_validate_reports_the_rate_error():
     report = validate(load_model(BAD_DOC), 4, sample_count=20)
     assert not report.ok and not report.nonnegative

@@ -202,24 +202,6 @@ def test_ensemble_matches_manual_replications():
     assert stats.mse_sup == pytest.approx(np.mean(np.square(sups)), rel=1e-15)
 
 
-def test_ensemble_identical_across_jobs():
-    model = builtin_example()
-    config = SimConfig(
-        N=10, init=(10, 0), t_end=100.0, reps=130, seed=5,
-        hist=((100.0, 1),),
-    )
-    ref = solve(model, "drift", 10, (1.0, 0.0), 100.0)
-    one = ensemble(model, config, reference=ref, jobs=1)
-    four = ensemble(model, config, reference=ref, jobs=4)
-    assert np.array_equal(one.mean, four.mean)
-    assert np.array_equal(one.stderr, four.stderr)
-    assert np.array_equal(one.sup_distances, four.sup_distances)
-    assert one.mse_sup == four.mse_sup
-    assert np.array_equal(one.z_counts, four.z_counts)
-    assert np.array_equal(one.histograms[(100.0, 1)], four.histograms[(100.0, 1)])
-    assert one.histograms[(100.0, 1)].sum() == 130
-
-
 def test_ensemble_mean_agrees_with_lumped_transient():
     model = builtin_example()
     config = SimConfig(
