@@ -21,7 +21,8 @@ call, unary minus and pair of grouping parentheses adds one level
 above the deepest of its operands.  So ``1-(1-m[a])`` has depth 5
 and a sum of k terms has depth k.  The limit keeps the parser, the
 tree walkers and the compiled source within the interpreter's
-recursion and bracket-nesting limits.
+recursion and bracket-nesting limits; ``depth`` counts the same levels
+for a tree built in code, on the parentheses its text needs.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "parse",
     "evaluate",
     "free_vars",
+    "depth",
     "pretty",
     "compile_fn",
     "FUNCTIONS",
@@ -370,6 +372,22 @@ def _prec(e: Expr) -> int:
     return _PREC_ATOM
 
 
+def _operands(e: Expr) -> list[tuple[Expr, bool]]:
+    """Operands of e, each with whether its text goes in parentheses.
+
+    Parentheses are the fewest that keep the tree: ``_render`` writes
+    them and ``depth`` counts each pair as a level, as ``parse`` does.
+    """
+    if isinstance(e, Neg):
+        return [(e.operand, _prec(e.operand) < _PREC_NEG)]
+    if isinstance(e, BinOp):
+        p = _prec(e)
+        return [(e.left, _prec(e.left) < p), (e.right, _prec(e.right) <= p)]
+    if isinstance(e, Call):
+        return [(a, False) for a in e.args]
+    return []
+
+
 def _render(e: Expr, leaf: Callable[[Expr], str]) -> str:
     """Text of e with the fewest parentheses that keep its tree.
 
@@ -377,23 +395,32 @@ def _render(e: Expr, leaf: Callable[[Expr], str]) -> str:
     """
     if isinstance(e, (Num, Name, Occ)):
         return leaf(e)
+    parts = [
+        f"({_render(a, leaf)})" if wrapped else _render(a, leaf)
+        for a, wrapped in _operands(e)
+    ]
     if isinstance(e, Neg):
-        inner = _render(e.operand, leaf)
-        if _prec(e.operand) < _PREC_NEG:
-            inner = f"({inner})"
-        return f"-{inner}"
+        return f"-{parts[0]}"
     if isinstance(e, BinOp):
-        p = _prec(e)
-        left = _render(e.left, leaf)
-        if _prec(e.left) < p:
-            left = f"({left})"
-        right = _render(e.right, leaf)
-        if _prec(e.right) <= p:
-            right = f"({right})"
-        return f"{left}{e.op}{right}"
+        return f"{parts[0]}{e.op}{parts[1]}"
     if isinstance(e, Call):
-        return f"{e.func}({', '.join(_render(a, leaf) for a in e.args)})"
+        return f"{e.func}({', '.join(parts)})"
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def depth(e: Expr) -> int:
+    """Levels ``pretty(e)`` nests, counted as ``parse`` counts them.
+
+    So a tree built in code is within ``_MAX_DEPTH`` exactly when its
+    text would parse.  Walks without recursion, so any tree is safe.
+    """
+    deepest = 0
+    stack = [(e, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((a, level + 1 + wrapped) for a, wrapped in _operands(node))
+    return deepest
 
 
 def _text_leaf(e: Expr) -> str:
@@ -429,6 +456,37 @@ _KERNEL_GLOBALS = {
 }
 
 
+_NUMPY_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+
+def _fold(e: Expr, params: Mapping[str, float]) -> Expr:
+    """e with every subtree that reads neither N nor m replaced by its value.
+
+    Values follow numpy semantics, the same bits the compiled source
+    computes, except that x/0 gives inf or nan where two float literals
+    would raise ZeroDivisionError.  Unbound names raise ExprEvalError.
+    """
+    if isinstance(e, Name) and e.ident != "N":
+        try:
+            return Num(float(params[e.ident]))
+        except KeyError:
+            raise ExprEvalError(f"unbound identifier {e.ident!r}") from None
+    if isinstance(e, (Num, Name, Occ)):
+        return e
+    if isinstance(e, Neg):
+        operand = _fold(e.operand, params)
+        return Num(-operand.value) if isinstance(operand, Num) else Neg(operand)
+    if isinstance(e, BinOp):
+        args = (_fold(e.left, params), _fold(e.right, params))
+        fn = _NUMPY_OPS[e.op]
+    else:
+        args = tuple(_fold(a, params) for a in e.args)
+        fn = _KERNEL_GLOBALS[e.func]
+    if not all(isinstance(a, Num) for a in args):
+        return BinOp(e.op, *args) if isinstance(e, BinOp) else Call(e.func, args)
+    return Num(float(fn(*(a.value for a in args))))
+
+
 def compile_fn(
     e: Expr,
     params: Mapping[str, float],
@@ -437,13 +495,15 @@ def compile_fn(
     """Compile an expression to ``f(N, m)`` with parameters baked in.
 
     ``m`` is indexed by state position and may hold floats or numpy
-    arrays; operations broadcast elementwise.  The expression is
-    rendered once as Python source in which parameters and numbers are
-    float literals and occupancies are ``m[index]``, so no model name
-    reaches the source.  The compiled function is unchecked: domain
-    violations produce inf/nan under numpy semantics rather than
-    raising, so callers validate results.  Unbound names raise
-    ExprEvalError here, at compile time.
+    arrays; operations broadcast elementwise.  Subtrees that read
+    neither ``N`` nor ``m`` are evaluated once here; the rest is
+    rendered as Python source in which those values are float literals
+    and occupancies are ``m[index]``, so no model name reaches the
+    source.  The compiled function is unchecked: domain violations
+    produce inf/nan under numpy semantics rather than raising (for
+    plain-float ``N`` and ``m``, a division by zero still raises
+    ZeroDivisionError), so callers validate results.  Unbound names
+    raise ExprEvalError here, at compile time.
     """
 
     def leaf(node: Expr) -> str:
@@ -454,13 +514,9 @@ def compile_fn(
                 raise ExprEvalError(
                     f"unknown state in occupancy term m[{node.state}]"
                 ) from None
-        if isinstance(node, Num):
-            return repr(node.value)
-        if node.ident == "N":
-            return "N"
-        try:
-            return repr(float(params[node.ident]))
-        except KeyError:
-            raise ExprEvalError(f"unbound identifier {node.ident!r}") from None
+        return repr(node.value) if isinstance(node, Num) else "N"
 
-    return eval(f"lambda N, m: {_render(e, leaf)}", dict(_KERNEL_GLOBALS))
+    with np.errstate(all="ignore"):
+        folded = _fold(e, params)
+    source = _render(folded, leaf)
+    return eval(f"lambda N, m: {source}", dict(_KERNEL_GLOBALS))

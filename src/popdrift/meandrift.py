@@ -9,9 +9,10 @@ evaluated by truncated rectangular enumeration.  Each coordinate's
 Poisson pmf is truncated to a window around its mode holding all but
 tau/(2I) of the mass, which bounds the neglected joint mass by tau.
 Lattice points with K_s = 0 contribute nothing (the intensity factor
-vanishes), so rates singular in an empty state stay harmless.
-``mean_drift`` always sums over the full rectangle of all I
-coordinates.
+vanishes), so rates singular in an empty state stay harmless.  The
+coordinates are independent, so each transition is summed only over
+the windows of its source and of the occupancies its rate reads; every
+other coordinate contributes its window mass as a factor.
 """
 
 from __future__ import annotations
@@ -65,9 +66,14 @@ class PoissonWeights:
 def poisson_weights(lam: float, tau: float) -> PoissonWeights:
     """Poisson pmf window covering at least 1-tau of the mass.
 
-    Probabilities are built by the recurrence p_{k+1} = p_k*lam/(k+1)
-    outward from the mode, which stays in range for any lam a float
-    can hold.
+    The window is the one the greedy walk outward from the mode gives:
+    step to whichever neighbour has the larger probability (the lower
+    one on a tie) until the mass taken, summed in that order, reaches
+    1-tau or both neighbours underflow to zero.  Probabilities are
+    running products of the ratios lam/(k+1) and k/lam from the mode,
+    which stay in range for any lam a float can hold.  The candidates
+    span a Chernoff bound on the tails and widen when the walk runs
+    past them.
     """
     if lam < 0:
         raise ModelError(f"Poisson rate must be non-negative, got {lam}")
@@ -77,85 +83,107 @@ def poisson_weights(lam: float, tau: float) -> PoissonWeights:
         return PoissonWeights(lam=0.0, k_min=0, probs=np.array([1.0]), tail=0.0)
     mode = int(math.floor(lam))
     p_mode = math.exp(mode * math.log(lam) - lam - math.lgamma(mode + 1))
-    below: list[float] = []  # k = mode-1, mode-2, ...
-    above: list[float] = []  # k = mode+1, mode+2, ...
-    total = p_mode
-    lo, hi = mode, mode
-    p_lo, p_hi = p_mode, p_mode
-    while total < 1.0 - tau:
-        cand_down = p_lo * lo / lam if lo > 0 else 0.0
-        cand_up = p_hi * lam / (hi + 1)
-        if cand_down == 0.0 and cand_up == 0.0:
-            break  # mass is numerically exhausted
-        if cand_down >= cand_up:
-            lo -= 1
-            p_lo = cand_down
-            below.append(cand_down)
-            total += cand_down
-        else:
-            hi += 1
-            p_hi = cand_up
-            above.append(cand_up)
-            total += cand_up
-    probs = np.array(below[::-1] + [p_mode] + above)
+    nats = math.log(2.0 / tau)
+    width = int(math.sqrt(2.0 * lam * nats) + nats) + 2
+    while True:
+        # candidates k = mode-n_low .. mode+width; p[n_low] is the mode
+        n_low = min(width, mode)
+        ks = np.arange(mode - n_low + 1, mode + width + 1, dtype=float)
+        p = np.empty(n_low + 1 + width)
+        np.divide(ks[:n_low], lam, out=p[:n_low])  # p_{k-1}/p_k = k/lam
+        np.divide(lam, ks[n_low:], out=p[n_low + 1:])  # p_k/p_{k-1} = lam/k
+        for side in (p[:n_low][::-1], p[n_low + 1:]):  # outward from the mode
+            if len(side):
+                side[0] *= p_mode
+                side.cumprod(out=side)
+        p[n_low] = p_mode
+        # the walk takes the mode, then the larger neighbour, the lower
+        # one on a tie: a stable sort by decreasing p in k order
+        key = -p
+        key[n_low] = -math.inf
+        order = key.argsort(kind="stable")
+        total = p[order].cumsum()  # the mass taken, in the walk's order
+        steps = int(total.searchsorted(1.0 - tau))
+        if steps == len(p):  # 1-tau is out of reach: stop at underflow
+            steps = int(np.count_nonzero(p)) - 1
+        lo = int(np.minimum.reduce(order[:steps + 1]))
+        # the walk stayed inside the candidates on both sides
+        if (lo > 0 or n_low == mode) and lo + steps < len(p) - 1:
+            break
+        width *= 2
     return PoissonWeights(
-        lam=lam, k_min=lo, probs=probs, tail=max(0.0, 1.0 - total)
+        lam=lam, k_min=mode - n_low + lo, probs=p[lo:lo + steps + 1],
+        tail=max(0.0, 1.0 - float(total[steps])),
     )
 
 
-def _window_lattice_sum(table, N: float, windows, ks=None) -> list:
-    """Sum (k_s/N) * Q_{s,t}(k/N) * prod(weights) over the window rectangle.
+def _window_lattice_sum(table, N: float, m, windows, ks=None) -> list:
+    """Poisson averages of the intensities (k_s/N) * Q_{s,t}(k/N).
 
     Returns one sum per transition in ks (default: all of the table).
-    Evaluates in chunks along coordinate 0, each chunk holding at most
-    _CHUNK rate values across those transitions, and adds the chunk
-    sums in order; the float result can therefore change in its last
-    bits with the chunk size.
+    The coordinates are independent, so transition k is summed only
+    over the sub-rectangle of its axes, its source and the occupancies
+    its rate reads (``table.reads[k]``); every other coordinate sums to
+    its window mass ``probs.sum()``, and the product of those masses
+    multiplies the result, so it equals the sum over the full rectangle
+    of all I coordinates.  Transitions with the same axes are evaluated
+    together in chunks along their first axis, each chunk holding at
+    most _CHUNK rate values, and each transition's rates are contracted
+    with the window weights (the source's times k_s/N).  The chunk sums
+    are added in order, so the float result can change in its last bits
+    with the chunk size.  A RateError reports the lattice point on the
+    axes and m on the other coordinates.
     """
-    n_states = len(windows)
-    sizes = [len(w.probs) for w in windows]
-    points = math.prod(sizes)
-    if points > LATTICE_POINT_CAP:
-        raise NumericsError(
-            f"mean intensity enumeration needs {points} lattice points "
-            f"(cap {LATTICE_POINT_CAP}); use a larger tail tolerance"
-        )
     ks = range(len(table.fns)) if ks is None else ks
-    rest = math.prod(sizes[1:])
-    chunk0 = max(1, min(sizes[0], _CHUNK // max(rest * len(ks), 1)))
-
-    def shaped(arr: np.ndarray, axis: int) -> np.ndarray:
-        shape = [1] * n_states
-        shape[axis] = len(arr)
-        return arr.reshape(shape)
-
-    supports = [w.support().astype(float) for w in windows]
-    totals = [0.0] * len(ks)
-    for start in range(0, sizes[0], chunk0):
-        stop = min(sizes[0], start + chunk0)
-        coords = []
-        for c in range(n_states):
-            sup = supports[c][start:stop] if c == 0 else supports[c]
-            coords.append(shaped(sup / N, c))
-        q = table.evaluate(N, coords, (stop - start, *sizes[1:]), ks)
-        table.check(q, coords, occupied=True, ks=ks)
-        for pos, k in enumerate(ks):
-            i = table.sources[k]
-            part = q[pos]
-            if coords[i].flat[0] == 0:
-                # the k_i = 0 face carries no intensity, whatever the rate
-                np.moveaxis(part, i, 0)[0] = 0.0
-            for c in range(n_states):
-                w = windows[c].probs[start:stop] if c == 0 else windows[c].probs
-                part = part * shaped(w, c)
-            part = part * (coords[i])  # intensity factor k_i/N
-            totals[pos] += float(part.sum())
-    return totals
+    groups: dict = {}
+    for k in ks:
+        axes = tuple(sorted({table.sources[k], *table.reads[k]}))
+        groups.setdefault(axes, []).append(k)
+    sizes = [len(w.probs) for w in windows]
+    for axes in groups:
+        points = math.prod(sizes[c] for c in axes)
+        if points > LATTICE_POINT_CAP:
+            raise NumericsError(
+                f"mean intensity enumeration needs {points} lattice points "
+                f"(cap {LATTICE_POINT_CAP}); use a larger tail tolerance"
+            )
+    supports = [w.support() / N for w in windows]
+    totals = {}
+    for axes, group in groups.items():
+        shape = [sizes[c] for c in axes]
+        step = max(1, min(shape[0], _CHUNK // (math.prod(shape[1:]) * len(group))))
+        sums = [0.0] * len(group)
+        for start in range(0, shape[0], step):
+            cut = slice(start, start + step)
+            coords, weights = list(m), {}
+            for a, c in enumerate(axes):
+                along = cut if a == 0 else slice(None)
+                # along axis a of the sub-rectangle, by trailing unit axes
+                coords[c] = supports[c][along].reshape((-1,) + (1,) * (len(axes) - 1 - a))
+                weights[c] = windows[c].probs[along]
+            q = table.evaluate(N, coords, (len(weights[axes[0]]), *shape[1:]), group)
+            table.check(q, coords, occupied=True, ks=group)
+            for pos, k in enumerate(group):
+                i = table.sources[k]
+                part = q[pos]
+                if coords[i].item(0) == 0:
+                    # the k_i = 0 face carries no intensity, whatever the rate
+                    part[(slice(None),) * axes.index(i) + (0,)] = 0.0
+                for c in reversed(axes):
+                    w = weights[c] * coords[i].ravel() if c == i else weights[c]
+                    part = part @ w
+                sums[pos] += float(part)
+        other = math.prod(
+            float(w.probs.sum()) for c, w in enumerate(windows) if c not in axes
+        )
+        for k, total in zip(group, sums):
+            totals[k] = total * other
+    return [totals[k] for k in ks]
 
 
 def _clamped(x: float) -> float:
-    # ODE stage points may sit a rounding error below the simplex
-    # boundary; treat those as boundary, reject anything worse
+    # an occupancy a rounding error below the simplex boundary counts
+    # as boundary; reject anything worse
     if x < 0.0:
         if x < -1e-9:
             raise ModelError(f"occupancy coordinate {x} is negative")
@@ -182,15 +210,15 @@ def poisson_mean_intensity(
     k = model._pair(s, t)
     if k is None:
         return 0.0
-    _, windows = _coordinate_windows(model, N, m, tau)
-    return _window_lattice_sum(model._rate_table, N, windows, ks=(k,))[0]
+    arr, windows = _coordinate_windows(model, N, m, tau)
+    return _window_lattice_sum(model._rate_table, N, arr, windows, ks=(k,))[0]
 
 
 def mean_drift(model: ModelSpec, N: float, m, tau: float = 1e-10) -> np.ndarray:
     """Mean drift vector: Poisson-averaged intensities on e_t - e_s."""
-    _, windows = _coordinate_windows(model, N, m, tau)
+    arr, windows = _coordinate_windows(model, N, m, tau)
     table = model._rate_table
-    return table.net(_window_lattice_sum(table, N, windows))
+    return table.net(_window_lattice_sum(table, N, arr, windows))
 
 
 def mean_drift_field(

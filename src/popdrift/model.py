@@ -51,21 +51,24 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 class _RateTable:
     """One rate table compiled once, in canonical (source, target) order.
 
-    Transition k is ``entries[k]`` = (source, target, fn), also held as
-    ``sources[k]``, ``targets[k]`` and ``fns[k]``; ``index`` maps a
-    (source, target) index pair to k and ``out[i]`` is the range of k
-    whose source is state i.  Every place that evaluates transitions
-    goes through ``evaluate`` and ``check``, on all transitions or on
-    the positions ``ks``.
+    Built from (source, target, fn, reads) tuples.  Transition k is
+    ``entries[k]`` = (source, target, fn), also held as ``sources[k]``,
+    ``targets[k]`` and ``fns[k]``; ``reads[k]`` are the sorted indices
+    of the occupancies its rate reads.  ``index`` maps a (source,
+    target) index pair to k and ``out[i]`` is the range of k whose
+    source is state i.  Every place that evaluates transitions goes
+    through ``evaluate`` and ``check``, on all transitions or on the
+    positions ``ks``.
     """
 
-    def __init__(self, state_names, entries):
+    def __init__(self, state_names, compiled):
         self.state_names = state_names
-        self.entries = tuple(entries)
-        self.sources = tuple(i for i, _, _ in entries)
-        self.targets = tuple(j for _, j, _ in entries)
-        self.fns = tuple(fn for _, _, fn in entries)
-        self.index = {(i, j): k for k, (i, j, _) in enumerate(entries)}
+        self.entries = tuple((i, j, fn) for i, j, fn, _ in compiled)
+        self.sources = tuple(i for i, _, _ in self.entries)
+        self.targets = tuple(j for _, j, _ in self.entries)
+        self.fns = tuple(fn for _, _, fn in self.entries)
+        self.reads = tuple(reads for _, _, _, reads in compiled)
+        self.index = {(i, j): k for k, (i, j, _) in enumerate(self.entries)}
         starts = [bisect.bisect_left(self.sources, i)
                   for i in range(len(state_names) + 1)]
         self.out = tuple(map(range, starts, starts[1:]))
@@ -216,6 +219,11 @@ class ModelSpec:
                 raise ModelError(f"rate references unknown state {unknown!r}")
             if s == t:
                 raise ModelError(f"self-loop rate {s} -> {t} is not allowed")
+            if ex.depth(node) > ex._MAX_DEPTH:
+                raise ModelError(
+                    f"rate {s} -> {t} nests deeper than {ex._MAX_DEPTH} levels"
+                )
+            reads = []
             for var in ex.free_vars(node):
                 if var.startswith("m["):
                     state = var[2:-1]
@@ -223,6 +231,7 @@ class ModelSpec:
                         raise ModelError(
                             f"rate {s} -> {t} uses unknown state in {var}"
                         )
+                    reads.append(self._index[state])
                 elif var == "N":
                     if not allow_n:
                         raise ModelError(
@@ -233,7 +242,9 @@ class ModelSpec:
                         f"rate {s} -> {t} uses undeclared parameter {var!r}"
                     )
             fn = ex.compile_fn(node, self.params, self._index)
-            compiled.append((self._index[s], self._index[t], fn))
+            compiled.append(
+                (self._index[s], self._index[t], fn, tuple(sorted(reads)))
+            )
         # canonical order: by (source, target) index
         compiled.sort(key=lambda item: (item[0], item[1]))
         return _RateTable(self.state_names, compiled)

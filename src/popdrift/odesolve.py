@@ -3,9 +3,11 @@
 The fields integrated here (drift, mean drift, limit drift) are smooth
 and non-stiff, so a classic 4th-order fixed-step scheme with default
 step min(0.1, t_end/1000) is enough.  The simplex is invariant for the
-exact dynamics but not for discrete steps: after each step, components
-in [-1e-9, 0) are clipped to zero and the vector renormalized; anything
-below -1e-9 or non-finite aborts with a diagnostic.
+exact dynamics but not for discrete steps: negative components of an
+RK4 stage point are clipped to zero before the field is evaluated
+there, and after each step components in [-1e-9, 0) are clipped to
+zero and the vector renormalized; anything below -1e-9 or non-finite
+aborts with a diagnostic.
 """
 
 from __future__ import annotations
@@ -118,14 +120,21 @@ def integrate(
             states.append(y.copy())
             record_idx += 1
 
+    def at_stage(point: np.ndarray) -> np.ndarray:
+        # a stage point can leave the simplex where a step would not;
+        # the field is only defined on it
+        if point.min() < 0.0:
+            np.maximum(point, 0.0, out=point)
+        return np.asarray(field(point), dtype=float)
+
     maybe_record(0.0)
     for idx in range(len(bounds) - 1):
         t0, t1 = bounds[idx], bounds[idx + 1]
         dt = t1 - t0
         k1 = np.asarray(field(y), dtype=float)
-        k2 = np.asarray(field(y + 0.5 * dt * k1), dtype=float)
-        k3 = np.asarray(field(y + 0.5 * dt * k2), dtype=float)
-        k4 = np.asarray(field(y + dt * k3), dtype=float)
+        k2 = at_stage(y + 0.5 * dt * k1)
+        k3 = at_stage(y + 0.5 * dt * k2)
+        k4 = at_stage(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
             raise NumericsError(

@@ -181,6 +181,49 @@ def test_validate_failure_exits_2(capsys, tmp_path):
     assert row[2] == "false"
 
 
+ZERO_DIVISOR_DOC = "states = a, b\nparam p = 0\nrate a -> b : 1/p\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("drift", "--N", "10", "--m", "1,0"),
+        ("validate", "--N", "10", "--samples", "20"),
+        ("meandrift", "--N", "10", "--m", "1,0"),
+        ("simulate", "--N", "10", "--init", "1,0", "--t", "1", "--reps", "2"),
+        ("exact", "--N", "10", "--init", "1,0", "--t", "1"),
+    ],
+    ids=["drift", "validate", "meandrift", "simulate", "exact"],
+)
+def test_division_by_a_constant_zero_exits_2(capsys, tmp_path, argv):
+    path = write_model(tmp_path, ZERO_DIVISOR_DOC)
+    code, _, err = run(capsys, argv[0], "--model", path, *argv[1:])
+    assert code == 2
+    assert re.search(r"^error: model: .*rate a -> b at m=\(.*\): evaluated to inf$", err, re.M)
+
+
+# finite on the simplex; exp(-1/m[c]) overflows where m[c] dips below 0
+STAGE_DOC = (
+    "states = a, b, c\n"
+    "rate a -> b : 0.1\nrate b -> c : 1\nrate c -> a : 100\n"
+    "rate b -> a : exp(-1/m[c])\n"
+)
+
+
+@pytest.mark.parametrize("variant", ["drift", "meandrift"])
+def test_rk4_stage_points_below_the_simplex_are_clipped(capsys, tmp_path, variant):
+    path = write_model(tmp_path, STAGE_DOC)
+    code, out, err = run(
+        capsys, "ode", "--model", path, "--variant", variant, "--N", "20",
+        "--init", "1,0,0", "--t", "30", "--points", "31",
+    )
+    assert code == 0, err
+    table = rows(out)
+    assert len(table) == 32
+    final = [float(x) for x in table[-1][1:]]
+    assert min(final) >= 0.0 and sum(final) == pytest.approx(1.0, abs=1e-12)
+
+
 # ------------------------------------------------------------------- values
 
 

@@ -1,6 +1,7 @@
 """Expression language: parsing, evaluation, round-trips."""
 
 import math
+import re
 import random
 
 import numpy as np
@@ -18,6 +19,7 @@ from popdrift.expr import (
     Occ,
     compile_fn,
     evaluate,
+    depth,
     free_vars,
     parse,
     pretty,
@@ -258,6 +260,9 @@ def test_nesting_limit_is_exact_and_what_it_accepts_compiles(shape):
     text = DEPTH_SHAPES[shape]
     ast = parse(text(_MAX_DEPTH))
     assert parse(pretty(ast)) == ast
+    # the tree keeps no redundant parentheses: those of "parens" and the
+    # innermost pair of "nested", around a single term, are not levels
+    assert depth(ast) == {"parens": 1, "nested": _MAX_DEPTH - 1}.get(shape, _MAX_DEPTH)
     fn = compile_fn(ast, {}, {"a": 0})
     want = evaluate(ast, {"m[a]": 0.5})
     assert fn(10.0, [0.5]) == pytest.approx(want, rel=1e-12)
@@ -271,3 +276,33 @@ def test_nesting_far_beyond_the_limit_is_a_syntax_error():
                  "+".join(["1"] * 5000), nested_text(601)):
         with pytest.raises(ExprSyntaxError, match="deeper than"):
             parse(text)
+
+
+def test_constant_subtrees_divide_like_numpy():
+    # constants are folded at compile time, so no float literal is
+    # divided by another at run time
+    cases = {"1/p": math.inf, "-1/p": -math.inf, "0/p": math.nan, "m[a] + 1/p": math.inf}
+    for text, want in cases.items():
+        fn = compile_fn(parse(text), {"p": 0.0}, {"a": 0})
+        got = fn(5.0, [0.5])
+        assert got == want or (math.isnan(want) and math.isnan(got)), text
+        batch = fn(np.float64(5.0), [np.array([0.25, 0.5])])
+        assert np.array_equal(np.broadcast_to(batch, (2,)), [want, want], equal_nan=True), text
+
+
+def test_folded_constants_keep_the_bits_of_run_time_arithmetic():
+    params = {"p1": 0.008, "p2": 0.05, "z": -0.3}
+    for text in ("p1*(1 - pow(1-p1/2, N*m[a])*pow(1-p2/2, N*m[b]))",
+                 "exp(z)*m[a] - ln(p2)/3 + min(p1, p2)*max(z, -z)*N",
+                 "-(p1 + p2)*m[b] / (2 - z)"):
+        ast = parse(text)
+        fn = compile_fn(ast, params, {"a": 0, "b": 1})
+        unfolded = {"p1": "0.008", "p2": "0.05", "z": "(-0.3)"}
+        source = text.replace("m[a]", "m[0]").replace("m[b]", "m[1]")
+        for name, literal in unfolded.items():
+            source = re.sub(rf"\b{name}\b", literal, source)
+        ref = eval(f"lambda N, m: {source}", {"pow": np.power, "exp": np.exp,
+                                              "ln": np.log, "min": np.minimum,
+                                              "max": np.maximum})
+        for point in ((0.2, 0.8), (1.0, 0.0)):
+            assert fn(40.0, point) == ref(40.0, point), text

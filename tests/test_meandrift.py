@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.stats import poisson as sp_poisson
 
-from popdrift.errors import ModelError, NumericsError
+from popdrift.errors import ModelError, NumericsError, RateError
 from popdrift.meandrift import (
+    LATTICE_POINT_CAP,
     mean_drift,
     mean_drift_field,
     poisson_mean_intensity,
@@ -254,3 +255,28 @@ def test_mean_drift_field_metadata():
     f = mean_drift_field(model, 17)
     assert f.kind == "mean-drift" and f.N == 17
     assert np.allclose(f((0.5, 0.5)), mean_drift(model, 17, (0.5, 0.5)))
+
+
+def test_sparse_dependence_lifts_the_lattice_cap():
+    # each rate reads only its source, so each transition sums over one
+    # axis while the full 5-D rectangle is far past the cap
+    names = ("a", "b", "c", "d", "e")
+    doc = f"states = {', '.join(names)}\n" + "".join(
+        f"rate {s} -> {t} : 0.5 + m[{s}]\n" for s, t in zip(names, names[1:])
+    )
+    model = load_model(doc)
+    N, tau, m = 2000, 1e-10, np.full(5, 0.2)
+    sizes = [len(poisson_weights(N * x, tau / 10).probs) for x in m]
+    assert math.prod(sizes) > LATTICE_POINT_CAP
+    got = mean_drift(model, N, m, tau=tau)
+    # E[(K/N)(0.5 + K/N)] = 0.5 m + m^2 + m/N for K ~ Poisson(N m), up
+    # to the truncated tail mass
+    flow = 0.5 * 0.2 + 0.2**2 + 0.2 / N
+    assert np.allclose(got, [-flow, 0.0, 0.0, 0.0, flow], rtol=0, atol=tau)
+
+
+def test_mean_drift_rate_error_reports_m_on_the_unread_coordinates():
+    # a -> b reads m[b] only; c is neither its source nor read
+    model = load_model("states = a, b, c\nrate a -> b : m[b] - 0.1\n")
+    with pytest.raises(RateError, match=r"rate a -> b at m=\(.*, 0\.5\): evaluated to -"):
+        mean_drift(model, 20, (0.3, 0.2, 0.5))

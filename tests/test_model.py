@@ -303,3 +303,38 @@ def test_modelspec_rejects_bad_shapes():
 def test_rate_expr_defaults_to_zero():
     model = load_model("states = a, b\nrate a -> b : 1\n")
     assert model.rate_expr("b", "a") == ex.Num(0.0)
+
+
+ZERO_DIVISOR_DOC = "states = a, b\nparam p = 0\nrate a -> b : 1/p\nlimit a -> b : 1/p\n"
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_division_by_a_constant_zero_is_a_rate_error(entry):
+    # the constant divides like numpy's floats, to inf, on every path
+    model = load_model(ZERO_DIVISOR_DOC)
+    with pytest.raises(RateError, match=r"rate a -> b at m=\(.*\): evaluated to inf"):
+        ENTRY_POINTS[entry](model, (0.25, 0.75))
+
+
+def chain(depth):
+    """1-(1-(...(1-m[a]))) with depth subtractions, built in code."""
+    node = ex.Occ("a")
+    for _ in range(depth):
+        node = ex.BinOp("-", ex.Num(1.0), node)
+    return node
+
+
+@pytest.mark.parametrize("depth", [300, 5000])
+def test_code_built_rate_over_the_nesting_limit_is_a_model_error(depth):
+    with pytest.raises(ModelError, match=r"rate a -> b nests deeper than 100 levels"):
+        ModelSpec(("a", "b"), {}, {("a", "b"): chain(depth)})
+
+
+def test_code_built_rate_at_the_nesting_limit_compiles():
+    # each subtraction but the innermost also parenthesizes its right side
+    node = chain(50)
+    assert ex.depth(node) == ex._MAX_DEPTH
+    model = ModelSpec(("a", "b"), {}, {("a", "b"): node})
+    assert rate(model, 4, (1.0, 0.0), "a", "b") == 1.0
+    with pytest.raises(ModelError, match="nests deeper"):
+        ModelSpec(("a", "b"), {}, {("a", "b"): ex.BinOp("*", ex.Num(1.0), ex.Neg(node))})

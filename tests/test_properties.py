@@ -1,10 +1,12 @@
-"""Invariants checked on small count-vector spaces and on small random
-models drawn from a fixed rate pool.
+"""Invariants checked on small count-vector spaces, on small random
+models drawn from a fixed rate pool, and on Poisson windows.
 
-Each model has two or three states and a few transitions whose rates
-come from the pool below, with the occupancy coordinate they read drawn
-too.  Every pool rate is finite, non-negative and at most 1.5 on the
-simplex, so slotted paths at D = 10 never need a finer slot.
+Each pool model has two or three states and a few transitions whose
+rates come from the pool below, with the occupancy coordinate they read
+drawn too.  Every pool rate is finite, non-negative and at most 1.5 on
+the simplex, so slotted paths at D = 10 never need a finer slot.  The
+mean-drift lattice is also checked on models of two to four states
+whose rates read random subsets of the occupancies.
 """
 
 import math
@@ -19,7 +21,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from popdrift.drift import drift  # noqa: E402
 from popdrift.exact import enumerate_states, generator, point_mass, transient  # noqa: E402
-from popdrift.meandrift import mean_drift  # noqa: E402
+from popdrift.meandrift import (  # noqa: E402
+    mean_drift,
+    poisson_mean_intensity,
+    poisson_weights,
+)
 from popdrift.model import load_model  # noqa: E402
 from popdrift.sim import simulate_ctmc, simulate_slotted  # noqa: E402
 
@@ -136,3 +142,125 @@ def test_mean_drift_equals_drift_at_the_fixed_points(data, model, N):
     got = mean_drift(model, N, m, tau=1e-12)
     want = drift(model, N, m)
     assert np.max(np.abs(got - want)) <= 1e-9
+
+
+# factors of a rate reading m[{x}]; every product of them is finite and
+# non-negative on the simplex
+SPARSE_FACTORS = (
+    "m[{x}]",
+    "exp(-2*m[{x}])",
+    "pow(1 - 0.2, N*m[{x}])",
+    "1/(1 + m[{x}])",
+    "(0.5 + m[{x}])",
+)
+
+
+@st.composite
+def sparse_models(draw):
+    """2-4 states; each rate reads a random subset of the occupancies.
+
+    An empty subset is a constant rate; a rate may also carry 0.3/m[s],
+    singular where its source s is empty.
+    """
+    n = draw(st.integers(2, 4))
+    names = ("a", "b", "c", "d")[:n]
+    pairs = [(s, t) for s in names for t in names if s != t]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5, unique=True))
+    lines = [f"states = {', '.join(names)}"]
+    for s, t in chosen:
+        reads = draw(st.lists(st.sampled_from(names), max_size=n, unique=True))
+        factors = ["0.7"] + [draw(st.sampled_from(SPARSE_FACTORS)).format(x=x) for x in reads]
+        if draw(st.booleans()):
+            factors.append(f"0.3/m[{s}]")
+        lines.append(f"rate {s} -> {t} : {'*'.join(factors)}")
+    return load_model("\n".join(lines) + "\n")
+
+
+def full_rectangle_flows(model, N, m, tau):
+    """Poisson-averaged intensity of every transition, by a plain broadcast
+    sum over the full rectangle of all coordinate windows."""
+    windows = [poisson_weights(N * x, tau / (2 * model.n_states)) for x in m]
+    grid = np.meshgrid(*[w.support() / N for w in windows], indexing="ij")
+    weight = np.ones(grid[0].shape)
+    for c, w in enumerate(windows):
+        weight = weight * w.probs.reshape([-1 if d == c else 1 for d in range(len(m))])
+    flows = []
+    for i, _, fn in model.transitions():
+        with np.errstate(all="ignore"):
+            q = np.broadcast_to(fn(float(N), grid), weight.shape).copy()
+        q[grid[i] == 0] = 0.0  # no intensity where the source is empty
+        flows.append(float(np.sum(grid[i] * q * weight)))
+    return flows
+
+
+@SETTINGS
+@given(st.data(), sparse_models(), st.integers(1, 12))
+def test_mean_drift_equals_the_full_rectangle_sum(data, model, N):
+    m = data.draw(occupancies(model.n_states))
+    tau = 1e-6
+    want = full_rectangle_flows(model, N, m, tau)
+    names = model.state_names
+    for (i, j, _), flow in zip(model.transitions(), want):
+        got = poisson_mean_intensity(model, N, m, names[i], names[j], tau=tau)
+        assert got == pytest.approx(flow, rel=1e-12, abs=1e-300)
+    net = np.zeros(model.n_states)
+    for (i, j, _), flow in zip(model.transitions(), want):
+        net[i] -= flow
+        net[j] += flow
+    scale = sum(want)
+    assert np.allclose(mean_drift(model, N, m, tau=tau), net, rtol=0, atol=1e-12 * scale)
+
+
+@SETTINGS
+@given(st.floats(1e-3, 1e4), st.floats(1e-10, 0.5))
+def test_poisson_windows_hold_the_mass_and_report_their_tail(lam, tau):
+    w = poisson_weights(lam, tau)
+    rounding = len(w.probs) * np.finfo(float).eps
+    assert w.tail <= tau
+    assert math.fsum(w.probs) >= 1.0 - tau - rounding
+    assert w.tail == pytest.approx(max(0.0, 1.0 - float(w.probs.sum())), abs=rounding)
+    assert np.all(w.probs > 0) and w.k_min >= 0
+
+
+def greedy_window(lam, tau):
+    """The window by a walk outward from the mode, one step at a time."""
+    mode = int(math.floor(lam))
+    p_mode = math.exp(mode * math.log(lam) - lam - math.lgamma(mode + 1))
+    below, above = [], []
+    total, lo, hi, p_lo, p_hi = p_mode, mode, mode, p_mode, p_mode
+    while total < 1.0 - tau:
+        down = p_lo * lo / lam if lo > 0 else 0.0
+        up = p_hi * lam / (hi + 1)
+        if down == 0.0 and up == 0.0:
+            break  # the mass is numerically exhausted
+        if down >= up:
+            lo, p_lo = lo - 1, down
+            below.append(down)
+            total += down
+        else:
+            hi, p_hi = hi + 1, up
+            above.append(up)
+            total += up
+    return lo, np.array(below[::-1] + [p_mode] + above), total
+
+
+def test_poisson_windows_match_the_greedy_walk():
+    eps = np.finfo(float).eps
+    for tau in (1e-3, 1e-6, 1e-10, 2.5e-11):
+        for lam in np.logspace(-3, 5, 81):
+            k_min, probs, total = greedy_window(lam, tau)
+            w = poisson_weights(lam, tau)
+            if total >= 1.0 - tau and (w.k_min, len(w.probs)) != (k_min, len(probs)):
+                # the two running totals straddle 1-tau by a rounding error
+                shorter = min(w.probs, probs, key=len)
+                assert abs(len(w.probs) - len(probs)) == 1, (lam, tau)
+                assert abs(math.fsum(shorter) - (1.0 - tau)) <= 32 * eps, (lam, tau)
+            elif total < 1.0 - tau:
+                # 1-tau is out of reach in floats: both walk to underflow
+                assert w.tail > tau, (lam, tau)
+                assert abs(w.k_min - k_min) <= 1, (lam, tau)
+                assert abs(w.k_max - (k_min + len(probs) - 1)) <= 1, (lam, tau)
+            lo, hi = max(w.k_min, k_min), min(w.k_max, k_min + len(probs) - 1)
+            ours, theirs = w.probs[lo - w.k_min:hi - w.k_min + 1], probs[lo - k_min:hi - k_min + 1]
+            normal = theirs > 1e-290
+            assert np.allclose(ours[normal], theirs[normal], rtol=1e-10, atol=0), (lam, tau)
