@@ -25,7 +25,6 @@ from .expr import (
     ExprEvalError,
     ExprSyntaxError,
     compile_fn,
-    evaluate,
     parse,
     pretty,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "drift_field",
     "ensemble",
     "enumerate_states",
-    "evaluate",
     "expected_occupancy",
     "generator",
     "generator_check",

@@ -187,14 +187,20 @@ def _cmd_ode(args):
     return lines, 0
 
 
-def _cmd_exact(args):
-    model = _load(args)
-    _check_population(args.N)
-    space = enumerate_states(model.n_states, args.N)
-    counts = largest_remainder_counts(np.asarray(args.init), args.N)
+def _exact_transient(args, model: ModelSpec, N: int):
+    """State space and law at args.t from the rounded args.init."""
+    space = enumerate_states(model.n_states, N)
+    counts = largest_remainder_counts(np.asarray(args.init), N)
     dist = transient(
         generator(model, space), point_mass(space, counts), args.t, tol=args.tol
     )
+    return space, dist
+
+
+def _cmd_exact(args):
+    model = _load(args)
+    _check_population(args.N)
+    space, dist = _exact_transient(args, model, args.N)
     occ = expected_occupancy(dist)
     mode = space.states[int(np.argmax(dist.probs))]
     header = "t," + ",".join(f"E_phi_{s}" for s in model.state_names) + ",mode"
@@ -210,15 +216,15 @@ def _cmd_exact(args):
     return lines, 0
 
 
-def _sim_config(args, model: ModelSpec, sample_times, hist=()):
+def _sim_config(args, N: int, seed: int, sample_times, hist=()):
     mode, resolution = args.mode
-    counts = largest_remainder_counts(np.asarray(args.init), args.N)
+    counts = largest_remainder_counts(np.asarray(args.init), N)
     return SimConfig(
-        N=args.N,
+        N=N,
         init=tuple(int(c) for c in counts),
         t_end=args.t,
         reps=args.reps,
-        seed=args.seed,
+        seed=seed,
         mode=mode,
         resolution=resolution,
         sample_times=sample_times,
@@ -232,7 +238,7 @@ def _cmd_simulate(args):
     hist = tuple(
         (t, model.index_of(name)) for t, name in (args.hist or ())
     )
-    config = _sim_config(args, model, grid, hist)
+    config = _sim_config(args, args.N, args.seed, grid, hist)
     reference = _load_reference(args.ref, model) if args.ref else None
     stats = ensemble(model, config, reference=reference)
     header = (
@@ -285,14 +291,7 @@ def _compare_row(model, N, args, seed):
     size = math.comb(N + model.n_states - 1, model.n_states - 1)
     if size <= STATE_SPACE_CAP:
         try:
-            space = enumerate_states(model.n_states, N)
-            counts = largest_remainder_counts(init, N)
-            dist = transient(
-                generator(model, space),
-                point_mass(space, counts),
-                args.t,
-                tol=args.tol,
-            )
+            _, dist = _exact_transient(args, model, N)
             cells["phi2_exact"] = expected_occupancy(dist)[second]
         except (ModelError, NumericsError) as exc:
             notes.append(f"warning: N={N} phi2_exact failed: {exc}")
@@ -303,19 +302,7 @@ def _compare_row(model, N, args, seed):
         )
     if args.reps > 0:
         try:
-            counts = largest_remainder_counts(init, N)
-            mode, resolution = args.mode
-            config = SimConfig(
-                N=N,
-                init=tuple(int(c) for c in counts),
-                t_end=args.t,
-                reps=args.reps,
-                seed=seed,
-                mode=mode,
-                resolution=resolution,
-                sample_times=(0.0, args.t),
-            )
-            stats = ensemble(model, config)
+            stats = ensemble(model, _sim_config(args, N, seed, (0.0, args.t)))
             cells["phi2_sim_mean"] = stats.mean[-1, second]
             cells["phi2_sim_stderr"] = stats.stderr[-1, second]
         except (ModelError, NumericsError) as exc:
@@ -354,18 +341,8 @@ def _cmd_chaos(args):
         lam = N * solve(model, "drift", N, init, args.t, step=args.step).final[
             second
         ]
-        counts = largest_remainder_counts(init, N)
-        mode, resolution = args.mode
-        config = SimConfig(
-            N=N,
-            init=tuple(int(c) for c in counts),
-            t_end=args.t,
-            reps=args.reps,
-            seed=args.seed + k,
-            mode=mode,
-            resolution=resolution,
-            sample_times=(0.0, args.t),
-            hist=((args.t, second),),
+        config = _sim_config(
+            args, N, args.seed + k, (0.0, args.t), hist=((args.t, second),)
         )
         stats = ensemble(model, config)
         tv = poisson_marginal_fit(stats.histograms[(args.t, second)], lam)

@@ -12,8 +12,15 @@ over the grammar
     atom   := number | ident | ident '(' expr (',' expr)* ')'
             | 'm' '[' ident ']' | '(' expr ')'
 
-``N`` is reserved for the population size.  ``pow(0, 0)`` evaluates
-to 1.  Syntax errors carry a 1-based column number.
+``N`` is reserved for the population size.  Syntax errors carry a
+1-based column number.
+
+``compile_fn`` is the one way an expression gets a value.  Values
+follow numpy semantics: ``pow(0, 0)`` is 1, and a division by zero,
+``ln`` of zero or of a negative number, or ``pow`` outside its domain
+gives inf or nan instead of raising.  Nothing here refuses a value;
+the model's rate table checks each rate and refuses exactly those
+that are negative or non-finite.
 
 An expression nests at most 100 levels (``_MAX_DEPTH``): a number,
 name or occupancy term is one level, and each operator, function
@@ -46,7 +53,6 @@ __all__ = [
     "ExprSyntaxError",
     "ExprEvalError",
     "parse",
-    "evaluate",
     "free_vars",
     "depth",
     "pretty",
@@ -68,7 +74,11 @@ class ExprSyntaxError(ExprError):
 
 
 class ExprEvalError(ExprError):
-    """Unbound name or numeric domain violation during evaluation."""
+    """A parameter name or occupancy state that ``compile_fn`` cannot bind.
+
+    Numeric domain violations are not errors here: rates follow numpy
+    semantics, and only the model's rate table check refuses them.
+    """
 
 
 @dataclass(frozen=True)
@@ -266,74 +276,6 @@ def parse(text: str) -> Expr:
     if tok.kind != "end":
         raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.column)
     return node
-
-
-def _checked_pow(base: float, exponent: float, origin: Expr) -> float:
-    if base == 0.0 and exponent == 0.0:
-        return 1.0
-    if base == 0.0 and exponent < 0.0:
-        raise ExprEvalError(f"zero raised to negative power in {pretty(origin)}")
-    if base < 0.0 and exponent != int(exponent):
-        raise ExprEvalError(
-            f"negative base with non-integer exponent in {pretty(origin)}"
-        )
-    try:
-        return math.pow(base, exponent)
-    except OverflowError:
-        raise ExprEvalError(f"overflow in {pretty(origin)}") from None
-
-
-def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
-    """Evaluate an expression against bindings.
-
-    Bindings map identifiers (including ``N``) and occupancy keys of the
-    form ``m[state]`` to reals.  Unbound names and numeric domain
-    violations raise ExprEvalError naming the offending sub-expression.
-    """
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Name):
-        try:
-            return float(bindings[e.ident])
-        except KeyError:
-            raise ExprEvalError(f"unbound identifier {e.ident!r}") from None
-    if isinstance(e, Occ):
-        key = f"m[{e.state}]"
-        try:
-            return float(bindings[key])
-        except KeyError:
-            raise ExprEvalError(f"unbound occupancy term {key!r}") from None
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, bindings)
-    if isinstance(e, BinOp):
-        left = evaluate(e.left, bindings)
-        right = evaluate(e.right, bindings)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if right == 0.0:
-            raise ExprEvalError(f"division by zero in {pretty(e)}")
-        return left / right
-    if isinstance(e, Call):
-        args = [evaluate(a, bindings) for a in e.args]
-        if e.func == "pow":
-            return _checked_pow(args[0], args[1], e)
-        if e.func == "exp":
-            try:
-                return math.exp(args[0])
-            except OverflowError:
-                raise ExprEvalError(f"overflow in {pretty(e)}") from None
-        if e.func == "ln":
-            if args[0] <= 0.0:
-                raise ExprEvalError(f"ln of non-positive value in {pretty(e)}")
-            return math.log(args[0])
-        if e.func == "min":
-            return min(args)
-        return max(args)
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 def free_vars(e: Expr) -> tuple[str, ...]:

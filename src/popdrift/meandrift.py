@@ -63,6 +63,29 @@ class PoissonWeights:
         return self.k_min + np.arange(len(self.probs))
 
 
+def _mode_probability(lam: float, mode: int) -> float:
+    """P(K = mode) for K ~ Poisson(lam), mode = floor(lam), to a few ulps.
+
+    Below mode 16 a product of lam/k terms.  Above it the saddle-point
+    form of Loader (2000), with the Stirling series for ln(mode!) -
+    ((mode + 1/2) ln(mode) - mode + ln(2 pi)/2); it avoids the
+    cancellation between mode*ln(lam), lam and ln(mode!) that costs
+    about lam*ln(lam) ulps.
+    """
+    if mode < 16:
+        p = math.exp(-lam)
+        for k in range(1, mode + 1):
+            p *= lam / k
+        return p
+    nn = float(mode) * mode
+    stirlerr = (1/12 - (1/360 - (1/1260 - (1/1680 - 1/1188/nn)/nn)/nn)/nn)/mode
+    f = lam - mode
+    return math.exp(
+        mode * math.log1p(f / mode) - f - 0.5 * math.log(2.0 * math.pi * mode)
+        - stirlerr
+    )
+
+
 def poisson_weights(lam: float, tau: float) -> PoissonWeights:
     """Poisson pmf window covering at least 1-tau of the mass.
 
@@ -82,7 +105,7 @@ def poisson_weights(lam: float, tau: float) -> PoissonWeights:
     if lam == 0.0:
         return PoissonWeights(lam=0.0, k_min=0, probs=np.array([1.0]), tail=0.0)
     mode = int(math.floor(lam))
-    p_mode = math.exp(mode * math.log(lam) - lam - math.lgamma(mode + 1))
+    p_mode = _mode_probability(lam, mode)
     nats = math.log(2.0 / tau)
     width = int(math.sqrt(2.0 * lam * nats) + nats) + 2
     while True:

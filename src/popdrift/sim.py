@@ -85,15 +85,15 @@ class SimConfig:
 class SimPath:
     """One realization: piecewise-constant counts between event times.
 
-    counts[k] holds from times[k] until the next event; z_cum[k] is the
-    matrix of cumulative s -> t jumps up to and including times[k].
+    counts[k] holds from times[k] until the next event; jump_totals[s, t]
+    is the number of s -> t jumps over the whole path.
     """
 
     N: int
     t_end: float
     times: np.ndarray
     counts: np.ndarray
-    z_cum: np.ndarray
+    jump_totals: np.ndarray
 
     def counts_at(self, at) -> np.ndarray:
         at = np.atleast_1d(np.asarray(at, dtype=float))
@@ -105,18 +105,14 @@ class SimPath:
     def occupancy_at(self, at) -> np.ndarray:
         return self.counts_at(at) / float(self.N)
 
-    @property
-    def jump_totals(self) -> np.ndarray:
-        return self.z_cum[-1]
 
-
-def _finish_path(N, t_end, times, snaps, zs) -> SimPath:
+def _finish_path(N, t_end, times, snaps, z) -> SimPath:
     return SimPath(
         N=int(N),
         t_end=float(t_end),
         times=np.asarray(times, dtype=float),
         counts=np.asarray(snaps, dtype=np.int64),
-        z_cum=np.asarray(zs, dtype=np.int64),
+        jump_totals=z,
     )
 
 
@@ -135,7 +131,6 @@ def simulate_ctmc(model: ModelSpec, N: int, init, t_end: float, rng) -> SimPath:
     z = np.zeros((n, n), dtype=np.int64)
     times = [0.0]
     snaps = [counts.copy()]
-    zs = [z.copy()]
     t = 0.0
     while True:
         # plain floats: this runs once per event
@@ -164,8 +159,7 @@ def simulate_ctmc(model: ModelSpec, N: int, init, t_end: float, rng) -> SimPath:
         z[i, j] += 1
         times.append(t)
         snaps.append(counts.copy())
-        zs.append(z.copy())
-    return _finish_path(N, t_end, times, snaps, zs)
+    return _finish_path(N, t_end, times, snaps, z)
 
 
 def simulate_slotted(
@@ -191,7 +185,6 @@ def simulate_slotted(
     z = np.zeros((n, n), dtype=np.int64)
     times = [0.0]
     snaps = [counts.copy()]
-    zs = [z.copy()]
     slot = 0
     while slot < n_slots:
         c = counts.tolist()
@@ -241,9 +234,8 @@ def simulate_slotted(
             slot += first + 1
             times.append(slot * eps)
             snaps.append(counts.copy())
-            zs.append(z.copy())
             moved = True
-    return _finish_path(N, t_end, times, snaps, zs)
+    return _finish_path(N, t_end, times, snaps, z)
 
 
 def _simulate(model: ModelSpec, config: SimConfig, rng) -> SimPath:

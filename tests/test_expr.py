@@ -18,12 +18,14 @@ from popdrift.expr import (
     Num,
     Occ,
     compile_fn,
-    evaluate,
     depth,
     free_vars,
     parse,
     pretty,
 )
+from popdrift.drift import drift
+from popdrift.errors import RateError
+from popdrift.model import load_model, rate
 
 
 def test_parse_rate_expression_shape():
@@ -71,51 +73,105 @@ def test_parse_scientific_notation():
     assert parse(".5") == Num(0.5)
 
 
+def evaluate(e, bindings):
+    """Reference value of e: a tree walk on numpy float64 scalars.
+
+    The oracle of the agreement tests below.  It reads ``N``, parameters
+    and ``m[state]`` keys from bindings and shares no code with the
+    kernel's renderer or constant folder, only numpy's arithmetic.
+    """
+    if isinstance(e, Num):
+        return np.float64(e.value)
+    if isinstance(e, Name):
+        return np.float64(bindings[e.ident])
+    if isinstance(e, Occ):
+        return np.float64(bindings[f"m[{e.state}]"])
+    if isinstance(e, Neg):
+        return -evaluate(e.operand, bindings)
+    if isinstance(e, BinOp):
+        fn = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[e.op]
+        return fn(evaluate(e.left, bindings), evaluate(e.right, bindings))
+    fn = {"pow": np.power, "exp": np.exp, "ln": np.log,
+          "min": np.minimum, "max": np.maximum}[e.func]
+    return fn(*(evaluate(a, bindings) for a in e.args))
+
+
+def same_value(got, want) -> bool:
+    """Equal bits up to nan payload: equal, or both nan; zeros keep their sign."""
+    if math.isnan(want):
+        return math.isnan(got)
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def kernel_value(text, N=1.0, params=None, **m):
+    """The compiled kernel's value of text on numpy operands, as a rate table
+    evaluates it: ``m`` maps state names to occupancies."""
+    fn = compile_fn(parse(text), params or {}, {s: k for k, s in enumerate(m)})
+    with np.errstate(all="ignore"):
+        return fn(np.float64(N), [np.float64(x) for x in m.values()])
+
+
 def test_eval_occupancy_binding():
-    assert evaluate(parse("N*m[idle]"), {"N": 10, "m[idle]": 0.5}) == 5.0
+    assert kernel_value("N*m[idle]", N=10, idle=0.5) == 5.0
+    assert kernel_value("m[b] - m[a]", a=0.25, b=1.0) == 0.75
 
 
 def test_eval_arith():
-    e = parse("2*3 - 4/8 + -1")
-    assert evaluate(e, {}) == pytest.approx(4.5)
+    assert kernel_value("2*3 - 4/8 + -1") == pytest.approx(4.5)
+    assert kernel_value("2*m[a] - m[b]/8 + -1", a=3.0, b=4.0) == pytest.approx(4.5)
 
 
 def test_eval_unary_minus_binds_tighter_than_mul():
     # -x*y parses as (-x)*y
-    assert evaluate(parse("-2*3"), {}) == -6.0
-    assert evaluate(parse("-(2*3)"), {}) == -6.0
-    assert evaluate(parse("2*-3"), {}) == -6.0
+    for text in ("-2*3", "-(2*3)", "2*-3", "-m[x]*3", "-(m[x]*3)", "m[x]*-3"):
+        assert kernel_value(text, x=2.0) == -6.0, text
 
 
 def test_eval_functions():
-    b = {"x": 2.0}
-    assert evaluate(parse("exp(0)"), {}) == 1.0
-    assert evaluate(parse("ln(exp(1))"), {}) == pytest.approx(1.0)
-    assert evaluate(parse("pow(x, 3)"), b) == 8.0
-    assert evaluate(parse("min(3, x)"), b) == 2.0
-    assert evaluate(parse("max(3, x)"), b) == 3.0
+    assert kernel_value("exp(0)") == 1.0
+    assert kernel_value("ln(exp(1))") == pytest.approx(1.0)
+    # x as a parameter, then as an occupancy
+    for x, bind in (("x", {"params": {"x": 2.0}}), ("m[x]", {"x": 2.0})):
+        assert kernel_value(f"pow({x}, 3)", **bind) == 8.0
+        assert kernel_value(f"min(3, {x})", **bind) == 2.0
+        assert kernel_value(f"max(3, {x})", **bind) == 3.0
+        assert kernel_value(f"ln(exp({x}))", **bind) == pytest.approx(2.0)
 
 
 def test_eval_pow_zero_zero_is_one():
-    assert evaluate(parse("pow(0, 0)"), {}) == 1.0
+    assert kernel_value("pow(0, 0)") == 1.0
+    assert kernel_value("pow(m[a], 0)", a=0.0) == 1.0
+    assert kernel_value("pow(m[a], m[a])", a=0.0) == 1.0
+
+
+# the domain cases: the kernel's value, and a rate a -> c of that value
+DOMAIN_CASES = {
+    "ln(m[c])": -math.inf,
+    "1/(2-2)": math.inf,
+    "pow(0, -1)": math.inf,
+    "pow(0-2, 0.5)": math.nan,
+}
 
 
 def test_eval_domain_errors_name_subexpression():
-    with pytest.raises(ExprEvalError, match=r"ln.*m\[c\]"):
-        evaluate(parse("ln(m[c])"), {"m[c]": 0.0})
-    with pytest.raises(ExprEvalError, match="division by zero"):
-        evaluate(parse("1/(2-2)"), {})
-    with pytest.raises(ExprEvalError, match="negative power"):
-        evaluate(parse("pow(0, -1)"), {})
-    with pytest.raises(ExprEvalError, match="non-integer exponent"):
-        evaluate(parse("pow(0-2, 0.5)"), {})
+    # the kernel follows numpy and raises nothing; the rate table's
+    # check refuses the value and names the transition
+    for text, want in DOMAIN_CASES.items():
+        assert same_value(kernel_value(text, a=1.0, c=0.0), want), text
+        model = load_model(f"states = a, c\nrate a -> c : {text}\n")
+        pattern = rf"rate a -> c at m=\(1\.0, 0\.0\): evaluated to {want}"
+        with pytest.raises(RateError, match=pattern):
+            rate(model, 10, (1.0, 0.0), "a", "c")
+        with pytest.raises(RateError, match=pattern):
+            drift(model, 10, (1.0, 0.0))
 
 
 def test_eval_unbound_names():
+    # an unbound name is refused when the expression is compiled
     with pytest.raises(ExprEvalError, match="unbound identifier 'q'"):
-        evaluate(parse("q+1"), {})
+        compile_fn(parse("q+1"), {}, {})
     with pytest.raises(ExprEvalError, match=r"m\[a\]"):
-        evaluate(parse("m[a]"), {})
+        compile_fn(parse("m[a]"), {}, {})
 
 
 def test_free_vars():
@@ -161,6 +217,7 @@ def test_pretty_preserves_tree_grouping():
 
 
 def test_compile_matches_checked_eval():
+    # every tree is compared, inf and nan values included
     rng = random.Random(7)
     params = {"p1": 0.008, "p2": 0.05}
     state_index = {"a": 0, "b": 1}
@@ -173,13 +230,11 @@ def test_compile_matches_checked_eval():
             "m[a]": rng.uniform(0.01, 1.0),
             "m[b]": rng.uniform(0.01, 1.0),
         }
-        try:
-            want = evaluate(ast, bindings)
-        except ExprEvalError:
-            continue
         fn = compile_fn(ast, params, state_index)
-        got = fn(10.0, [bindings["m[a]"], bindings["m[b]"]])
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+        with np.errstate(all="ignore"):
+            want = evaluate(ast, bindings)
+            got = fn(np.float64(10.0), [np.float64(bindings["m[a]"]), np.float64(bindings["m[b]"])])
+        assert same_value(got, want), pretty(ast)
 
 
 def test_compile_vectorizes_over_occupancy_arrays():
@@ -225,19 +280,12 @@ def test_compile_matches_evaluate_for_odd_names(value):
     m = [0.0, 0.1, 0.2, 0.3, 0.4]
     bindings = {"N": 7.0, **params}
     bindings.update({f"m[{name}]": m[k] for name, k in state_index.items()})
-    checked = 0
     for text in ODD_EXPRS:
         ast = parse(text)
-        try:
-            want = evaluate(ast, bindings)
-        except ExprEvalError:
-            continue
         with np.errstate(all="ignore"):
-            got = compile_fn(ast, params, state_index)(7.0, m)
-        assert got == pytest.approx(want, rel=1e-12, nan_ok=True), text
-        assert math.copysign(1.0, got) == math.copysign(1.0, want), text
-        checked += 1
-    assert checked >= 10
+            want = evaluate(ast, bindings)
+            got = compile_fn(ast, params, state_index)(np.float64(7.0), [np.float64(x) for x in m])
+        assert same_value(got, want), text
 
 
 def nested_text(depth: int) -> str:
@@ -264,8 +312,7 @@ def test_nesting_limit_is_exact_and_what_it_accepts_compiles(shape):
     # innermost pair of "nested", around a single term, are not levels
     assert depth(ast) == {"parens": 1, "nested": _MAX_DEPTH - 1}.get(shape, _MAX_DEPTH)
     fn = compile_fn(ast, {}, {"a": 0})
-    want = evaluate(ast, {"m[a]": 0.5})
-    assert fn(10.0, [0.5]) == pytest.approx(want, rel=1e-12)
+    assert same_value(fn(10.0, [0.5]), evaluate(ast, {"m[a]": 0.5}))
     with pytest.raises(ExprSyntaxError, match=f"deeper than {_MAX_DEPTH} levels") as err:
         parse(text(_MAX_DEPTH + 1))
     assert 1 <= err.value.column <= len(text(_MAX_DEPTH + 1))

@@ -6,7 +6,8 @@ rates come from the pool below, with the occupancy coordinate they read
 drawn too.  Every pool rate is finite, non-negative and at most 1.5 on
 the simplex, so slotted paths at D = 10 never need a finer slot.  The
 mean-drift lattice is also checked on models of two to four states
-whose rates read random subsets of the occupancies.
+whose rates read random subsets of the occupancies, and the rate
+table's evaluation paths on random rate trees at numpy's domain edges.
 """
 
 import math
@@ -14,19 +15,22 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.stats import poisson
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from popdrift.drift import drift  # noqa: E402
+from popdrift.errors import RateError  # noqa: E402
+from popdrift.expr import BinOp, Call, Neg, Num, Occ  # noqa: E402
 from popdrift.exact import enumerate_states, generator, point_mass, transient  # noqa: E402
 from popdrift.meandrift import (  # noqa: E402
     mean_drift,
     poisson_mean_intensity,
     poisson_weights,
 )
-from popdrift.model import load_model  # noqa: E402
+from popdrift.model import ModelSpec, load_model  # noqa: E402
 from popdrift.sim import simulate_ctmc, simulate_slotted  # noqa: E402
 
 NAMES = ("a", "b", "c")
@@ -133,6 +137,9 @@ def test_sampled_paths_conserve_population(data, model, N, seed):
     for path in (ctmc, slotted):
         assert np.all(path.counts.sum(axis=1) == N)
         assert np.all(path.counts >= 0)
+        z = path.jump_totals
+        assert np.array_equal(path.counts[-1], path.counts[0] + z.sum(0) - z.sum(1))
+    assert np.all(np.abs(np.diff(ctmc.counts, axis=0)).sum(axis=1) == 2)
 
 
 @SETTINGS
@@ -213,6 +220,9 @@ def test_mean_drift_equals_the_full_rectangle_sum(data, model, N):
 
 @SETTINGS
 @given(st.floats(1e-3, 1e4), st.floats(1e-10, 0.5))
+# an inaccurate p_mode kept the running sum below 1-tau here, and the
+# window ran on to underflow: 3,578 points with a tail of 1.4e-12
+@example(lam=2089.0, tau=1e-12)
 def test_poisson_windows_hold_the_mass_and_report_their_tail(lam, tau):
     w = poisson_weights(lam, tau)
     rounding = len(w.probs) * np.finfo(float).eps
@@ -220,12 +230,23 @@ def test_poisson_windows_hold_the_mass_and_report_their_tail(lam, tau):
     assert math.fsum(w.probs) >= 1.0 - tau - rounding
     assert w.tail == pytest.approx(max(0.0, 1.0 - float(w.probs.sum())), abs=rounding)
     assert np.all(w.probs > 0) and w.k_min >= 0
+    # the two-sided quantile interval holds at least 1-tau of the mass
+    span = poisson.isf(tau / 2, lam) - poisson.ppf(tau / 2, lam) + 1
+    assert len(w.probs) <= 1.2 * span
 
 
-def greedy_window(lam, tau):
-    """The window by a walk outward from the mode, one step at a time."""
+def mode_probability(lam):
+    """P(K = floor(lam)) for K ~ Poisson(lam): the exp of -lam + sum of
+    ln(lam/k) over k = 1..floor(lam), the sum rounded once by fsum.
+    Within about 2e-13 of a 40-digit reference for lam up to 1e6."""
     mode = int(math.floor(lam))
-    p_mode = math.exp(mode * math.log(lam) - lam - math.lgamma(mode + 1))
+    return math.exp(math.fsum([-lam, *np.log(lam / np.arange(1.0, mode + 1))]))
+
+
+def greedy_window(lam, tau, p_mode):
+    """The window by a walk outward from the mode, one step at a time,
+    from the mode's probability p_mode."""
+    mode = int(math.floor(lam))
     below, above = [], []
     total, lo, hi, p_lo, p_hi = p_mode, mode, mode, p_mode, p_mode
     while total < 1.0 - tau:
@@ -248,8 +269,11 @@ def test_poisson_windows_match_the_greedy_walk():
     eps = np.finfo(float).eps
     for tau in (1e-3, 1e-6, 1e-10, 2.5e-11):
         for lam in np.logspace(-3, 5, 81):
-            k_min, probs, total = greedy_window(lam, tau)
             w = poisson_weights(lam, tau)
+            # the same start, so the walks are compared to the bit; the
+            # start itself is checked against mode_probability below
+            p_mode = w.probs[int(math.floor(lam)) - w.k_min]
+            k_min, probs, total = greedy_window(lam, tau, p_mode)
             if total >= 1.0 - tau and (w.k_min, len(w.probs)) != (k_min, len(probs)):
                 # the two running totals straddle 1-tau by a rounding error
                 shorter = min(w.probs, probs, key=len)
@@ -264,3 +288,90 @@ def test_poisson_windows_match_the_greedy_walk():
             ours, theirs = w.probs[lo - w.k_min:hi - w.k_min + 1], probs[lo - k_min:hi - k_min + 1]
             normal = theirs > 1e-290
             assert np.allclose(ours[normal], theirs[normal], rtol=1e-10, atol=0), (lam, tau)
+
+
+def test_poisson_windows_start_from_an_accurate_mode_probability():
+    # ln(p_mode) by mode*ln(lam) - lam - lgamma(mode+1) loses about
+    # lam*ln(lam) ulps to cancellation (3e-9 at lam=1e6)
+    for lam in np.concatenate([np.logspace(-3, 6, 37), np.arange(1.0, 40.0), [15.5, 16.5]]):
+        w = poisson_weights(lam, 1e-10)
+        got = w.probs[int(math.floor(lam)) - w.k_min]
+        assert got == pytest.approx(mode_probability(lam), rel=1e-12, abs=0), lam
+
+
+def rate_trees(states):
+    """Rate trees over the occupancies of states that reach every numpy
+    domain edge: division by empty occupancies, ln of zero and of
+    negatives, pow of zero and of negatives to fractional powers."""
+    leaves = st.sampled_from(
+        [Num(0.0), Num(0.5), Num(2.0), Num(-1.0), *(Occ(x) for x in states)]
+    )
+    occupancies = st.sampled_from([Occ(x) for x in states])
+
+    def grow(sub):
+        return st.one_of(
+            st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+            st.builds(lambda a, m: BinOp("/", a, m), sub, occupancies),
+            st.builds(Neg, sub),
+            st.builds(lambda f, a: Call(f, (a,)), st.sampled_from(["ln", "exp"]), sub),
+            st.builds(lambda f, a, b: Call(f, (a, b)),
+                      st.sampled_from(["pow", "min", "max"]), sub, sub),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=6)
+
+
+@st.composite
+def domain_edge_tables(draw):
+    """A rate table of 2-3 states with random trees on random pairs, plus
+    a transition from the last state to the first whose plain-float
+    evaluation always divides by zero."""
+    n = draw(st.integers(2, 3))
+    names = NAMES[:n]
+    trigger = (names[-1], names[0])
+    pairs = [(s, t) for s in names for t in names if s != t and (s, t) != trigger]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True))
+    rates = {pair: draw(rate_trees(names)) for pair in chosen}
+    rates[trigger] = BinOp("/", Num(1.0), BinOp("-", Occ(names[0]), Occ(names[0])))
+    return ModelSpec(names, {}, rates)._rate_table
+
+
+def bits(x):
+    x = np.float64(x)
+    return "nan" if np.isnan(x) else int(x.view(np.int64))
+
+
+def refused(table, q, m, occupied):
+    """Positions k whose rate q[k] the check refuses, one at a time."""
+    out = []
+    for k in range(len(q)):
+        try:
+            table.check(q[k:k + 1], m, occupied=occupied, ks=(k,))
+        except RateError:
+            out.append(k)
+    return out
+
+
+@SETTINGS
+@given(domain_edge_tables(), st.sampled_from([1.0, 3.0, 10.0]), st.data())
+def test_rate_table_paths_agree_at_domain_edges(table, N, data):
+    n = len(table.state_names)
+    points = data.draw(st.lists(occupancies(n), min_size=1, max_size=4))
+    # the batched path, all points at once
+    batch = table.evaluate(N, [np.array(c) for c in zip(*points)], (len(points),))
+    for p, point in enumerate(points):
+        m = point.tolist()
+        # each transition alone: plain floats, or the retry where it divides by zero
+        alone = [table.evaluate(N, m, ks=(k,))[0] for k in range(len(table.fns))]
+        # all at once: the trigger divides by zero, so every rate is retried
+        retried = table.evaluate(N, m)
+        with pytest.raises(ZeroDivisionError):
+            table.fns[table.index[(n - 1, 0)]](N, m)
+        batched = batch[:, p]
+        assert [bits(x) for x in alone] == [bits(x) for x in retried]
+        assert [bits(x) for x in alone] == [bits(x) for x in batched]
+        for occupied in (False, True):
+            want = refused(table, alone, m, occupied)
+            assert refused(table, retried, m, occupied) == want
+            assert refused(table, list(batched), m, occupied) == want
+            assert refused(table, batched, m, occupied) == want

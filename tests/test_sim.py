@@ -44,11 +44,13 @@ def test_ctmc_path_bookkeeping():
     assert path.times[-1] <= 400.0
     # agents conserved at every event
     assert np.all(path.counts.sum(axis=1) == 30)
-    # jump counters only grow, and they reconstruct the counts
-    assert np.all(np.diff(path.z_cum, axis=0) >= 0)
-    inflow = path.z_cum.sum(axis=1)
-    outflow = path.z_cum.sum(axis=2)
-    assert np.array_equal(path.counts, path.counts[0] + inflow - outflow)
+    # each event moves exactly one agent, and the jump totals count the
+    # events and reconstruct the final counts
+    assert np.all(np.abs(np.diff(path.counts, axis=0)).sum(axis=1) == 2)
+    z = path.jump_totals
+    assert np.all(z >= 0) and np.all(np.diag(z) == 0)
+    assert z.sum() == path.times.size - 1
+    assert np.array_equal(path.counts[-1], path.counts[0] + z.sum(0) - z.sum(1))
     # piecewise-constant lookup: left value holds between events
     assert path.times.size >= 3
     mid = 0.5 * (path.times[1] + path.times[2])
@@ -64,7 +66,7 @@ def test_ctmc_seed_determinism():
     c = simulate_ctmc(model, 20, (20, 0), 300.0, np.random.default_rng(43))
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.counts, b.counts)
-    assert np.array_equal(a.z_cum, b.z_cum)
+    assert np.array_equal(a.jump_totals, b.jump_totals)
     assert not np.array_equal(a.times, c.times)
 
 
@@ -108,7 +110,11 @@ def test_slotted_conservation_and_grid_times():
     # events happen on the slot grid
     slots = path.times[1:] * 20
     assert np.allclose(slots, np.round(slots), atol=1e-9)
-    assert np.all(np.diff(path.z_cum, axis=0) >= 0)
+    # every event moves at least one agent; the jump totals reconstruct
+    # the final counts
+    z = path.jump_totals
+    assert np.all(z >= 0) and z.sum() >= path.times.size - 1
+    assert np.array_equal(path.counts[-1], path.counts[0] + z.sum(0) - z.sum(1))
 
 
 def slot_kernel(model, N, D):
