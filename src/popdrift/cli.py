@@ -95,6 +95,11 @@ def _check_population(N) -> None:
         raise ModelError("population size N must be at least 1")
 
 
+def _check_horizon(t) -> None:
+    if not math.isfinite(t):
+        raise ModelError(f"horizon t must be finite, got {t}")
+
+
 def _emit(lines, out: Optional[str]) -> None:
     text = "\n".join(lines) + "\n"
     if out is None:
@@ -168,6 +173,7 @@ def _cmd_ode(args):
     model = _load(args)
     if args.variant != "limit" and args.N is not None:
         _check_population(args.N)
+    _check_horizon(args.t)
     times = np.linspace(0.0, args.t, args.points)
     traj = solve(
         model,
@@ -314,6 +320,7 @@ def _cmd_compare(args):
     model = _load(args)
     for N in args.Ns:
         _check_population(N)
+    _check_horizon(args.t)
     columns = ["phi2_drift", "phi2_meandrift", "phi2_exact"]
     if args.reps > 0:
         columns += ["phi2_sim_mean", "phi2_sim_stderr"]

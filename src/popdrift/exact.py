@@ -3,11 +3,21 @@
 With N agents and I states the process of state counts is a finite
 CTMC on the lattice of count vectors summing to N.  A move s -> t from
 count vector n happens at rate n_s * Q_{s,t}(n/N).  Count vectors are
-ranked by arithmetic (combinatorial number system), not looked up.  The
-transient law is computed by uniformization: pi(t) = sum_k Poisson(k;
-Lam*t) * pi(0) P_u^k with P_u = I + gen/Lam (kept transposed for CSR
-products), truncated by tail mass and split into time segments so each
-segment's Poisson rate stays moderate; each segment checks its mass.
+ranked by arithmetic (combinatorial number system), not looked up.
+
+The transient law is computed by uniformization on a projected active
+set (a finite state projection, Munsky & Khammash 2006), one time
+segment at a time.  Each segment drops the smallest probabilities
+within its share of the tolerance, takes as active set S every state
+whose full exit rate is at most a cap a little above the largest exit
+rate among the states it kept, and sums pi P_S^k with Poisson weights
+at Lam_S*dt, where P_S = I + G_SS/Lam_S and Lam_S is the largest exit
+rate over S (adaptive uniformization, van Moorsel & Sanders 1994).  The
+states one step outside S absorb what leaves it, so the mass that leaks
+is counted; a segment whose leak exceeds its share is redone with a
+higher cap, raised toward the states the leak went to, and the raised
+cap carries into the next segment.  The dropped mass, the leaks and the
+Poisson tails add up to the error the result reports.
 """
 
 from __future__ import annotations
@@ -35,10 +45,15 @@ __all__ = [
 
 STATE_SPACE_CAP = 10**6
 
-# Poisson terms per uniformization segment stay near lam_SEGMENT_MAX;
-# the hard cap below is a safety net the splitting makes unreachable
-_SEGMENT_RATE_MAX = 1e4
-_TERM_CAP = 10**9
+# a segment spans about this many uniformized jumps at Lam_S: longer
+# segments need a higher cap, shorter ones pay the Poisson window's
+# width (about sqrt(2*jumps*ln(2/tau)) extra products) more often
+_SEGMENT_JUMPS = 800
+# spaces of at most this many states are not projected: below it a
+# kernel product costs its call overhead, so a smaller set saves nothing
+_MIN_ACTIVE = 256
+_HEADROOM = 0.5  # first cap: the kept states' largest exit rate times 1.5
+_TERM_CAP = 10**9  # products a horizon may need at the full exit rate
 _MASS_ULPS = 16 * np.finfo(float).eps  # mass rounding per kernel product
 
 
@@ -100,11 +115,16 @@ def enumerate_states(n_states: int, N: int, cap: int = STATE_SPACE_CAP) -> Lumpe
 
 @dataclass(frozen=True)
 class LumpedDistribution:
-    """Probability vector over a LumpedStateSpace at a time point."""
+    """Probability vector over a LumpedStateSpace at a time point.
+
+    error bounds the L1 distance of probs to the exact law (0 for a law
+    given exactly, such as a point mass).
+    """
 
     space: LumpedStateSpace
     probs: np.ndarray
     time: float
+    error: float = 0.0
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -119,6 +139,8 @@ class LumpedDistribution:
             raise ModelError(
                 f"probabilities must sum to 1, got {float(probs.sum())!r}"
             )
+        if not self.error >= 0:  # also rejects NaN
+            raise ModelError(f"error bound must be non-negative, got {self.error!r}")
         object.__setattr__(self, "probs", probs)
 
 
@@ -168,21 +190,84 @@ def generator(model: ModelSpec, space: LumpedStateSpace) -> sparse.csr_matrix:
     return gen
 
 
+def _projected_kernel(gen: sparse.csr_matrix, active: np.ndarray, lam: float):
+    """Transposed kernel I + G_SS/lam on the active states, plus sinks.
+
+    Rows and columns are the active states in order, then every state
+    outside them that an active row reaches; those sinks keep what flows
+    into them (identity rows), so the kernel conserves mass.  Returns
+    the CSR kernel and the sinks' state indices.
+    """
+    n_active = len(active)
+    local = np.full(gen.shape[0], -1, dtype=np.int64)
+    local[active] = np.arange(n_active)
+    start = gen.indptr[active]
+    count = gen.indptr[active + 1] - start
+    pos = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+    cols = gen.indices[pos]
+    reached = np.zeros(gen.shape[0], dtype=bool)
+    reached[cols[local[cols] < 0]] = True
+    sinks = np.flatnonzero(reached)
+    size = n_active + len(sinks)
+    local[sinks] = np.arange(n_active, size)
+    diag = np.arange(size)
+    kernel_t = sparse.csr_matrix(
+        (
+            np.concatenate([gen.data[pos] * (1.0 / lam), np.ones(size)]),
+            (
+                np.concatenate([local[cols], diag]),
+                np.concatenate([np.repeat(np.arange(n_active), count), diag]),
+            ),
+        ),
+        shape=(size, size),
+    )
+    return kernel_t, sinks
+
+
+def _poisson_sum(kernel_t: sparse.csr_matrix, v: np.ndarray, w) -> np.ndarray:
+    """sum_k w_k v P^k over the window of w: k_max kernel products."""
+    acc = np.zeros_like(v)
+    buf = np.empty_like(v)
+    for k in range(w.k_max + 1):
+        if k >= w.k_min:
+            np.multiply(v, w.probs[k - w.k_min], out=buf)
+            acc += buf
+        if k < w.k_max:
+            v = kernel_t @ v
+    return acc
+
+
 def transient(
     gen: sparse.csr_matrix,
     init: LumpedDistribution,
     t: float,
     tol: float = 1e-12,
 ) -> LumpedDistribution:
-    """Transient distribution after time t by uniformization.
+    """Transient distribution after time t by projected uniformization.
 
-    The horizon is split into segments with Lam*dt <= 1e4; within each
-    segment the Poisson-weighted power series is truncated to tail mass
-    tol/segments and renormalized, after checking that it kept the
-    Poisson mass it summed up to rounding (gen rows must sum to zero).
+    Each segment first drops the smallest probabilities, as many as fit
+    in the dropped mass's share of tol accrued so far.  Its active set S
+    holds every state whose full exit rate -G_ii is at most a cap, which
+    starts at 1.5 times the largest exit rate among the kept states; a
+    space of at most _MIN_ACTIVE states is active as a whole.  The
+    segment uniformizes at Lam_S, the largest exit rate over S, for
+    about _SEGMENT_JUMPS jumps, truncating the Poisson series to tail
+    mass within its share.  The states one step outside S absorb
+    what leaves it: when that leak exceeds its share, the cap rises at
+    least to the exit rate of the state that took most of it and the
+    segment is redone; a raised cap carries over, and eases off after a
+    segment that leaked under a thousandth of its share.
+
+    Dropped mass, leaks and tails each get tol/6 spread evenly over the
+    horizon, and each only removes probability, so their sum bounds the
+    L1 distance before the final renormalization, which at most doubles
+    it.  The result's error is init.error plus twice that sum, at most
+    tol above init.error; rounding, which each segment's mass check
+    holds to 16 ulps per product (gen rows must sum to zero), is not in
+    it.
     """
-    if t < 0:
-        raise ModelError(f"time must be non-negative, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ModelError(f"time must be finite and non-negative, got {t}")
     if not 0 < tol < 1:
         raise ModelError(f"tolerance must be in (0, 1), got {tol}")
     size = init.space.size
@@ -191,32 +276,76 @@ def transient(
             f"generator shape {gen.shape} does not match {size} states"
         )
     pi = init.probs.copy()
-    lam = float(np.max(-gen.diagonal())) + 1e-12
-    if t == 0.0 or lam * t == 0.0:
-        return LumpedDistribution(space=init.space, probs=pi, time=init.time + t)
-    n_seg = max(1, math.ceil(lam * t / _SEGMENT_RATE_MAX))
-    dt = t / n_seg
-    seg_tol = tol / n_seg
-    kernel_t = (sparse.eye(size, format="csr") + gen.multiply(1.0 / lam)).T.tocsr()
-    for _ in range(n_seg):
-        w = poisson_weights(lam * dt, seg_tol)
-        if w.k_max > _TERM_CAP:
-            raise NumericsError(
-                f"uniformization needs {w.k_max} terms; split the horizon"
-            )
-        acc = np.zeros(size)
-        v = pi
-        for k in range(w.k_max + 1):
-            if k >= w.k_min:
-                acc += w.probs[k - w.k_min] * v
-            if k < w.k_max:
-                v = kernel_t @ v
-        total = float(acc.sum())
-        want = (1.0 - w.tail) * float(pi.sum())
-        if not abs(total - want) <= _MASS_ULPS * (w.k_max + 1):
-            raise NumericsError(f"uniformization kept mass {total!r}, not {want!r}")
-        pi = acc / total
-    return LumpedDistribution(space=init.space, probs=pi, time=init.time + t)
+    exit_rates = -gen.diagonal()
+    lam_max = float(exit_rates.max())
+    if lam_max * t == 0.0:
+        return LumpedDistribution(
+            space=init.space, probs=pi, time=init.time + t, error=init.error
+        )
+    if lam_max * t > _TERM_CAP:
+        raise NumericsError(
+            f"uniformization at rate {lam_max:g} over t={t:g} needs about "
+            f"{lam_max * t:.3g} products, above the cap {_TERM_CAP:.0e}"
+        )
+    # a space this small is active as a whole
+    floor = lam_max if size <= _MIN_ACTIVE else 0.0
+    share = tol / 6.0 / t  # per unit time, for each of drop, leak, tail
+    dropped = leaked = tails = 0.0
+    headroom = _HEADROOM
+    done = 0.0
+    while done < t:
+        support = np.flatnonzero(pi)
+        order = support[np.argsort(pi[support], kind="stable")]
+        cum = np.cumsum(pi[order])
+        n_drop = int(np.searchsorted(cum, share * done - dropped, side="right"))
+        if n_drop:
+            dropped += float(cum[n_drop - 1])
+            pi[order[:n_drop]] = 0.0
+        lam_kept = float(exit_rates[order[n_drop:]].max())
+        while True:
+            cap = max(floor, lam_kept * (1.0 + headroom))
+            active = np.flatnonzero(exit_rates <= cap)
+            lam = float(exit_rates[active].max())
+            if lam == 0.0:
+                break
+            last = lam * (t - done) <= _SEGMENT_JUMPS
+            dt = t - done if last else _SEGMENT_JUMPS / lam
+            kernel_t, sinks = _projected_kernel(gen, active, lam)
+            w = poisson_weights(lam * dt, share * (done + dt) - tails)
+            v = np.zeros(kernel_t.shape[0])
+            v[: len(active)] = pi[active]
+            mass = float(v.sum())
+            acc = _poisson_sum(kernel_t, v, w)
+            total = float(acc.sum())
+            want = (1.0 - w.tail) * mass
+            if not abs(total - want) <= _MASS_ULPS * (w.k_max + 1):
+                raise NumericsError(
+                    f"uniformization kept mass {total!r}, not {want!r}"
+                )
+            outflow = acc[len(active):]
+            leak = float(outflow.sum())
+            allowed = share * (done + dt) - leaked
+            if leak <= allowed:
+                break
+            # grow toward the leak: take in at least the state that got most
+            target = float(exit_rates[sinks[np.argmax(outflow)]])
+            headroom = max(2.0 * headroom, target / lam_kept - 1.0)
+        if lam == 0.0:  # nothing the kept mass can reach moves
+            break
+        leaked += leak
+        tails += w.tail * mass
+        if leak <= 1e-3 * allowed:
+            headroom *= 0.75
+        pi = np.zeros(size)
+        pi[active] = acc[: len(active)]
+        done = t if last else done + dt
+    pi /= pi.sum()
+    return LumpedDistribution(
+        space=init.space,
+        probs=pi,
+        time=init.time + t,
+        error=init.error + 2.0 * (dropped + leaked + tails),
+    )
 
 
 def expected_occupancy(dist: LumpedDistribution) -> np.ndarray:

@@ -12,6 +12,7 @@ aborts with a diagnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -101,8 +102,8 @@ def integrate(
     Output is sampled at ``sample_times`` plus both endpoints; when no
     sample times are given, every step boundary is recorded.
     """
-    if not t_end > 0:
-        raise ModelError(f"t_end must be positive, got {t_end}")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ModelError(f"t_end must be finite and positive, got {t_end}")
     y = check_occupancy(phi0).copy()
     h = step if step is not None else min(0.1, t_end / 1000.0)
     if not h > 0:

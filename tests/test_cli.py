@@ -1,7 +1,12 @@
 """CLI round trips: CSV output, exit codes, reproducibility."""
 
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -113,6 +118,45 @@ def test_population_below_one_exits_2(capsys, argv):
     assert code == 2
     assert err == "error: model: population size N must be at least 1\n"
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exact", "--N", "5", "--init", "1,0", "--t", "nan"),
+        ("exact", "--N", "5", "--init", "1,0", "--t", "inf"),
+        ("compare", "--Ns", "1,2", "--init", "1,0", "--t", "nan"),
+        ("ode", "--variant", "drift", "--N", "5", "--init", "1,0", "--t", "inf"),
+        ("ode", "--variant", "limit", "--init", "1,0", "--t", "nan"),
+    ],
+    ids=["exact-nan", "exact-inf", "compare-nan", "ode-drift-inf", "ode-limit-nan"],
+)
+def test_non_finite_horizon_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: model:") and "finite" in err
+    assert out == ""
+
+
+def test_exact_horizon_beyond_the_product_cap_exits_3_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "exact", "--N", "5", "--init", "1,0", "--t", "1e300")
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert err.startswith("error: numerics:") and "cap" in err
+    assert out == ""
+
+
+def test_python_m_popdrift_runs_the_cli():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-m", "popdrift", "validate", "--N", "10"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("N,samples,ok,")
 
 
 def test_limit_ode_ignores_population(capsys):

@@ -1,12 +1,14 @@
 """Lumped-chain enumeration, generator assembly, uniformization."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
+from popdrift import exact
 from popdrift.errors import ModelError, NumericsError, RateError
 from popdrift.exact import (
     LumpedDistribution,
@@ -211,6 +213,54 @@ def test_transient_rejects_rows_that_do_not_sum_to_zero(excess):
         transient(gen, point_mass(space, (1, 0)), 1.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_transient_rejects_horizons_that_are_not_finite_and_non_negative(t):
+    space = enumerate_states(2, 3)
+    gen = generator(builtin_example(), space)
+    with pytest.raises(ModelError, match="finite and non-negative"):
+        transient(gen, point_mass(space, (3, 0)), t)
+
+
+def test_transient_refuses_a_horizon_beyond_the_product_cap():
+    space = enumerate_states(2, 5)
+    gen = generator(builtin_example(), space)
+    with pytest.raises(NumericsError, match="cap"):
+        transient(gen, point_mass(space, (5, 0)), 1e300)
+
+
+def test_transient_reports_an_error_within_tol():
+    model = load_model(CONTENTION_DOC)
+    space = enumerate_states(3, 40)
+    gen = generator(model, space)
+    init = point_mass(space, (40, 0, 0))
+    assert init.error == 0.0
+    for tol in (1e-12, 1e-8):
+        out = transient(gen, init, 30.0, tol=tol)
+        want = init.probs @ expm(gen.toarray() * 30.0)
+        assert 0.0 < out.error <= tol
+        assert np.abs(out.probs - want).sum() <= out.error + 1e-13
+
+
+def test_transient_counts_the_leak_in_its_error():
+    # one agent: a leaks slowly into the fast state b, which passes it on
+    # to the absorbing c; with the cap at 200 times a's exit rate the
+    # active set holds a, c and d (exit rate 0.1, so the Poisson tail is
+    # far below the leak), and b is the sink that takes what a leaks,
+    # about 1e-3 by t = 1
+    model = load_model(
+        "states = a, b, c, d\n"
+        "rate a -> b : 0.001\nrate b -> c : 50\nrate d -> a : 0.1\n"
+    )
+    space = enumerate_states(4, 1)
+    gen = generator(model, space)
+    init = point_mass(space, (1, 0, 0, 0))
+    with mock.patch.multiple(exact, _MIN_ACTIVE=1, _HEADROOM=199.0):
+        out = transient(gen, init, 1.0, tol=1e-2)
+    want = init.probs @ expm(gen.toarray())
+    assert np.abs(out.probs - want).sum() == pytest.approx(2e-3, rel=0.05)
+    assert np.abs(out.probs - want).sum() <= out.error <= 1e-2
+
+
 def test_transient_mass_conservation_random_models():
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -266,3 +316,6 @@ def test_distribution_validation():
         LumpedDistribution(space=space, probs=np.array([1.5, -0.5, 0.0]), time=0.0)
     with pytest.raises(ModelError, match="sum to N"):
         point_mass(space, (5, 5))
+    with pytest.raises(ModelError, match="error bound"):
+        LumpedDistribution(space=space, probs=np.array([1.0, 0.0, 0.0]), time=0.0,
+                           error=math.nan)

@@ -8,23 +8,34 @@ the simplex, so slotted paths at D = 10 never need a finer slot.  The
 mean-drift lattice is also checked on models of two to four states
 whose rates read random subsets of the occupancies, and the rate
 table's evaluation paths on random rate trees at numpy's domain edges.
+The projected exact transient is checked against dense and sparse
+matrix exponentials: its reported error must cover its distance to them.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 from scipy.stats import poisson
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from popdrift import exact  # noqa: E402
 from popdrift.drift import drift  # noqa: E402
 from popdrift.errors import RateError  # noqa: E402
 from popdrift.expr import BinOp, Call, Neg, Num, Occ  # noqa: E402
-from popdrift.exact import enumerate_states, generator, point_mass, transient  # noqa: E402
+from popdrift.exact import (  # noqa: E402
+    LumpedDistribution,
+    enumerate_states,
+    generator,
+    point_mass,
+    transient,
+)
 from popdrift.meandrift import (  # noqa: E402
     mean_drift,
     poisson_mean_intensity,
@@ -124,6 +135,69 @@ def test_transient_preserves_mass(model, N, t):
     assert math.fsum(dist.probs) == pytest.approx(1.0, abs=1e-12)
     # the renormalization inside transient must not hide lost mass
     assert np.allclose(dist.probs, init.probs @ expm(gen.toarray() * t), atol=1e-9)
+
+
+# rounding in uniformization and in the dense oracle, which the error
+# bound does not cover: far below every tol drawn here
+ROUNDING = 1e-13
+
+
+@SETTINGS
+@given(st.data(), models(), st.integers(3, 14), st.floats(1.0, 60.0),
+       st.sampled_from([1e-10, 1e-6, 1e-3, 0.1]))
+def test_projected_transient_stays_within_its_error_bound(data, model, N, t, tol):
+    space = enumerate_states(model.n_states, N)
+    gen = generator(model, space)
+    if data.draw(st.booleans(), label="spread"):
+        weights = data.draw(st.lists(st.integers(0, 5), min_size=space.size,
+                                     max_size=space.size))
+        weights[0] += 1
+        init = LumpedDistribution(space=space, probs=np.array(weights) / sum(weights),
+                                  time=0.0)
+    else:
+        init = point_mass(space, space.states[data.draw(st.integers(0, space.size - 1))])
+    # the bound holds whatever the tuning; small values project small
+    # spaces onto few states over short segments, so the mass drifts out
+    # of the first active sets, segments are redone and mass is dropped
+    tuning = {
+        "_MIN_ACTIVE": data.draw(st.sampled_from([1, 256]), label="min_active"),
+        "_HEADROOM": data.draw(st.sampled_from([1e-3, 0.5]), label="headroom"),
+        "_SEGMENT_JUMPS": data.draw(st.sampled_from([4, 50, 800]), label="jumps"),
+    }
+    with mock.patch.multiple(exact, **tuning):
+        dist = transient(gen, init, t, tol=tol)
+    assert np.all(dist.probs >= 0)
+    assert math.fsum(dist.probs) == pytest.approx(1.0, abs=1e-12)
+    want = init.probs @ expm(gen.toarray() * t)
+    assert np.abs(dist.probs - want).sum() <= dist.error + ROUNDING
+    assert dist.error <= tol
+    # before renormalizing, the result lay below the exact law state by
+    # state, so 1 - min(want/probs) is at most the mass it lost, which
+    # the error counts twice
+    held = dist.probs > 1e-6
+    assert 1.0 - np.min(want[held] / dist.probs[held]) <= dist.error / 2 + ROUNDING
+
+
+CONTENTION = """states = idle, backoff, send
+param a = 0.05
+param b = 0.2
+param c = 0.5
+rate idle -> send : a*pow(1-a/2, N*m[idle])
+rate idle -> backoff : a*(1 - pow(1-a/2, N*m[idle]))
+rate backoff -> idle : b*pow(1-c/2, N*m[send])
+rate send -> idle : c
+"""
+
+
+def test_projected_transient_matches_expm_multiply_on_a_mid_size_space():
+    model = load_model(CONTENTION)
+    space = enumerate_states(3, 60)  # 1,891 count vectors
+    gen = generator(model, space)
+    init = point_mass(space, (60, 0, 0))
+    dist = transient(gen, init, 15.0, tol=1e-10)
+    want = expm_multiply(gen.T.tocsr() * 15.0, init.probs)
+    assert np.abs(dist.probs - want).sum() <= dist.error + ROUNDING
+    assert dist.error <= 1e-10
 
 
 @SETTINGS
