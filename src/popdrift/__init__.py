@@ -52,7 +52,6 @@ from .odesolve import Trajectory, integrate, solve
 from .sim import (
     GeneratorCheck,
     SimConfig,
-    SimPath,
     SimStats,
     ensemble,
     generator_check,
@@ -77,7 +76,6 @@ __all__ = [
     "RateError",
     "STATE_SPACE_CAP",
     "SimConfig",
-    "SimPath",
     "SimStats",
     "SlotResolutionError",
     "Trajectory",

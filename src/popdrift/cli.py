@@ -79,11 +79,18 @@ def _hist_request(text: str):
     return (float(parts[0]), parts[1])
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load(args) -> ModelSpec:
     if args.model is None:
         return builtin_example()
-    with open(args.model, "r", encoding="utf-8") as fh:
-        return load_model(fh.read())
+    return load_model(_read_text(args.model))
 
 
 # the column reported by compare and chaos; every model has at least two states
@@ -110,12 +117,20 @@ def _emit(lines, out: Optional[str]) -> None:
 
 
 def _load_reference(path: str, model: ModelSpec) -> Trajectory:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    rows = _read_text(path).splitlines()[1:]
+    if not any(line.split("#", 1)[0].strip() for line in rows):
+        raise ModelError("reference file has no rows after its header")
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ModelError(f"reference file {path}: {exc}") from None
     if data.shape[1] != 1 + model.n_states:
         raise ModelError(
             f"reference file has {data.shape[1]} columns, expected "
             f"{1 + model.n_states} (t plus one per state)"
         )
+    if not np.all(np.isfinite(data)):
+        raise ModelError("reference file holds a non-finite entry")
     times = data[:, 0]
     if np.any(np.diff(times) <= 0):
         raise ModelError("reference times must be strictly increasing")

@@ -3,17 +3,19 @@
 Two path generators: an event-driven jump chain with exponential
 holding times, and a slotted variant where every agent moves
 independently within global slots of width 1/D using the slot-start
-occupancy.  On top of those, replicated ensembles with deterministic
-per-replication random streams, sup-distance statistics against a
-reference trajectory, a Poisson marginal diagnostic and a
-finite-difference check of the mean dynamics.
+occupancy.  Each records its path only at the sorted times it is
+given, so memory does not grow with the number of events.  On top of
+those, replicated ensembles with deterministic per-replication random
+streams, sup-distance statistics against a reference trajectory, a
+Poisson marginal diagnostic and a finite-difference check of the mean
+dynamics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
@@ -26,6 +28,20 @@ from .odesolve import Trajectory
 _CHUNK_REPS = 64
 _SLOT_BLOCK = 1024
 _DEFAULT_GRID_POINTS = 1000
+
+
+def _sample_times(ts, t_end: float) -> np.ndarray:
+    """ts as a float vector: non-empty, finite, sorted, within [0, t_end]."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ModelError("sample times must be a non-empty vector")
+    if not np.all(np.isfinite(ts)):
+        raise ModelError("sample times must be finite")
+    if np.any(ts < 0) or np.any(ts > t_end):
+        raise ModelError("sample times must lie within [0, t_end]")
+    if np.any(np.diff(ts) < 0):
+        raise ModelError("sample times must be non-decreasing")
+    return ts
 
 
 @dataclass(frozen=True)
@@ -61,15 +77,7 @@ class SimConfig:
             if self.resolution is None or self.resolution < 1:
                 raise ModelError("slotted mode needs a time resolution D >= 1")
         if self.sample_times is not None:
-            ts = np.asarray(self.sample_times, dtype=float)
-            if ts.ndim != 1 or ts.size == 0:
-                raise ModelError("sample_times must be a non-empty vector")
-            if not np.all(np.isfinite(ts)):
-                raise ModelError("sample_times must be finite")
-            if np.any(ts < 0) or np.any(ts > self.t_end):
-                raise ModelError("sample_times must lie within [0, t_end]")
-            if np.any(np.diff(ts) < 0):
-                raise ModelError("sample_times must be non-decreasing")
+            _sample_times(self.sample_times, self.t_end)
         for entry in self.hist:
             t, _ = entry
             if not 0 <= t <= self.t_end:
@@ -81,56 +89,30 @@ class SimConfig:
         return np.linspace(0.0, self.t_end, _DEFAULT_GRID_POINTS)
 
 
-@dataclass(frozen=True)
-class SimPath:
-    """One realization: piecewise-constant counts between event times.
-
-    counts[k] holds from times[k] until the next event; jump_totals[s, t]
-    is the number of s -> t jumps over the whole path.
-    """
-
-    N: int
-    t_end: float
-    times: np.ndarray
-    counts: np.ndarray
-    jump_totals: np.ndarray
-
-    def counts_at(self, at) -> np.ndarray:
-        at = np.atleast_1d(np.asarray(at, dtype=float))
-        if np.any(at < 0) or np.any(at > self.t_end):
-            raise ModelError("sample time outside the simulated horizon")
-        idx = np.searchsorted(self.times, at, side="right") - 1
-        return self.counts[idx]
-
-    def occupancy_at(self, at) -> np.ndarray:
-        return self.counts_at(at) / float(self.N)
+def _start(model: ModelSpec, N: int, init, t_end: float, at):
+    """Checked start of a path: counts, sample times with a sentinel, output rows."""
+    if not math.isfinite(t_end) or t_end < 0:
+        raise ModelError("t_end must be finite and non-negative")
+    at = _sample_times(at, t_end)
+    counts = check_counts(init, N, model.n_states).astype(np.int64)
+    rows = np.empty((at.size, model.n_states), dtype=np.int64)
+    return counts, at.tolist() + [math.inf], rows
 
 
-def _finish_path(N, t_end, times, snaps, z) -> SimPath:
-    return SimPath(
-        N=int(N),
-        t_end=float(t_end),
-        times=np.asarray(times, dtype=float),
-        counts=np.asarray(snaps, dtype=np.int64),
-        jump_totals=z,
-    )
-
-
-def simulate_ctmc(model: ModelSpec, N: int, init, t_end: float, rng) -> SimPath:
-    """One jump-chain path over [0, t_end].
+def simulate_ctmc(model: ModelSpec, N: int, init, t_end: float, rng, at):
+    """One jump-chain path over [0, t_end], read at the sorted times at.
 
     Exponential holding times in the total rate, jump selection
     proportional to n_s * Q_{s,s'}(n/N); the path ends at the first
-    jump time past t_end.
+    jump time past t_end.  Returns (counts, jump_totals): counts[k] is
+    the count vector at at[k], an event at exactly at[k] included, and
+    jump_totals[s, t] the number of s -> t jumps over the whole path.
     """
-    if not math.isfinite(t_end) or t_end < 0:
-        raise ModelError("t_end must be finite and non-negative")
-    counts = check_counts(init, N, model.n_states).astype(np.int64)
+    counts, stops, out = _start(model, N, init, t_end, at)
     table = model._rate_table
     n = model.n_states
     z = np.zeros((n, n), dtype=np.int64)
-    times = [0.0]
-    snaps = [counts.copy()]
+    pos = 0
     t = 0.0
     while True:
         # plain floats: this runs once per event
@@ -153,38 +135,37 @@ def simulate_ctmc(model: ModelSpec, N: int, init, t_end: float, rng) -> SimPath:
             if u < acc:
                 pick = k
                 break
+        while stops[pos] < t:
+            out[pos] = counts
+            pos += 1
         i, j = table.sources[pick], table.targets[pick]
         counts[i] -= 1
         counts[j] += 1
         z[i, j] += 1
-        times.append(t)
-        snaps.append(counts.copy())
-    return _finish_path(N, t_end, times, snaps, z)
+    out[pos:] = counts
+    return out, z
 
 
-def simulate_slotted(
-    model: ModelSpec, N: int, D: int, init, t_end: float, rng
-) -> SimPath:
+def simulate_slotted(model: ModelSpec, N: int, D: int, init, t_end: float, rng, at):
     """One slotted path: agents move independently inside width-1/D slots.
 
     All moves within a slot use the slot-start occupancy; per-source
     move counts are multinomial.  A per-agent slot probability total
     above 1 means the resolution is too coarse and raises
     SlotResolutionError.  Quiet stretches are sampled in vectorized
-    blocks, which leaves the law of the path unchanged.
+    blocks, which leaves the law of the path unchanged.  Returns
+    (counts, jump_totals) as simulate_ctmc does; a slot's moves take
+    effect at its end, so a time on that boundary reads them.
     """
     if D < 1:
         raise ModelError("time resolution D must be at least 1")
-    if not math.isfinite(t_end) or t_end < 0:
-        raise ModelError("t_end must be finite and non-negative")
-    counts = check_counts(init, N, model.n_states).astype(np.int64)
+    counts, stops, out = _start(model, N, init, t_end, at)
     table = model._rate_table
     n = model.n_states
     eps = 1.0 / D
     n_slots = int(math.floor(t_end * D + 1e-9))
     z = np.zeros((n, n), dtype=np.int64)
-    times = [0.0]
-    snaps = [counts.copy()]
+    pos = 0
     slot = 0
     while slot < n_slots:
         c = counts.tolist()
@@ -224,6 +205,10 @@ def simulate_slotted(
                 slot += block
                 continue
             first = int(hits[0])
+            slot += first + 1
+            while stops[pos] < slot * eps:
+                out[pos] = counts
+                pos += 1
             for (i, targets, _), d in zip(rows, draws):
                 for col, j in enumerate(targets):
                     k = int(d[first, col])
@@ -231,19 +216,17 @@ def simulate_slotted(
                         counts[i] -= k
                         counts[j] += k
                         z[i, j] += k
-            slot += first + 1
-            times.append(slot * eps)
-            snaps.append(counts.copy())
             moved = True
-    return _finish_path(N, t_end, times, snaps, z)
+    out[pos:] = counts
+    return out, z
 
 
-def _simulate(model: ModelSpec, config: SimConfig, rng) -> SimPath:
+def _simulate(model: ModelSpec, config: SimConfig, rng, at):
     if config.mode == "slotted":
         return simulate_slotted(
-            model, config.N, config.resolution, config.init, config.t_end, rng
+            model, config.N, config.resolution, config.init, config.t_end, rng, at
         )
-    return simulate_ctmc(model, config.N, config.init, config.t_end, rng)
+    return simulate_ctmc(model, config.N, config.init, config.t_end, rng, at)
 
 
 @dataclass(frozen=True)
@@ -283,6 +266,8 @@ def ensemble(
         if not 0 <= s < model.n_states:
             raise ModelError(f"histogram state index {s} out of range")
     grid = config.grid()
+    at = np.unique(np.concatenate([grid, [t for t, _ in config.hist]]))
+    grid_pos = np.searchsorted(at, grid)
     ref_vals = reference.sample(grid) if reference is not None else None
     R = config.reps
     n = model.n_states
@@ -296,6 +281,7 @@ def ensemble(
     histograms = {
         key: np.zeros(config.N + 1, dtype=np.int64) for key in config.hist
     }
+    hist_reads = [(h, np.searchsorted(at, t), s) for (t, s), h in histograms.items()]
     first_error = None
     for lo in range(0, R, _CHUNK_REPS):
         part = np.zeros((grid.size, n))
@@ -303,23 +289,20 @@ def ensemble(
         for r in range(lo, min(R, lo + _CHUNK_REPS)):
             rng = np.random.default_rng(streams[r])
             try:
-                path = _simulate(model, config, rng)
-                occ = path.occupancy_at(grid)
-                hist_vals = [
-                    int(path.counts_at(t)[0, s]) for t, s in histograms
-                ]
+                counts, jump_totals = _simulate(model, config, rng, at)
             except (ModelError, NumericsError) as exc:
                 if first_error is None:
                     first_error = str(exc)
                 continue
+            occ = counts[grid_pos] / float(config.N)
             part += occ
             partsq += occ * occ
             if ref_vals is not None:
                 gaps = np.sqrt(((occ - ref_vals) ** 2).sum(axis=1))
                 sup_all[r] = gaps.max()
-            z_all[r] = path.jump_totals
-            for tally, k in zip(histograms.values(), hist_vals):
-                tally[k] += 1
+            z_all[r] = jump_totals
+            for h, k, s in hist_reads:
+                h[counts[k, s]] += 1
             ok[r] = True
         total += part
         totalsq += partsq
@@ -421,8 +404,7 @@ def generator_check(
     drs = np.zeros((R, model.n_states))
     for r in range(R):
         rng = np.random.default_rng(streams[r])
-        path = _simulate(model, config, rng)
-        occ = path.occupancy_at(probe)
+        occ = _simulate(model, config, rng, probe)[0] / float(config.N)
         fd = (occ[2] - occ[0]) / (w1 - w0)
         dr = drift(model, config.N, occ[1])
         fds[r] = fd

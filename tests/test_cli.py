@@ -1,5 +1,6 @@
 """CLI round trips: CSV output, exit codes, reproducibility."""
 
+import hashlib
 import math
 import os
 import pathlib
@@ -370,15 +371,30 @@ def test_simulate_sections(capsys, tmp_path):
     assert sup[1][1] == "40" and sup[1][2] == "0"
 
 
-def test_simulate_rejects_malformed_reference(capsys, tmp_path):
-    ref = tmp_path / "ref.csv"
-    ref.write_text("t,phi_a\n0,1\n1,0.5\n")
-    code, _, err = run(
+MALFORMED_INPUTS = {
+    "columns": ("--ref", b"t,phi_a\n0,1\n1,0.5\n", "columns"),
+    "non_numeric": ("--ref", b"t,a,b\n0,x,1\n", "could not convert"),
+    "nan_time": ("--ref", b"t,idle,backoff\n0,1,0\nnan,1,0\n", "non-finite"),
+    "nan_value": ("--ref", b"t,idle,backoff\n0,1,0\n1,nan,0\n", "non-finite"),
+    "header_only": ("--ref", b"t,idle,backoff\n", "no rows"),
+    "ref_not_utf8": ("--ref", b"t,idle,backoff\n0,\xff,0\n", "utf-8"),
+    "model_not_utf8": ("--model", b"states = a, \xff\n", "not UTF-8"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_simulate_rejects_malformed_reference(capsys, tmp_path, case):
+    flag, content, words = MALFORMED_INPUTS[case]
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    code, out, err = run(
         capsys, "simulate", "--N", "5", "--init", "1,0", "--t", "1",
-        "--reps", "2", "--ref", str(ref),
+        "--reps", "2", flag, str(path),
     )
     assert code == 2
-    assert "columns" in err
+    assert err.startswith("error: model:") and words in err
+    assert out == ""
 
 
 def test_compare_small_populations(capsys):
@@ -453,6 +469,46 @@ def test_repeated_runs_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != b""
+
+
+SIR_MODEL = str(pathlib.Path(__file__).parents[1] / "perfbench" / "models" / "sir.pop")
+_SIM_BASE = ("simulate", "--N", "160", "--init", "1,0", "--t", "200", "--seed", "0")
+_SIM_REF = ("--reps", "100", "--hist", "200,backoff", "--ref", "{ref}")
+# sha256 of the stdout of the benchmark's seeded simulate commands at
+# seed 0; a change that alters the random streams on purpose updates
+# them and says so
+GOLDEN_SIMULATE = {
+    "sim_ctmc": (
+        _SIM_BASE + _SIM_REF,
+        "4170846b09877f67e803ee079a00937ca811e847552ed7660a9026f5034efd38",
+    ),
+    "sim_slotted": (
+        _SIM_BASE + ("--reps", "32", "--mode", "slotted:10"),
+        "3ce1396bef69ce17cb1fa40471278650b00ec58f4a0a9f8b2e144ac377b6e666",
+    ),
+    "sim_ctmc_jobs2": (
+        _SIM_BASE + _SIM_REF + ("--jobs", "2"),
+        "4170846b09877f67e803ee079a00937ca811e847552ed7660a9026f5034efd38",
+    ),
+    "sim_sirs_long": (
+        ("simulate", "--model", SIR_MODEL, "--N", "500", "--init", "0.9,0.1,0",
+         "--t", "100", "--reps", "4", "--seed", "0"),
+        "3fe28443529288ef8d20e149ee198ffaf1d700e692df88753d850c398af25f5a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SIMULATE))
+def test_seeded_simulate_output_matches_its_digest(capsys, tmp_path, name):
+    argv, digest = GOLDEN_SIMULATE[name]
+    ref = tmp_path / "ref.csv"
+    assert main([
+        "ode", "--variant", "drift", "--N", "160", "--init", "1,0",
+        "--t", "200", "--out", str(ref),
+    ]) == 0
+    code, out, err = run(capsys, *(a.replace("{ref}", str(ref)) for a in argv))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_jobs_do_not_change_simulate_output(tmp_path, capsys):

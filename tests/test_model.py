@@ -86,10 +86,12 @@ ENTRY_POINTS = {
     "mean_drift": lambda model, m: mean_drift(model, 4, m),
     "generator": lambda model, m: generator(model, enumerate_states(2, 4)),
     "simulate_ctmc": lambda model, m: simulate_ctmc(
-        model, 4, [round(4 * x) for x in m], 5.0, np.random.default_rng(0)
+        model, 4, [round(4 * x) for x in m], 5.0, np.random.default_rng(0),
+        (5.0,),
     ),
     "simulate_slotted": lambda model, m: simulate_slotted(
-        model, 4, 10, [round(4 * x) for x in m], 5.0, np.random.default_rng(0)
+        model, 4, 10, [round(4 * x) for x in m], 5.0, np.random.default_rng(0),
+        (5.0,),
     ),
 }
 INTENSITY_BASED = sorted(set(ENTRY_POINTS) - {"rate"})
@@ -156,7 +158,9 @@ def test_slot_resolution_error_is_the_same_everywhere():
     with pytest.raises(SlotResolutionError) as direct:
         slot_probability(model, 3, (1.0, 0.0), "a", "b", D=100)
     with pytest.raises(SlotResolutionError) as sampled:
-        simulate_slotted(model, 3, 100, (3, 0), 1.0, np.random.default_rng(0))
+        simulate_slotted(
+            model, 3, 100, (3, 0), 1.0, np.random.default_rng(0), (1.0,)
+        )
     assert "increase D above 200" in str(direct.value)
     assert str(direct.value) == str(sampled.value)
 

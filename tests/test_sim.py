@@ -1,6 +1,8 @@
 """Path generators, ensembles, Poisson fit, mean-dynamics check."""
 
 import math
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,48 +28,54 @@ from popdrift.sim import (
 
 ZERO_DOC = "states = a, b\nrate a -> b : 0\n"
 FAST_DOC = "states = a, b\nrate a -> b : 2 + m[b]\nrate b -> a : 1 + 0.5*m[a]\n"
+SIR_MODEL = pathlib.Path(__file__).parents[1] / "perfbench" / "models" / "sir.pop"
 
 
 def test_ctmc_zero_rates_single_segment():
     model = load_model(ZERO_DOC)
-    path = simulate_ctmc(model, 5, (3, 2), 100.0, np.random.default_rng(0))
-    assert path.times.tolist() == [0.0]
-    assert path.counts.tolist() == [[3, 2]]
-    assert path.jump_totals.sum() == 0
+    counts, z = simulate_ctmc(
+        model, 5, (3, 2), 100.0, np.random.default_rng(0), (0.0, 50.0, 100.0)
+    )
+    assert counts.tolist() == [[3, 2]] * 3
+    assert z.sum() == 0
 
 
 def test_ctmc_path_bookkeeping():
     model = builtin_example()
-    path = simulate_ctmc(model, 30, (30, 0), 400.0, np.random.default_rng(7))
-    assert path.times[0] == 0.0
-    assert np.all(np.diff(path.times) > 0)
-    assert path.times[-1] <= 400.0
-    # agents conserved at every event
-    assert np.all(path.counts.sum(axis=1) == 30)
-    # each event moves exactly one agent, and the jump totals count the
-    # events and reconstruct the final counts
-    assert np.all(np.abs(np.diff(path.counts, axis=0)).sum(axis=1) == 2)
-    z = path.jump_totals
-    assert np.all(z >= 0) and np.all(np.diag(z) == 0)
-    assert z.sum() == path.times.size - 1
-    assert np.array_equal(path.counts[-1], path.counts[0] + z.sum(0) - z.sum(1))
-    # piecewise-constant lookup: left value holds between events
-    assert path.times.size >= 3
-    mid = 0.5 * (path.times[1] + path.times[2])
-    assert np.array_equal(path.counts_at(mid)[0], path.counts[1])
-    with pytest.raises(ModelError, match="horizon"):
-        path.occupancy_at(400.5)
+    at = np.linspace(0.0, 400.0, 81)
+    counts, z = simulate_ctmc(
+        model, 30, (30, 0), 400.0, np.random.default_rng(7), at
+    )
+    assert counts.shape == (81, 2)
+    # agents conserved and counts non-negative at every sample
+    assert np.all(counts.sum(axis=1) == 30) and np.all(counts >= 0)
+    # the jump totals reconstruct the counts at t_end
+    assert np.all(z >= 0) and np.all(np.diag(z) == 0) and z.sum() > 0
+    assert np.array_equal(counts[0], [30, 0])
+    assert np.array_equal(counts[-1], np.array([30, 0]) + z.sum(0) - z.sum(1))
+    # the samples read one path: asking for more times changes neither
+    # the stream nor the counts at the times asked before
+    finer = np.union1d(at, at[:-1] + 2.5)
+    more, z_more = simulate_ctmc(
+        model, 30, (30, 0), 400.0, np.random.default_rng(7), finer
+    )
+    assert np.array_equal(more[np.searchsorted(finer, at)], counts)
+    assert np.array_equal(z_more, z)
 
 
 def test_ctmc_seed_determinism():
     model = builtin_example()
-    a = simulate_ctmc(model, 20, (20, 0), 300.0, np.random.default_rng(42))
-    b = simulate_ctmc(model, 20, (20, 0), 300.0, np.random.default_rng(42))
-    c = simulate_ctmc(model, 20, (20, 0), 300.0, np.random.default_rng(43))
-    assert np.array_equal(a.times, b.times)
-    assert np.array_equal(a.counts, b.counts)
-    assert np.array_equal(a.jump_totals, b.jump_totals)
-    assert not np.array_equal(a.times, c.times)
+    at = np.linspace(0.0, 300.0, 301)
+
+    def path(seed):
+        return simulate_ctmc(
+            model, 20, (20, 0), 300.0, np.random.default_rng(seed), at
+        )
+
+    (a, za), (b, zb), (c, zc) = path(42), path(42), path(43)
+    assert np.array_equal(a, b)
+    assert np.array_equal(za, zb)
+    assert not (np.array_equal(a, c) and np.array_equal(za, zc))
 
 
 def test_ctmc_two_state_empirical_probability():
@@ -86,9 +94,11 @@ def test_ctmc_two_state_empirical_probability():
 
 def test_slotted_zero_rates_constant():
     model = load_model(ZERO_DOC)
-    path = simulate_slotted(model, 4, 50, (1, 3), 10.0, np.random.default_rng(3))
-    assert path.times.tolist() == [0.0]
-    assert path.counts.tolist() == [[1, 3]]
+    counts, z = simulate_slotted(
+        model, 4, 50, (1, 3), 10.0, np.random.default_rng(3), (0.0, 5.0, 10.0)
+    )
+    assert counts.tolist() == [[1, 3]] * 3
+    assert z.sum() == 0
 
 
 def test_slot_probability_single_agent_oracle():
@@ -100,21 +110,34 @@ def test_slot_probability_single_agent_oracle():
 def test_slotted_resolution_overflow():
     model = load_model("states = a, b\nrate a -> b : 200\n")
     with pytest.raises(SlotResolutionError, match="increase D above 200"):
-        simulate_slotted(model, 3, 100, (3, 0), 1.0, np.random.default_rng(0))
+        simulate_slotted(
+            model, 3, 100, (3, 0), 1.0, np.random.default_rng(0), (1.0,)
+        )
 
 
 def test_slotted_conservation_and_grid_times():
     model = load_model(FAST_DOC)
-    path = simulate_slotted(model, 12, 20, (12, 0), 5.0, np.random.default_rng(11))
-    assert np.all(path.counts.sum(axis=1) == 12)
-    # events happen on the slot grid
-    slots = path.times[1:] * 20
-    assert np.allclose(slots, np.round(slots), atol=1e-9)
-    # every event moves at least one agent; the jump totals reconstruct
-    # the final counts
-    z = path.jump_totals
-    assert np.all(z >= 0) and z.sum() >= path.times.size - 1
-    assert np.array_equal(path.counts[-1], path.counts[0] + z.sum(0) - z.sum(1))
+    D = 16  # slot width 1/16: the boundaries k/16 are exact floats
+    k = np.arange(80)
+    # each slot's start, two times inside it, and the end of the path
+    at = np.concatenate(
+        [np.sort(np.concatenate([k, k + 0.25, k + 0.75])) / D, [5.0]]
+    )
+    counts, z = simulate_slotted(
+        model, 12, D, (12, 0), 5.0, np.random.default_rng(11), at
+    )
+    assert np.all(counts.sum(axis=1) == 12) and np.all(counts >= 0)
+    start, early, late = counts[0:-1:3], counts[1:-1:3], counts[2:-1:3]
+    # moves happen only at slot boundaries: two times inside one slot
+    # read the same counts as its start
+    assert np.array_equal(start, early) and np.array_equal(start, late)
+    # a time on a boundary reads the counts after the slot that ends
+    # there has moved
+    ends = np.concatenate([start[1:], counts[-1:]])
+    assert np.any(ends != late)
+    # the jump totals reconstruct the final counts
+    assert np.all(z >= 0) and z.sum() > 0
+    assert np.array_equal(counts[-1], np.array([12, 0]) + z.sum(0) - z.sum(1))
 
 
 def slot_kernel(model, N, D):
@@ -168,8 +191,10 @@ def test_slotted_sampler_matches_exact_slot_law():
     streams = np.random.SeedSequence(123).spawn(reps)
     tally = np.zeros(space.size)
     for ss in streams:
-        path = simulate_slotted(model, N, D, (N, 0), t, np.random.default_rng(ss))
-        tally[space.index_of(tuple(path.counts[-1]))] += 1
+        counts, _ = simulate_slotted(
+            model, N, D, (N, 0), t, np.random.default_rng(ss), (t,)
+        )
+        tally[space.index_of(tuple(counts[-1]))] += 1
     emp = tally / reps
     band = 4.0 * np.sqrt(law * (1 - law) / reps) + 1e-3
     assert np.all(np.abs(emp - law) <= band)
@@ -199,8 +224,10 @@ def test_ensemble_matches_manual_replications():
     occs = []
     sups = []
     for ss in streams:
-        path = simulate_ctmc(model, 15, (15, 0), 200.0, np.random.default_rng(ss))
-        occ = path.occupancy_at(grid)
+        counts, _ = simulate_ctmc(
+            model, 15, (15, 0), 200.0, np.random.default_rng(ss), grid
+        )
+        occ = counts / 15.0
         occs.append(occ)
         sups.append(np.sqrt(((occ - ref_vals) ** 2).sum(axis=1)).max())
     assert np.allclose(stats.mean, np.mean(occs, axis=0), atol=1e-15)
@@ -232,6 +259,18 @@ def test_ensemble_aborts_on_failing_replications():
         ensemble(model, config)
 
 
+# sample times over the horizon [0, 1] that SimConfig and both samplers
+# refuse, with the words of the refusal
+BAD_SAMPLE_TIMES = {
+    "unsorted": ((0.0, 0.5, 0.2), "non-decreasing"),
+    "nan": ((0.0, math.nan), "finite"),
+    "inf": ((0.0, math.inf), "finite"),
+    "empty": ((), "non-empty"),
+    "late": ((0.0, 2.0), "within"),
+    "negative": ((-0.1, 0.5), "within"),
+}
+
+
 def test_simconfig_validation():
     with pytest.raises(ModelError, match="mode"):
         SimConfig(N=2, init=(2, 0), t_end=1.0, mode="euler")
@@ -239,10 +278,43 @@ def test_simconfig_validation():
         SimConfig(N=2, init=(2, 0), t_end=1.0, reps=0)
     with pytest.raises(ModelError, match="resolution"):
         SimConfig(N=2, init=(2, 0), t_end=1.0, mode="slotted")
-    with pytest.raises(ModelError, match="within"):
-        SimConfig(N=2, init=(2, 0), t_end=1.0, sample_times=(0.0, 2.0))
+    for times, words in BAD_SAMPLE_TIMES.values():
+        with pytest.raises(ModelError, match=words):
+            SimConfig(N=2, init=(2, 0), t_end=1.0, sample_times=times)
     with pytest.raises(ModelError, match="histogram times"):
         SimConfig(N=2, init=(2, 0), t_end=1.0, hist=((2.0, 1),))
+
+
+SAMPLERS = {
+    "ctmc": lambda model, rng, at: simulate_ctmc(model, 2, (2, 0), 1.0, rng, at),
+    "slotted": lambda model, rng, at: simulate_slotted(
+        model, 2, 10, (2, 0), 1.0, rng, at
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SAMPLE_TIMES))
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_samplers_refuse_bad_sample_times(sampler, case):
+    times, words = BAD_SAMPLE_TIMES[case]
+    with pytest.raises(ModelError, match=words):
+        SAMPLERS[sampler](builtin_example(), np.random.default_rng(0), times)
+
+
+def test_path_memory_does_not_grow_with_events():
+    # a SIRS path at N=500 over t=100 makes about 25,000 jumps; kept
+    # per event, their count vectors alone would take over 0.5 MB
+    model = load_model(SIR_MODEL.read_text())
+    at = np.linspace(0.0, 100.0, 101)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        _, z = simulate_ctmc(model, 500, (450, 50, 0), 100.0, rng, at)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z.sum() > 20000
+    assert peak < 0.5e6
 
 
 def test_poisson_fit_exact_pmf_leaves_tail_only():
