@@ -22,7 +22,6 @@ import numpy as np
 from .drift import drift
 from .errors import ModelError, NumericsError
 from .exact import (
-    STATE_SPACE_CAP,
     enumerate_states,
     expected_occupancy,
     generator,
@@ -34,6 +33,7 @@ from .meandrift import mean_drift
 from .model import (
     ModelSpec,
     builtin_example,
+    check_occupancy,
     largest_remainder_counts,
     load_model,
     validate,
@@ -107,6 +107,11 @@ def _check_horizon(t) -> None:
         raise ModelError(f"horizon t must be finite, got {t}")
 
 
+def _check_points(points) -> None:
+    if points < 1:
+        raise ModelError(f"--points must be at least 1, got {points}")
+
+
 def _emit(lines, out: Optional[str]) -> None:
     text = "\n".join(lines) + "\n"
     if out is None:
@@ -171,7 +176,8 @@ def _cmd_validate(args):
 def _cmd_drift(args):
     model = _load(args)
     _check_population(args.N)
-    vec = drift(model, args.N, np.asarray(args.m))
+    m = check_occupancy(args.m, model.n_states)
+    vec = drift(model, args.N, m)
     header = ",".join(f"F_{s}" for s in model.state_names)
     return [header, ",".join(_fmt(v) for v in vec)], 0
 
@@ -179,7 +185,8 @@ def _cmd_drift(args):
 def _cmd_meandrift(args):
     model = _load(args)
     _check_population(args.N)
-    vec = mean_drift(model, args.N, np.asarray(args.m), tau=args.tau)
+    m = check_occupancy(args.m, model.n_states)
+    vec = mean_drift(model, args.N, m, tau=args.tau)
     header = ",".join(f"Ftilde_{s}" for s in model.state_names)
     return [header, ",".join(_fmt(v) for v in vec)], 0
 
@@ -189,6 +196,7 @@ def _cmd_ode(args):
     if args.variant != "limit" and args.N is not None:
         _check_population(args.N)
     _check_horizon(args.t)
+    _check_points(args.points)
     times = np.linspace(0.0, args.t, args.points)
     traj = solve(
         model,
@@ -255,6 +263,7 @@ def _sim_config(args, N: int, seed: int, sample_times, hist=()):
 
 def _cmd_simulate(args):
     model = _load(args)
+    _check_points(args.points)
     grid = tuple(np.linspace(0.0, args.t, args.points))
     hist = tuple(
         (t, model.index_of(name)) for t, name in (args.hist or ())
@@ -309,18 +318,11 @@ def _compare_row(model, N, args, seed):
         ).final[second]
     except (ModelError, NumericsError) as exc:
         notes.append(f"warning: N={N} phi2_meandrift failed: {exc}")
-    size = math.comb(N + model.n_states - 1, model.n_states - 1)
-    if size <= STATE_SPACE_CAP:
-        try:
-            _, dist = _exact_transient(args, model, N)
-            cells["phi2_exact"] = expected_occupancy(dist)[second]
-        except (ModelError, NumericsError) as exc:
-            notes.append(f"warning: N={N} phi2_exact failed: {exc}")
-    else:
-        notes.append(
-            f"warning: N={N} phi2_exact skipped: {size} count vectors "
-            f"exceed the cap {STATE_SPACE_CAP}"
-        )
+    try:
+        _, dist = _exact_transient(args, model, N)
+        cells["phi2_exact"] = expected_occupancy(dist)[second]
+    except (ModelError, NumericsError) as exc:
+        notes.append(f"warning: N={N} phi2_exact failed: {exc}")
     if args.reps > 0:
         try:
             stats = ensemble(model, _sim_config(args, N, seed, (0.0, args.t)))

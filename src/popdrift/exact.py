@@ -170,9 +170,7 @@ def generator(model: ModelSpec, space: LumpedStateSpace) -> sparse.csr_matrix:
     table.check(q, coords, occupied=True)
     sources = np.asarray(table.sources, dtype=np.int64)
     dests = np.asarray(table.targets, dtype=np.int64)
-    occ = states[:, sources].T
-    # a rate may be singular where its source is empty; that entry is 0
-    rates = occ * np.where(occ > 0, q, 0.0)
+    rates = states[:, sources].T * q
     # transition-major order: bincount adds each row's rates in q's order
     k, row_idx = np.nonzero(rates > 0)
     data = rates[k, row_idx]

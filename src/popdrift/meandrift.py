@@ -8,8 +8,8 @@ under independent Poisson coordinates K_i with means N*m_i:
 evaluated by truncated rectangular enumeration.  Each coordinate's
 Poisson pmf is truncated to a window around its mode holding all but
 tau/(2I) of the mass, which bounds the neglected joint mass by tau.
-Lattice points with K_s = 0 contribute nothing (the intensity factor
-vanishes), so rates singular in an empty state stay harmless.  The
+Lattice points with K_s = 0 contribute nothing: the intensity factor
+vanishes and the rate check sets a rate singular there to 0.  The
 coordinates are independent, so each transition is summed only over
 the windows of its source and of the occupancies its rate reads; every
 other coordinate contributes its window mass as a factor.
@@ -189,9 +189,6 @@ def _window_lattice_sum(table, N: float, m, windows, ks=None) -> list:
             for pos, k in enumerate(group):
                 i = table.sources[k]
                 part = q[pos]
-                if coords[i].item(0) == 0:
-                    # the k_i = 0 face carries no intensity, whatever the rate
-                    part[(slice(None),) * axes.index(i) + (0,)] = 0.0
                 for c in reversed(axes):
                     w = weights[c] * coords[i].ravel() if c == i else weights[c]
                     part = part @ w

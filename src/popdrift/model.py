@@ -102,30 +102,33 @@ class _RateTable:
         """Raise RateError at the first negative or non-finite rate in q.
 
         q comes from ``evaluate`` at the same m and ks.  With
-        ``occupied``, transitions whose source occupancy is zero are not
-        looked at: their intensity is zero whatever the rate, so a rate
-        singular in an empty source state is harmless there.
+        ``occupied``, a transition whose source occupancy is zero has no
+        intensity whatever its rate: such a rate is excused and set to 0.
         """
         ks = range(len(q)) if ks is None else ks
         if isinstance(q, np.ndarray):
             if not q.size or q.min() >= 0.0 and q.max() < math.inf:
                 return
-            bad = ~(np.isfinite(q) & (q >= 0.0))
+            valid = np.isfinite(q) & (q >= 0.0)
+            bad = ~valid
             if occupied:
                 for pos, k in enumerate(ks):
                     bad[pos] &= m[self.sources[k]] != 0
+                q[~(valid | bad)] = 0.0
             if not bad.any():
                 return
             pos, *where = np.unravel_index(np.argmax(bad), bad.shape)
-            k, value = ks[pos], q[(pos, *where)]
+            value = q[(pos, *where)]
             m = [np.broadcast_to(c, q.shape[1:])[tuple(where)] for c in m]
         else:
-            for k, value in zip(ks, q):
-                if not (0.0 <= value < math.inf
-                        or occupied and m[self.sources[k]] == 0):
-                    break
+            for pos, value in enumerate(q):
+                if not 0.0 <= value < math.inf:
+                    if not occupied or m[self.sources[ks[pos]]] != 0:
+                        break
+                    q[pos] = 0.0
             else:
                 return
+        k = ks[pos]
         raise RateError(
             self.state_names[self.sources[k]],
             self.state_names[self.targets[k]],
@@ -134,11 +137,8 @@ class _RateTable:
         )
 
     def intensities(self, q, m) -> list:
-        """m_s * rate for every transition; zero where m_s is zero."""
-        return [
-            m[i] * value if m[i] != 0 else 0.0
-            for i, value in zip(self.sources, q)
-        ]
+        """m_s * rate for every transition, q as ``check`` leaves it."""
+        return [m[i] * value for i, value in zip(self.sources, q)]
 
     def net(self, flows) -> np.ndarray:
         """Sum of each transition's flow along e_t - e_s."""
@@ -491,6 +491,8 @@ def load_model(document: str) -> ModelSpec:
     rates: dict[tuple[str, str], ex.Expr] = {}
     limits: dict[tuple[str, str], ex.Expr] = {}
     saw_limit = False
+    states_line = 0
+    lines: dict[str, dict] = {"param": {}, "rate": {}, "limit": {}}
 
     for lineno, raw in enumerate(document.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -500,23 +502,15 @@ def load_model(document: str) -> ModelSpec:
         if match:
             if states is not None:
                 raise ModelError(f"line {lineno}: duplicate states line")
-            names = tuple(part.strip() for part in match.group(1).split(","))
-            for name in names:
-                if not _IDENT_RE.match(name):
-                    raise ModelError(
-                        f"line {lineno}: invalid state name {name!r}"
-                    )
-            if len(names) != len(set(names)):
-                raise ModelError(f"line {lineno}: repeated state name")
-            states = names
+            states = tuple(part.strip() for part in match.group(1).split(","))
+            states_line = lineno
             continue
         match = _LINE_PARAM.fullmatch(line)
         if match:
             name, text = match.group(1), match.group(2)
             if name in params:
                 raise ModelError(f"line {lineno}: duplicate param {name!r}")
-            if name == "N":
-                raise ModelError(f"line {lineno}: parameter name 'N' is reserved")
+            lines["param"][name] = lineno
             try:
                 value = float(text)
             except ValueError:
@@ -541,6 +535,7 @@ def load_model(document: str) -> ModelSpec:
             except ex.ExprSyntaxError as err:
                 raise ModelError(f"line {lineno}: {err}") from None
             table[(src, dst)] = node
+            lines[kind][(src, dst)] = lineno
             continue
         raise ModelError(f"line {lineno}: unrecognized directive {line!r}")
 
@@ -553,10 +548,22 @@ def load_model(document: str) -> ModelSpec:
             rates=rates,
             limit_rates=limits if saw_limit else None,
         )
-    except ModelError:
+    except ModelError as err:
+        # ModelSpec checks the states, then each param, rate and limit in
+        # document order, so the first of them it refuses on its own is
+        # the one it refused
+        alone = [(states_line, {})]
+        alone += [(n, {"params": {p: params[p]}}) for p, n in lines["param"].items()]
+        alone += [(n, {"params": params, "rates": {pair: rates[pair]}})
+                  for pair, n in lines["rate"].items()]
+        alone += [(n, {"params": params, "limit_rates": {pair: limits[pair]}})
+                  for pair, n in lines["limit"].items()]
+        for lineno, part in alone:
+            try:
+                ModelSpec(**{"state_names": states, "params": {}, "rates": {}, **part})
+            except ModelError:
+                raise ModelError(f"line {lineno}: {err}") from None
         raise
-    except ex.ExprError as err:
-        raise ModelError(str(err)) from None
 
 
 def builtin_example_text() -> str:

@@ -23,7 +23,12 @@ from .errors import ModelError, NumericsError
 from .meandrift import mean_drift_field
 from .model import ModelSpec, check_occupancy
 
-__all__ = ["Trajectory", "integrate", "solve"]
+__all__ = ["Trajectory", "integrate", "solve", "STEP_CAP"]
+
+# most RK4 steps one integration may take; the step grid is built
+# before the first step, so a tiny step would otherwise ask for an
+# array too large to allocate
+STEP_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,10 @@ def integrate(
     h = step if step is not None else min(0.1, t_end / 1000.0)
     if not h > 0:
         raise ModelError(f"step must be positive, got {h}")
+    if t_end / h > STEP_CAP:
+        raise NumericsError(
+            f"horizon {t_end} at step {h} needs more than {STEP_CAP} steps"
+        )
     bounds, record = _step_boundaries(t_end, h, sample_times)
 
     record_idx = 0

@@ -18,16 +18,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .drift import drift
 from .errors import ModelError, NumericsError
+from .meandrift import poisson_weights
 from .model import ModelSpec, check_counts
 from .odesolve import Trajectory
 
 _CHUNK_REPS = 64
 _SLOT_BLOCK = 1024
 _DEFAULT_GRID_POINTS = 1000
+_FIT_TAU = 1e-15  # Poisson mass poisson_marginal_fit's window may leave out
 
 
 def _sample_times(ts, t_end: float) -> np.ndarray:
@@ -162,7 +163,6 @@ def simulate_slotted(model: ModelSpec, N: int, D: int, init, t_end: float, rng, 
     counts, stops, out = _start(model, N, init, t_end, at)
     table = model._rate_table
     n = model.n_states
-    eps = 1.0 / D
     n_slots = int(math.floor(t_end * D + 1e-9))
     z = np.zeros((n, n), dtype=np.int64)
     pos = 0
@@ -206,7 +206,7 @@ def simulate_slotted(model: ModelSpec, N: int, D: int, init, t_end: float, rng, 
                 continue
             first = int(hits[0])
             slot += first + 1
-            while stops[pos] < slot * eps:
+            while stops[pos] < slot / D:
                 out[pos] = counts
                 pos += 1
             for (i, targets, _), d in zip(rows, draws):
@@ -355,11 +355,9 @@ def poisson_marginal_fit(histogram, lam: float) -> float:
         raise ModelError("histogram holds no observations")
     if not math.isfinite(lam) or lam < 0:
         raise ModelError("Poisson rate must be finite and non-negative")
-    ks = np.arange(h.size)
-    if lam == 0.0:
-        pmf = (ks == 0).astype(float)
-    else:
-        pmf = np.exp(ks * math.log(lam) - lam - gammaln(ks + 1.0))
+    window = poisson_weights(lam, _FIT_TAU)
+    # the window on the histogram's support; mass outside it is tail
+    pmf = np.pad(window.probs, (window.k_min, h.size))[:h.size]
     tail = max(0.0, 1.0 - float(pmf.sum()))
     return 0.5 * (float(np.abs(h / total - pmf).sum()) + tail)
 

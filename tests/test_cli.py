@@ -15,6 +15,7 @@ from popdrift.cli import main
 from popdrift.errors import ModelError
 from popdrift.expr import _MAX_DEPTH
 from popdrift.model import load_model
+from popdrift.odesolve import STEP_CAP
 
 ZERO_DOC = "states = a, b\nrate a -> b : 0\n"
 BAD_RANGE_DOC = "states = a, b\nrate a -> b : 1 - 3*m[b]\nrate b -> a : 0.1\n"
@@ -148,16 +149,76 @@ def test_exact_horizon_beyond_the_product_cap_exits_3_at_once(capsys):
     assert out == ""
 
 
-def test_python_m_popdrift_runs_the_cli():
+@pytest.mark.parametrize("command", ["drift", "meandrift"])
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        ("0.5,0.5,0", "occupancy has 3 entries, model has 2 states"),
+        ("0.7,0.7", "occupancy must sum to 1, got 1.4"),
+    ],
+    ids=["length", "sum"],
+)
+def test_occupancy_argument_is_checked(capsys, command, m, message):
+    code, out, err = run(capsys, command, "--N", "10", "--m", m)
+    assert code == 2
+    assert err == f"error: model: {message}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ode", "--variant", "drift", "--N", "5", "--init", "1,0", "--t", "1"),
+        ("simulate", "--N", "5", "--init", "1,0", "--t", "1", "--reps", "2"),
+    ],
+    ids=["ode", "simulate"],
+)
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_points_below_one_exits_2(capsys, argv, points):
+    code, out, err = run(capsys, *argv, "--points", points)
+    assert code == 2
+    assert err == f"error: model: --points must be at least 1, got {points}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("step", ["1e-300", "1e-8"])
+def test_ode_step_beyond_the_step_cap_exits_3_at_once(capsys, step):
+    # refused before the step grid is built: 1e-8 over t=5 would be 4 GB
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "ode", "--variant", "drift", "--N", "5", "--init", "1,0",
+        "--t", "5", "--step", step,
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert err == (
+        f"error: numerics: horizon 5.0 at step {float(step)} needs more "
+        f"than {STEP_CAP} steps\n"
+    )
+    assert out == ""
+
+
+def run_python(*args):
+    """A fresh interpreter with this checkout's src/ on its path."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run(
-        [sys.executable, "-m", "popdrift", "validate", "--N", "10"],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("N,samples,ok,")
+    return done.stdout
+
+
+def test_python_m_popdrift_runs_the_cli():
+    out = run_python("-m", "popdrift", "validate", "--N", "10")
+    assert out.startswith("N,samples,ok,")
+
+
+def test_import_leaves_scipy_special_unloaded():
+    code = "import sys, popdrift; print('scipy.special' in sys.modules)"
+    assert run_python("-c", code) == "False\n"
 
 
 def test_limit_ode_ignores_population(capsys):
@@ -413,6 +474,25 @@ def test_compare_small_populations(capsys):
     for r in table[1:]:
         assert abs(float(r[2]) - float(r[3])) < 0.02
         assert float(r[1]) > 0.0
+
+
+def test_compare_leaves_exact_empty_past_the_state_space_cap(capsys, tmp_path):
+    # 6 states at N=50: C(55, 5) = 3,478,761 count vectors
+    doc = "states = a, b, c, d, e, f\nrate a -> b : 1\nrate b -> c : 0.5\n"
+    path = write_model(tmp_path, doc)
+    code, out, err = run(
+        capsys, "compare", "--model", path, "--Ns", "50", "--t", "1",
+        "--init", "1,0,0,0,0,0", "--step", "0.5", "--reps", "0",
+    )
+    assert code == 0
+    assert err == (
+        "warning: N=50 phi2_exact failed: state space needs 3478761 count "
+        "vectors, above the cap 1000000\n"
+    )
+    header, row = rows(out)
+    assert header == ["N", "phi2_drift", "phi2_meandrift", "phi2_exact"]
+    assert row[0] == "50" and float(row[1]) > 0 and float(row[2]) > 0
+    assert row[3] == ""
 
 
 def test_compare_sim_columns_and_zero_rate_model(capsys, tmp_path):

@@ -193,6 +193,46 @@ def test_load_errors_carry_line_numbers():
         load_model("param p = 1\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("rate a -> c : 1", "rate references unknown state 'c'"),
+        ("rate a -> a : 1", "self-loop rate a -> a is not allowed"),
+        ("rate a -> b : m[zzz]", "rate a -> b uses unknown state in m[zzz]"),
+        ("rate a -> b : q*m[a]", "rate a -> b uses undeclared parameter 'q'"),
+        ("limit a -> b : N", "limit rate a -> b must not reference N"),
+        ("rate a -> b : " + "(" * ex._MAX_DEPTH + "1" + ")" * ex._MAX_DEPTH,
+         f"expression nests deeper than {ex._MAX_DEPTH} levels (column "),
+        ("param N = 3", "parameter name 'N' is reserved"),
+    ],
+    ids=["unknown-state", "self-loop", "unknown-occupancy", "undeclared-param",
+         "n-in-limit", "too-deep", "reserved-n"],
+)
+def test_load_refusals_name_their_line(line, message):
+    # the refused line sits between accepted ones, before the states line
+    doc = f"param p = 1\nrate b -> a : p\n{line}\nlimit b -> a : 0\nstates = a, b\n"
+    with pytest.raises(ModelError) as err:
+        load_model(doc)
+    # a syntax error also names its column
+    assert str(err.value).startswith(f"line 3: {message}")
+
+
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        ("a", "a model needs at least two states"),
+        ("a, b, a", "state names must be distinct"),
+        ("a, 2b", "invalid state name '2b'"),
+    ],
+    ids=["one-state", "repeated", "invalid"],
+)
+def test_load_refusals_of_states_name_their_line(states, message):
+    doc = f"param p = 1\n# states\nstates = {states}\nrate a -> c : p\n"
+    with pytest.raises(ModelError) as err:
+        load_model(doc)
+    assert str(err.value) == f"line 3: {message}"
+
+
 def test_load_rejects_unknown_names():
     with pytest.raises(ModelError, match="undeclared parameter"):
         load_model("states = a, b\nrate a -> b : q\n")

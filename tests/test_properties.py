@@ -415,13 +415,21 @@ def bits(x):
 
 
 def refused(table, q, m, occupied):
-    """Positions k whose rate q[k] the check refuses, one at a time."""
+    """Positions k whose rate q[k] the check refuses, one at a time.
+
+    A rate the check lets through must be usable as it leaves it: one
+    excused at an empty source is set to 0.
+    """
     out = []
     for k in range(len(q)):
+        part = q[k:k + 1]
+        before = part[0]
         try:
-            table.check(q[k:k + 1], m, occupied=occupied, ks=(k,))
+            table.check(part, m, occupied=occupied, ks=(k,))
         except RateError:
             out.append(k)
+        else:
+            assert bits(part[0]) == bits(before if 0.0 <= before < math.inf else 0.0)
     return out
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from popdrift.errors import ModelError, SlotResolutionError
 from popdrift.exact import (
@@ -138,6 +139,17 @@ def test_slotted_conservation_and_grid_times():
     # the jump totals reconstruct the final counts
     assert np.all(z >= 0) and z.sum() > 0
     assert np.array_equal(counts[-1], np.array([12, 0]) + z.sum(0) - z.sum(1))
+
+
+def test_slotted_boundary_times_are_exact():
+    # slot 3 of width 1/10 ends at 3/10 == 0.3 exactly, where 3 * (1/10)
+    # is 0.30000000000000004: t=0.3 must read slot 3's moves like t=0.31
+    model = load_model("states = a, b\nrate a -> b : 5\n")
+    for seed in range(200):
+        counts, _ = simulate_slotted(
+            model, 20, 10, (20, 0), 0.31, np.random.default_rng(seed), (0.3, 0.31)
+        )
+        assert np.array_equal(counts[0], counts[1]), seed
 
 
 def slot_kernel(model, N, D):
@@ -342,6 +354,25 @@ def test_poisson_fit_zero_rate_and_validation():
         poisson_marginal_fit(np.zeros(4), 1.0)
     with pytest.raises(ModelError, match="Poisson rate"):
         poisson_marginal_fit(np.ones(4), -1.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 0.5, 3.0, 17.25, 99.5, 1000.0, 2089.0, 1e4])
+def test_poisson_fit_matches_scipy_reference(lam):
+    # TV(P, Q) is the sum of (P_k - Q_k)+ over the bins P occupies; Q_k
+    # is a difference of scipy's cdf, whose error stays near eps, where
+    # poisson.pmf loses about lam*ln(lam)*eps
+    rng = np.random.default_rng(int(lam * 8))
+    mode = int(lam)
+    for size in (max(1, mode // 2), max(1, mode), 2 * mode + 40):
+        h = np.zeros(size)
+        near = np.clip(rng.poisson(lam, 30), 0, size - 1)
+        anywhere = rng.integers(0, size, 5)
+        np.add.at(h, np.concatenate([near, anywhere]), rng.integers(1, 9, 35))
+        occupied = np.flatnonzero(h)
+        pmf = poisson.cdf(occupied, lam) - poisson.cdf(occupied - 1, lam)
+        excess = h[occupied] / h.sum() - pmf
+        want = float(np.maximum(excess, 0.0).sum())
+        assert poisson_marginal_fit(h, lam) == pytest.approx(want, rel=0, abs=1e-12)
 
 
 def test_generator_check_zero_rates():
