@@ -38,7 +38,7 @@ from .model import (
     load_model,
     validate,
 )
-from .odesolve import Trajectory, solve
+from .odesolve import STEP_CAP, Trajectory, solve
 from .sim import SimConfig, ensemble, poisson_marginal_fit
 
 _FMT = "%.15g"
@@ -108,8 +108,11 @@ def _check_horizon(t) -> None:
 
 
 def _check_points(points) -> None:
+    # ode also steps to each sample time, which the RK4 step cap does not count
     if points < 1:
         raise ModelError(f"--points must be at least 1, got {points}")
+    if points > STEP_CAP:
+        raise ModelError(f"--points must be at most {STEP_CAP}, got {points}")
 
 
 def _emit(lines, out: Optional[str]) -> None:

@@ -12,7 +12,16 @@ __all__ = ["ModelError", "RateError", "SlotResolutionError", "NumericsError"]
 
 
 class ModelError(ValueError):
-    """The model definition or configuration is invalid."""
+    """The model definition or configuration is invalid.
+
+    ``entry`` names the part of a ModelSpec a refusal is about:
+    ``("states",)``, ``("param", name)``, ``("rate", (s, t))`` or
+    ``("limit", (s, t))``; None when it is about no single entry.
+    """
+
+    def __init__(self, message: str, entry: tuple | None = None):
+        super().__init__(message)
+        self.entry = entry
 
 
 class RateError(ModelError):

@@ -88,17 +88,18 @@ class LumpedStateSpace:
         return int(self.rank(check_counts(counts, self.N, self.n_states)))
 
 
-def enumerate_states(n_states: int, N: int, cap: int = STATE_SPACE_CAP) -> LumpedStateSpace:
+def enumerate_states(n_states: int, N: int) -> LumpedStateSpace:
     """Enumerate the count-vector lattice for N agents over I states.
 
-    Errors when the stars-and-bars size C(N+I-1, I-1) exceeds the cap.
+    Errors when the stars-and-bars size C(N+I-1, I-1) exceeds
+    STATE_SPACE_CAP.
     """
     if n_states < 1 or N < 0:
         raise ModelError("need n_states >= 1 and N >= 0")
     size = math.comb(N + n_states - 1, n_states - 1)
-    if size > cap:
+    if size > STATE_SPACE_CAP:
         raise ModelError(
-            f"state space needs {size} count vectors, above the cap {cap}"
+            f"state space needs {size} count vectors, above the cap {STATE_SPACE_CAP}"
         )
     # each step appends a coordinate: a prefix with r agents left
     # expands into r + 1 rows that take 0..r of them

@@ -190,57 +190,52 @@ class ModelSpec:
     def __post_init__(self):
         names = self.state_names
         if len(names) < 2:
-            raise ModelError("a model needs at least two states")
+            raise ModelError("a model needs at least two states", ("states",))
         if len(set(names)) != len(names):
-            raise ModelError("state names must be distinct")
+            raise ModelError("state names must be distinct", ("states",))
         for name in names:
             if not _IDENT_RE.match(name):
-                raise ModelError(f"invalid state name {name!r}")
+                raise ModelError(f"invalid state name {name!r}", ("states",))
         for pname in self.params:
+            entry = ("param", pname)
             if pname == "N":
-                raise ModelError("parameter name 'N' is reserved")
+                raise ModelError("parameter name 'N' is reserved", entry)
             if not _IDENT_RE.match(pname):
-                raise ModelError(f"invalid parameter name {pname!r}")
+                raise ModelError(f"invalid parameter name {pname!r}", entry)
         index = {s: i for i, s in enumerate(names)}
         object.__setattr__(self, "_index", index)
-        object.__setattr__(
-            self, "_rate_table", self._compile_table(self.rates, allow_n=True)
-        )
+        object.__setattr__(self, "_rate_table", self._compile_table(self.rates, "rate"))
         limit = None
         if self.limit_rates is not None:
-            limit = self._compile_table(self.limit_rates, allow_n=False)
+            limit = self._compile_table(self.limit_rates, "limit")
         object.__setattr__(self, "_limit_table", limit)
 
-    def _compile_table(self, table, allow_n: bool):
+    def _compile_table(self, table, kind: str):
+        """Compile the "rate" or "limit" table; each refusal carries its entry."""
+        what = "rate" if kind == "rate" else "limit rate"
         compiled = []
         for (s, t), node in table.items():
+            entry, pair = (kind, (s, t)), f"{what} {s} -> {t}"
             if s not in self._index or t not in self._index:
                 unknown = s if s not in self._index else t
-                raise ModelError(f"rate references unknown state {unknown!r}")
+                raise ModelError(f"{what} references unknown state {unknown!r}", entry)
             if s == t:
-                raise ModelError(f"self-loop rate {s} -> {t} is not allowed")
+                raise ModelError(f"self-loop {pair} is not allowed", entry)
             if ex.depth(node) > ex._MAX_DEPTH:
-                raise ModelError(
-                    f"rate {s} -> {t} nests deeper than {ex._MAX_DEPTH} levels"
-                )
+                depth = ex._MAX_DEPTH
+                raise ModelError(f"{pair} nests deeper than {depth} levels", entry)
             reads = []
             for var in ex.free_vars(node):
                 if var.startswith("m["):
                     state = var[2:-1]
                     if state not in self._index:
-                        raise ModelError(
-                            f"rate {s} -> {t} uses unknown state in {var}"
-                        )
+                        raise ModelError(f"{pair} uses unknown state in {var}", entry)
                     reads.append(self._index[state])
                 elif var == "N":
-                    if not allow_n:
-                        raise ModelError(
-                            f"limit rate {s} -> {t} must not reference N"
-                        )
+                    if kind == "limit":
+                        raise ModelError(f"{pair} must not reference N", entry)
                 elif var not in self.params:
-                    raise ModelError(
-                        f"rate {s} -> {t} uses undeclared parameter {var!r}"
-                    )
+                    raise ModelError(f"{pair} uses undeclared parameter {var!r}", entry)
             fn = ex.compile_fn(node, self.params, self._index)
             compiled.append(
                 (self._index[s], self._index[t], fn, tuple(sorted(reads)))
@@ -490,9 +485,7 @@ def load_model(document: str) -> ModelSpec:
     params: dict[str, float] = {}
     rates: dict[tuple[str, str], ex.Expr] = {}
     limits: dict[tuple[str, str], ex.Expr] = {}
-    saw_limit = False
-    states_line = 0
-    lines: dict[str, dict] = {"param": {}, "rate": {}, "limit": {}}
+    lines: dict[tuple, int] = {}  # ModelError.entry -> its line
 
     for lineno, raw in enumerate(document.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -503,14 +496,14 @@ def load_model(document: str) -> ModelSpec:
             if states is not None:
                 raise ModelError(f"line {lineno}: duplicate states line")
             states = tuple(part.strip() for part in match.group(1).split(","))
-            states_line = lineno
+            lines[("states",)] = lineno
             continue
         match = _LINE_PARAM.fullmatch(line)
         if match:
             name, text = match.group(1), match.group(2)
             if name in params:
                 raise ModelError(f"line {lineno}: duplicate param {name!r}")
-            lines["param"][name] = lineno
+            lines[("param", name)] = lineno
             try:
                 value = float(text)
             except ValueError:
@@ -524,8 +517,6 @@ def load_model(document: str) -> ModelSpec:
         if match:
             kind, src, dst, text = match.groups()
             table = rates if kind == "rate" else limits
-            if kind == "limit":
-                saw_limit = True
             if (src, dst) in table:
                 raise ModelError(
                     f"line {lineno}: duplicate {kind} {src} -> {dst}"
@@ -535,35 +526,18 @@ def load_model(document: str) -> ModelSpec:
             except ex.ExprSyntaxError as err:
                 raise ModelError(f"line {lineno}: {err}") from None
             table[(src, dst)] = node
-            lines[kind][(src, dst)] = lineno
+            lines[(kind, (src, dst))] = lineno
             continue
         raise ModelError(f"line {lineno}: unrecognized directive {line!r}")
 
     if states is None:
         raise ModelError("model declares no states line")
     try:
-        return ModelSpec(
-            state_names=states,
-            params=params,
-            rates=rates,
-            limit_rates=limits if saw_limit else None,
-        )
+        return ModelSpec(states, params, rates, limits or None)
     except ModelError as err:
-        # ModelSpec checks the states, then each param, rate and limit in
-        # document order, so the first of them it refuses on its own is
-        # the one it refused
-        alone = [(states_line, {})]
-        alone += [(n, {"params": {p: params[p]}}) for p, n in lines["param"].items()]
-        alone += [(n, {"params": params, "rates": {pair: rates[pair]}})
-                  for pair, n in lines["rate"].items()]
-        alone += [(n, {"params": params, "limit_rates": {pair: limits[pair]}})
-                  for pair, n in lines["limit"].items()]
-        for lineno, part in alone:
-            try:
-                ModelSpec(**{"state_names": states, "params": {}, "rates": {}, **part})
-            except ModelError:
-                raise ModelError(f"line {lineno}: {err}") from None
-        raise
+        if err.entry is None:
+            raise
+        raise ModelError(f"line {lines[err.entry]}: {err}", err.entry) from None
 
 
 def builtin_example_text() -> str:

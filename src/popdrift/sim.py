@@ -29,6 +29,7 @@ _CHUNK_REPS = 64
 _SLOT_BLOCK = 1024
 _DEFAULT_GRID_POINTS = 1000
 _FIT_TAU = 1e-15  # Poisson mass poisson_marginal_fit's window may leave out
+_SIGMA_LIMIT = 4.0  # GeneratorCheck.ok: every |discrepancy| within 4 stderrs
 
 
 def _sample_times(ts, t_end: float) -> np.ndarray:
@@ -183,15 +184,12 @@ def simulate_slotted(model: ModelSpec, N: int, D: int, init, t_end: float, rng, 
             pvec = np.array(probs + [max(0.0, 1.0 - total)])
             rows.append((i, [table.targets[k] for k in ks], pvec))
             stay_all *= (1.0 - total) ** c[i]
-        if not rows:
-            break
         p_move = 1.0 - stay_all
         if p_move <= 0.0:
             break
         # block size tracks the expected gap between moving slots
         block_cap = max(1, min(_SLOT_BLOCK, int(0.5 / p_move) + 1))
-        moved = False
-        while slot < n_slots and not moved:
+        while slot < n_slots:
             block = min(block_cap, n_slots - slot)
             draws = [
                 rng.multinomial(int(counts[i]), pvec, size=block)[:, :-1]
@@ -216,7 +214,7 @@ def simulate_slotted(model: ModelSpec, N: int, D: int, init, t_end: float, rng, 
                         counts[i] -= k
                         counts[j] += k
                         z[i, j] += k
-            moved = True
+            break
     out[pos:] = counts
     return out, z
 
@@ -379,11 +377,10 @@ class GeneratorCheck:
     discrepancy: np.ndarray
     stderr: np.ndarray
     sigmas: np.ndarray
-    sigma_limit: float = 4.0
 
     @property
     def ok(self) -> bool:
-        return bool(np.all(self.sigmas <= self.sigma_limit))
+        return bool(np.all(self.sigmas <= _SIGMA_LIMIT))
 
 
 def generator_check(

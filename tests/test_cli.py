@@ -165,7 +165,7 @@ def test_occupancy_argument_is_checked(capsys, command, m, message):
     assert out == ""
 
 
-@pytest.mark.parametrize(
+POINTS_ARGV = pytest.mark.parametrize(
     "argv",
     [
         ("ode", "--variant", "drift", "--N", "5", "--init", "1,0", "--t", "1"),
@@ -173,11 +173,28 @@ def test_occupancy_argument_is_checked(capsys, command, m, message):
     ],
     ids=["ode", "simulate"],
 )
+
+
+@POINTS_ARGV
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_points_below_one_exits_2(capsys, argv, points):
     code, out, err = run(capsys, *argv, "--points", points)
     assert code == 2
     assert err == f"error: model: --points must be at least 1, got {points}\n"
+    assert out == ""
+
+
+@POINTS_ARGV
+def test_points_above_the_step_cap_exits_2_at_once(capsys, argv):
+    # refused before the sample grid is allocated; for ode every sample
+    # time is also a step boundary the step cap would not count
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--points", str(STEP_CAP + 1))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert err == (
+        f"error: model: --points must be at most {STEP_CAP}, got {STEP_CAP + 1}\n"
+    )
     assert out == ""
 
 

@@ -80,7 +80,7 @@ def test_index_of_rejects_vectors_outside_the_space(counts):
 
 def test_enumerate_cap():
     with pytest.raises(ModelError, match="cap"):
-        enumerate_states(3, 2000, cap=10**6)
+        enumerate_states(3, 2000)
 
 
 def test_generator_n1_example_rates():

@@ -233,6 +233,45 @@ def test_load_refusals_of_states_name_their_line(states, message):
     assert str(err.value) == f"line 3: {message}"
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("limit a -> c : 1", "limit rate references unknown state 'c'"),
+        ("limit a -> a : 1", "self-loop limit rate a -> a is not allowed"),
+        ("limit a -> b : m[zzz]", "limit rate a -> b uses unknown state in m[zzz]"),
+        ("limit a -> b : q", "limit rate a -> b uses undeclared parameter 'q'"),
+    ],
+    ids=["unknown-state", "self-loop", "unknown-occupancy", "undeclared-param"],
+)
+def test_load_refusals_of_limits_name_their_line(line, message):
+    # the rate for the same pair is accepted, so only the wording and the
+    # line tell the two apart
+    doc = f"states = a, b\nparam p = 1\nrate a -> b : p\n{line}\n"
+    with pytest.raises(ModelError) as err:
+        load_model(doc)
+    assert str(err.value) == f"line 4: {message}"
+    assert err.value.entry[0] == "limit"
+
+
+def test_load_refused_rate_far_from_the_states_line_names_its_line():
+    doc = "states = a, b\n" + "# filler\n" * 49 + "rate a -> b : q\n"
+    with pytest.raises(ModelError) as err:
+        load_model(doc)
+    assert str(err.value) == "line 51: rate a -> b uses undeclared parameter 'q'"
+
+
+def test_load_builds_one_modelspec_also_when_it_refuses(monkeypatch):
+    built = []
+    post_init = ModelSpec.__post_init__
+    monkeypatch.setattr(
+        ModelSpec, "__post_init__", lambda self: built.append(self) or post_init(self)
+    )
+    params = "".join(f"param p{k} = 1\n" for k in range(20))
+    with pytest.raises(ModelError, match=r"\Aline 23: rate a -> b uses undeclared"):
+        load_model(f"states = a, b\n{params}rate b -> a : p0\nrate a -> b : q\n")
+    assert len(built) == 1
+
+
 def test_load_rejects_unknown_names():
     with pytest.raises(ModelError, match="undeclared parameter"):
         load_model("states = a, b\nrate a -> b : q\n")
@@ -382,3 +421,25 @@ def test_code_built_rate_at_the_nesting_limit_compiles():
     assert rate(model, 4, (1.0, 0.0), "a", "b") == 1.0
     with pytest.raises(ModelError, match="nests deeper"):
         ModelSpec(("a", "b"), {}, {("a", "b"): ex.BinOp("*", ex.Num(1.0), ex.Neg(node))})
+
+
+@pytest.mark.parametrize(
+    "kwargs, entry, message",
+    [
+        ({"state_names": ("a",)}, ("states",), "a model needs at least two states"),
+        ({"params": {"N": 1.0}}, ("param", "N"), "parameter name 'N' is reserved"),
+        ({"rates": {("a", "b"): ex.Name("q")}}, ("rate", ("a", "b")),
+         "rate a -> b uses undeclared parameter 'q'"),
+        ({"limit_rates": {("b", "c"): ex.Num(1.0)}}, ("limit", ("b", "c")),
+         "limit rate references unknown state 'c'"),
+        ({"limit_rates": {("a", "b"): chain(300)}}, ("limit", ("a", "b")),
+         "limit rate a -> b nests deeper than 100 levels"),
+    ],
+    ids=["states", "param", "rate", "limit", "deep-limit"],
+)
+def test_modelspec_refusals_carry_their_entry(kwargs, entry, message):
+    spec = {"state_names": ("a", "b"), "params": {}, "rates": {}, **kwargs}
+    with pytest.raises(ModelError) as err:
+        ModelSpec(**spec)
+    assert err.value.entry == entry
+    assert str(err.value) == message
