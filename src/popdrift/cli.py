@@ -499,6 +499,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ModelError("jobs must be at least 1")
+        if getattr(args, "seed", 0) < 0:
+            raise ModelError(f"seed must be non-negative, got {args.seed}")
         lines, code = args.func(args)
         _emit(lines, args.out)
     except (ModelError, ExprError) as exc:

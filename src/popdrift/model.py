@@ -429,6 +429,8 @@ def validate(
     """
     if sample_count < 2:
         raise ModelError("sample_count must be at least 2")
+    if seed < 0:
+        raise ModelError(f"seed must be non-negative, got {seed}")
     table = model._rate_table
     points = sample_simplex(model.n_states, sample_count, seed)
     failures: list[str] = []

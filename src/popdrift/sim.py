@@ -14,7 +14,9 @@ dynamics.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -30,6 +32,7 @@ _SLOT_BLOCK = 1024
 _DEFAULT_GRID_POINTS = 1000
 _FIT_TAU = 1e-15  # Poisson mass poisson_marginal_fit's window may leave out
 _SIGMA_LIMIT = 4.0  # GeneratorCheck.ok: every |discrepancy| within 4 stderrs
+_MEMO_CAP = 1024  # count vectors a _JumpLaw holds before it starts over
 
 
 def _sample_times(ts, t_end: float) -> np.ndarray:
@@ -73,6 +76,8 @@ class SimConfig:
             raise ModelError("t_end must be finite and non-negative")
         if self.reps < 1:
             raise ModelError("replication count must be at least 1")
+        if self.seed < 0:
+            raise ModelError(f"seed must be non-negative, got {self.seed}")
         if self.mode not in ("ctmc", "slotted"):
             raise ModelError(f"unknown simulation mode {self.mode!r}")
         if self.mode == "slotted":
@@ -101,6 +106,36 @@ def _start(model: ModelSpec, N: int, init, t_end: float, at):
     return counts, at.tolist() + [math.inf], rows
 
 
+class _JumpLaw:
+    """A model's checked jump law at population N, memoized by count vector.
+
+    law(c) for a count tuple c returns (total, cum): the math.fsum of
+    the transition intensities at c and their running sums in table
+    order, each computed as one unmemoized event would compute it.  A
+    count vector whose rates fail the check raises RateError and is
+    never stored.  The memo starts over once it holds _MEMO_CAP
+    vectors, so a path that wanders over many vectors keeps it bounded.
+    """
+
+    def __init__(self, model: ModelSpec, N: int):
+        self.model = model
+        self.N = N
+        self.memo = {}
+
+    def __call__(self, c: tuple):
+        law = self.memo.get(c)
+        if law is None:
+            table, N = self.model._rate_table, self.N
+            m = [x / N for x in c]
+            q = table.evaluate(N, m)
+            table.check(q, m, occupied=True)
+            weights = table.intensities(q, c)
+            if len(self.memo) >= _MEMO_CAP:
+                self.memo.clear()
+            law = self.memo[c] = (math.fsum(weights), tuple(accumulate(weights)))
+        return law
+
+
 def simulate_ctmc(model: ModelSpec, N: int, init, t_end: float, rng, at):
     """One jump-chain path over [0, t_end], read at the sorted times at.
 
@@ -110,42 +145,38 @@ def simulate_ctmc(model: ModelSpec, N: int, init, t_end: float, rng, at):
     the count vector at at[k], an event at exactly at[k] included, and
     jump_totals[s, t] the number of s -> t jumps over the whole path.
     """
-    counts, stops, out = _start(model, N, init, t_end, at)
-    table = model._rate_table
-    n = model.n_states
-    z = np.zeros((n, n), dtype=np.int64)
+    return _jump_path(_JumpLaw(model, N), init, t_end, rng, at)
+
+
+def _jump_path(law: _JumpLaw, init, t_end: float, rng, at):
+    """simulate_ctmc on a jump law that other paths of its model and N may share."""
+    counts, stops, out = _start(law.model, law.N, init, t_end, at)
+    table = law.model._rate_table
+    n = law.model.n_states
+    last = len(table.entries) - 1
+    # plain lists: this runs once per event
+    c = counts.tolist()
+    z = [[0] * n for _ in range(n)]
     pos = 0
     t = 0.0
     while True:
-        # plain floats: this runs once per event
-        c = counts.tolist()
-        m = [x / N for x in c]
-        q = table.evaluate(N, m)
-        table.check(q, m, occupied=True)
-        weights = table.intensities(q, c)
-        total = math.fsum(weights)
+        total, cum = law(tuple(c))
         if total <= 0.0:
             break
         t += rng.exponential(1.0 / total)
         if t > t_end:
             break
-        u = rng.random() * total
-        acc = 0.0
-        pick = len(weights) - 1
-        for k, w in enumerate(weights):
-            acc += w
-            if u < acc:
-                pick = k
-                break
+        # the first k with u < cum[k], as a scan of the running sums finds it
+        pick = min(bisect_right(cum, rng.random() * total), last)
         while stops[pos] < t:
-            out[pos] = counts
+            out[pos] = c
             pos += 1
         i, j = table.sources[pick], table.targets[pick]
-        counts[i] -= 1
-        counts[j] += 1
-        z[i, j] += 1
-    out[pos:] = counts
-    return out, z
+        c[i] -= 1
+        c[j] += 1
+        z[i][j] += 1
+    out[pos:] = c
+    return out, np.array(z, dtype=np.int64)
 
 
 def simulate_slotted(model: ModelSpec, N: int, D: int, init, t_end: float, rng, at):
@@ -219,12 +250,14 @@ def simulate_slotted(model: ModelSpec, N: int, D: int, init, t_end: float, rng, 
     return out, z
 
 
-def _simulate(model: ModelSpec, config: SimConfig, rng, at):
+def _sampler(model: ModelSpec, config: SimConfig):
+    """path(rng, at) in config's mode; jump-chain paths share one jump law."""
     if config.mode == "slotted":
-        return simulate_slotted(
+        return lambda rng, at: simulate_slotted(
             model, config.N, config.resolution, config.init, config.t_end, rng, at
         )
-    return simulate_ctmc(model, config.N, config.init, config.t_end, rng, at)
+    law = _JumpLaw(model, config.N)
+    return lambda rng, at: _jump_path(law, config.init, config.t_end, rng, at)
 
 
 @dataclass(frozen=True)
@@ -281,13 +314,14 @@ def ensemble(
     }
     hist_reads = [(h, np.searchsorted(at, t), s) for (t, s), h in histograms.items()]
     first_error = None
+    path = _sampler(model, config)
     for lo in range(0, R, _CHUNK_REPS):
         part = np.zeros((grid.size, n))
         partsq = np.zeros((grid.size, n))
         for r in range(lo, min(R, lo + _CHUNK_REPS)):
             rng = np.random.default_rng(streams[r])
             try:
-                counts, jump_totals = _simulate(model, config, rng, at)
+                counts, jump_totals = path(rng, at)
             except (ModelError, NumericsError) as exc:
                 if first_error is None:
                     first_error = str(exc)
@@ -397,9 +431,10 @@ def generator_check(
     diffs = np.zeros((R, model.n_states))
     fds = np.zeros((R, model.n_states))
     drs = np.zeros((R, model.n_states))
+    path = _sampler(model, config)
     for r in range(R):
         rng = np.random.default_rng(streams[r])
-        occ = _simulate(model, config, rng, probe)[0] / float(config.N)
+        occ = path(rng, probe)[0] / float(config.N)
         fd = (occ[2] - occ[0]) / (w1 - w0)
         dr = drift(model, config.N, occ[1])
         fds[r] = fd

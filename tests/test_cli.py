@@ -264,6 +264,23 @@ def test_jobs_below_one_exits_2(capsys, argv, jobs):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--N", "2", "--init", "1,0", "--t", "1", "--reps", "2"),
+        ("compare", "--Ns", "2", "--t", "10", "--init", "1,0", "--reps", "2"),
+        ("chaos", "--Ns", "2", "--t", "1", "--init", "1,0", "--reps", "2"),
+        ("validate", "--samples", "10"),
+    ],
+    ids=["simulate", "compare", "chaos", "validate"],
+)
+def test_negative_seed_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert err == "error: model: seed must be non-negative, got -1\n"
+    assert out == ""
+
+
 def deep_doc(depth):
     """A model whose a -> b rate nests exactly depth levels deep."""
     k = (depth - 1) // 2
@@ -593,6 +610,30 @@ GOLDEN_SIMULATE = {
         "3fe28443529288ef8d20e149ee198ffaf1d700e692df88753d850c398af25f5a",
     ),
 }
+
+
+# sha256 of the stdout of seeded compare and chaos sweeps with a
+# simulation column, recorded beside GOLDEN_SIMULATE
+GOLDEN_SWEEPS = {
+    "compare_reps": (
+        ("compare", "--Ns", "1,2,5,20", "--t", "200", "--init", "1,0",
+         "--step", "0.5", "--reps", "200", "--seed", "13"),
+        "c84d27bf5afbc8139ec2ea85ab6b99e210b140dd491e1f8a0f913d008ceb7f08",
+    ),
+    "chaos": (
+        ("chaos", "--Ns", "10,40", "--t", "200", "--init", "1,0",
+         "--reps", "500", "--seed", "1"),
+        "30fa15828c4bcf7c41d2d7cd40d4471266b71a106216e4f1e898a5b1d737e28e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+def test_seeded_sweep_output_matches_its_digest(capsys, name):
+    argv, digest = GOLDEN_SWEEPS[name]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SIMULATE))

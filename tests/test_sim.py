@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from popdrift.errors import ModelError, SlotResolutionError
+from popdrift import sim
+from popdrift.errors import ModelError, RateError, SlotResolutionError
 from popdrift.exact import (
     enumerate_states,
     expected_occupancy,
@@ -16,7 +17,7 @@ from popdrift.exact import (
     point_mass,
     transient,
 )
-from popdrift.model import builtin_example, load_model, slot_probability
+from popdrift.model import builtin_example, load_model, slot_probability, validate
 from popdrift.odesolve import solve
 from popdrift.sim import (
     SimConfig,
@@ -30,6 +31,11 @@ from popdrift.sim import (
 ZERO_DOC = "states = a, b\nrate a -> b : 0\n"
 FAST_DOC = "states = a, b\nrate a -> b : 2 + m[b]\nrate b -> a : 1 + 0.5*m[a]\n"
 SIR_MODEL = pathlib.Path(__file__).parents[1] / "perfbench" / "models" / "sir.pop"
+CONTENTION_MODEL = SIR_MODEL.with_name("contention.pop")
+# a -> b is infinite at an empty a, where the check excuses it
+EXCUSED_DOC = "states = a, b\nrate a -> b : 1/m[a]\nrate b -> a : 0.5\n"
+# a -> b turns negative once b holds more than 40% of the agents
+RANGE_DOC = "states = a, b\nrate a -> b : 1 - 2.5*m[b]\nrate b -> a : 2\n"
 
 
 def test_ctmc_zero_rates_single_segment():
@@ -401,3 +407,175 @@ def test_generator_check_window_validation():
         generator_check(model, config, (5.0, 11.0))
     with pytest.raises(ModelError, match="window"):
         generator_check(model, config, (7.0, 3.0))
+
+
+# ------------------------------------------------- memoized jump law
+
+
+def reference_ctmc(model, N, init, t_end, rng, at):
+    """The jump chain one event at a time, as it ran before its law was memoized.
+
+    Rates, their check, the intensities and their fsum are rebuilt at
+    every event, and a linear scan of the running sums picks the jump.
+    """
+    counts = np.array(init, dtype=np.int64)
+    at = np.asarray(at, dtype=float)
+    stops = at.tolist() + [math.inf]
+    out = np.empty((at.size, model.n_states), dtype=np.int64)
+    table = model._rate_table
+    n = model.n_states
+    z = np.zeros((n, n), dtype=np.int64)
+    pos = 0
+    t = 0.0
+    while True:
+        c = counts.tolist()
+        m = [x / N for x in c]
+        q = table.evaluate(N, m)
+        table.check(q, m, occupied=True)
+        weights = table.intensities(q, c)
+        total = math.fsum(weights)
+        if total <= 0.0:
+            break
+        t += rng.exponential(1.0 / total)
+        if t > t_end:
+            break
+        u = rng.random() * total
+        acc = 0.0
+        pick = len(weights) - 1
+        for k, w in enumerate(weights):
+            acc += w
+            if u < acc:
+                pick = k
+                break
+        while stops[pos] < t:
+            out[pos] = counts
+            pos += 1
+        i, j = table.sources[pick], table.targets[pick]
+        counts[i] -= 1
+        counts[j] += 1
+        z[i, j] += 1
+    out[pos:] = counts
+    return out, z
+
+
+REFERENCE_CASES = {
+    "bundled": (builtin_example, 40, (40, 0), 300.0),
+    "contention": (
+        lambda: load_model(CONTENTION_MODEL.read_text()), 30, (30, 0, 0), 60.0
+    ),
+    "sirs": (lambda: load_model(SIR_MODEL.read_text()), 200, (180, 20, 0), 20.0),
+    "excused": (lambda: load_model(EXCUSED_DOC), 6, (6, 0), 20.0),
+}
+
+
+@pytest.mark.parametrize("cap", [sim._MEMO_CAP, 2])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_ctmc_matches_per_event_reference(monkeypatch, case, cap):
+    # a cap of 2 makes the memo start over every few events
+    monkeypatch.setattr(sim, "_MEMO_CAP", cap)
+    make, N, init, t_end = REFERENCE_CASES[case]
+    model = make()
+    at = np.linspace(0.0, t_end, 41)
+    shared = sim._JumpLaw(model, N)
+    events = 0
+    for seed in range(4):
+        want = reference_ctmc(model, N, init, t_end, np.random.default_rng(seed), at)
+        alone = simulate_ctmc(model, N, init, t_end, np.random.default_rng(seed), at)
+        after = sim._jump_path(shared, init, t_end, np.random.default_rng(seed), at)
+        for got in (alone, after):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+        events += int(want[1].sum())
+        if case == "excused":
+            assert np.any(want[0][:, 0] == 0)
+    assert events > 100
+    assert len(shared.memo) <= cap
+
+
+class WatchedMemo(dict):
+    """A memo that remembers every key it held and its largest size."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = set()
+        self.peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.seen.add(key)
+        self.peak = max(self.peak, len(self))
+
+
+def test_jump_law_memo_stays_within_its_cap():
+    model = load_model(SIR_MODEL.read_text())
+    law = sim._JumpLaw(model, 500)
+    law.memo = memo = WatchedMemo()
+    at = np.linspace(0.0, 100.0, 101)
+    sim._jump_path(law, (450, 50, 0), 100.0, np.random.default_rng(0), at)
+    # the path visits more count vectors than the memo may hold
+    assert len(memo.seen) > sim._MEMO_CAP
+    assert memo.peak <= sim._MEMO_CAP
+    assert 0 < len(memo) <= sim._MEMO_CAP
+
+
+def test_jump_law_never_stores_a_refused_vector():
+    law = sim._JumpLaw(load_model(RANGE_DOC), 6)
+    with pytest.raises(RateError, match="a -> b"):
+        law((3, 3))
+    assert law.memo == {}
+    total, cum = law((6, 0))
+    assert list(law.memo) == [(6, 0)]
+    assert (total, cum) == (6.0, (6.0, 6.0))
+
+
+def test_ensemble_failures_match_per_replication_paths():
+    model = load_model(RANGE_DOC)
+    config = SimConfig(
+        N=6, init=(6, 0), t_end=1.0, reps=60, seed=5, sample_times=(0.0, 1.0)
+    )
+    failed = []
+    for ss in np.random.SeedSequence(5).spawn(60):
+        try:
+            simulate_ctmc(model, 6, (6, 0), 1.0, np.random.default_rng(ss), (0.0, 1.0))
+        except ModelError as exc:
+            failed.append(str(exc))
+    assert 0 < len(failed) < 60
+    with pytest.raises(ModelError) as info:
+        ensemble(model, config)
+    assert str(info.value) == (
+        f"{len(failed)} of 60 replications failed; first failure: {failed[0]}"
+    )
+
+
+def test_ensemble_and_generator_check_build_one_jump_law_each(monkeypatch):
+    built = []
+
+    class CountedLaw(sim._JumpLaw):
+        def __init__(self, model, N):
+            built.append(N)
+            super().__init__(model, N)
+
+    monkeypatch.setattr(sim, "_JumpLaw", CountedLaw)
+    config = SimConfig(N=10, init=(10, 0), t_end=5.0, reps=100, seed=1)
+    ensemble(builtin_example(), config)
+    generator_check(builtin_example(), config, (1.0, 2.0))
+    assert built == [10, 10]
+
+
+def test_generator_check_keeps_its_recorded_values():
+    # recorded while every event still rebuilt its own jump law
+    config = SimConfig(N=50, init=(50, 0), t_end=6.0, reps=200, seed=3)
+    report = generator_check(builtin_example(), config, (5.0, 6.0))
+    assert [x.hex() for x in report.discrepancy.tolist()] == [
+        "-0x1.f4635e48d5761p-14", "0x1.f4635e48d570ap-14",
+    ]
+    assert [x.hex() for x in report.stderr.tolist()] == [
+        "0x1.c7b37b107c056p-12", "0x1.c7b37b107c050p-12",
+    ]
+
+
+def test_simconfig_and_validate_refuse_a_negative_seed():
+    with pytest.raises(ModelError, match="seed must be non-negative, got -1"):
+        SimConfig(N=2, init=(2, 0), t_end=1.0, seed=-1)
+    with pytest.raises(ModelError, match="seed must be non-negative, got -1"):
+        validate(builtin_example(), 100.0, seed=-1)
