@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ModelError, NumericsError
-from .model import ModelSpec, rate
+from .model import ModelSpec
 
 __all__ = [
     "VectorField",
@@ -50,20 +50,21 @@ class VectorField:
 def _intensities(table, N: float, m) -> list:
     # plain floats evaluate faster than numpy scalars, to the same bits
     arr = np.asarray(m, dtype=float).tolist()
-    q = table.evaluate(N, arr)
-    table.check(q, arr, occupied=True)
-    return table.intensities(q, arr)
+    return table.intensities(table.rates(N, arr, occupied=True), arr)
 
 
 def intensity(model: ModelSpec, N: float, m, s: str, t: str) -> float:
     """Transition intensity m_s * rate(s, t).  Zero when m_s is zero.
 
-    The short-circuit makes the intensity well defined even where the
-    bare rate expression is singular in an empty state.
+    The rate check sets a rate to 0 at an empty source, so the intensity
+    is well defined even where the bare rate expression is singular there.
     """
     k = model._pair(s, t)
-    m_s = float(np.asarray(m, dtype=float)[model.index_of(s)])
-    return 0.0 if k is None or m_s == 0.0 else m_s * rate(model, N, m, s, t)
+    if k is None:
+        return 0.0
+    arr = np.asarray(m, dtype=float)
+    q = model._rate_table.rates(N, arr, ks=(k,), occupied=True)
+    return float(arr[model.index_of(s)]) * float(q[0])
 
 
 def drift(model: ModelSpec, N: float, m) -> np.ndarray:

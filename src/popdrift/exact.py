@@ -167,8 +167,7 @@ def generator(model: ModelSpec, space: LumpedStateSpace) -> sparse.csr_matrix:
     table = model._rate_table
     # max(N, 1): at N = 0 the only count vector is all zeros
     coords = [states[:, c] / max(N, 1) for c in range(space.n_states)]
-    q = table.evaluate(float(N), coords, (space.size,))
-    table.check(q, coords, occupied=True)
+    q = table.rates(float(N), coords, (space.size,), occupied=True)
     sources = np.asarray(table.sources, dtype=np.int64)
     dests = np.asarray(table.targets, dtype=np.int64)
     rates = states[:, sources].T * q
@@ -198,24 +197,19 @@ def _projected_kernel(gen: sparse.csr_matrix, active: np.ndarray, lam: float):
     the CSR kernel and the sinks' state indices.
     """
     n_active = len(active)
+    rows = gen[active].tocoo()  # rows.row: position in active
     local = np.full(gen.shape[0], -1, dtype=np.int64)
     local[active] = np.arange(n_active)
-    start = gen.indptr[active]
-    count = gen.indptr[active + 1] - start
-    pos = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
-    cols = gen.indices[pos]
-    reached = np.zeros(gen.shape[0], dtype=bool)
-    reached[cols[local[cols] < 0]] = True
-    sinks = np.flatnonzero(reached)
+    sinks = np.unique(rows.col[local[rows.col] < 0])
     size = n_active + len(sinks)
     local[sinks] = np.arange(n_active, size)
     diag = np.arange(size)
     kernel_t = sparse.csr_matrix(
         (
-            np.concatenate([gen.data[pos] * (1.0 / lam), np.ones(size)]),
+            np.concatenate([rows.data * (1.0 / lam), np.ones(size)]),
             (
-                np.concatenate([local[cols], diag]),
-                np.concatenate([np.repeat(np.arange(n_active), count), diag]),
+                np.concatenate([local[rows.col], diag]),
+                np.concatenate([rows.row, diag]),
             ),
         ),
         shape=(size, size),

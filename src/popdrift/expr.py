@@ -281,22 +281,14 @@ def parse(text: str) -> Expr:
 def free_vars(e: Expr) -> tuple[str, ...]:
     """Names the expression reads, sorted: identifiers and ``m[state]`` keys."""
     found: set[str] = set()
-
-    def walk(node: Expr) -> None:
+    stack = [e]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Name):
             found.add(node.ident)
         elif isinstance(node, Occ):
             found.add(f"m[{node.state}]")
-        elif isinstance(node, Neg):
-            walk(node.operand)
-        elif isinstance(node, BinOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Call):
-            for a in node.args:
-                walk(a)
-
-    walk(e)
+        stack.extend(a for a, _ in _operands(node))
     return tuple(sorted(found))
 
 

@@ -102,8 +102,6 @@ def poisson_weights(lam: float, tau: float) -> PoissonWeights:
         raise ModelError(f"Poisson rate must be non-negative, got {lam}")
     if not 0 < tau < 1:
         raise ModelError(f"tail tolerance must be in (0, 1), got {tau}")
-    if lam == 0.0:
-        return PoissonWeights(lam=0.0, k_min=0, probs=np.array([1.0]), tail=0.0)
     mode = int(math.floor(lam))
     p_mode = _mode_probability(lam, mode)
     nats = math.log(2.0 / tau)
@@ -184,8 +182,8 @@ def _window_lattice_sum(table, N: float, m, windows, ks=None) -> list:
                 # along axis a of the sub-rectangle, by trailing unit axes
                 coords[c] = supports[c][along].reshape((-1,) + (1,) * (len(axes) - 1 - a))
                 weights[c] = windows[c].probs[along]
-            q = table.evaluate(N, coords, (len(weights[axes[0]]), *shape[1:]), group)
-            table.check(q, coords, occupied=True, ks=group)
+            cut_shape = (len(weights[axes[0]]), *shape[1:])
+            q = table.rates(N, coords, cut_shape, group, occupied=True)
             for pos, k in enumerate(group):
                 i = table.sources[k]
                 part = q[pos]

@@ -56,9 +56,9 @@ class _RateTable:
     ``targets[k]`` and ``fns[k]``; ``reads[k]`` are the sorted indices
     of the occupancies its rate reads.  ``index`` maps a (source,
     target) index pair to k and ``out[i]`` is the range of k whose
-    source is state i.  Every place that evaluates transitions goes
-    through ``evaluate`` and ``check``, on all transitions or on the
-    positions ``ks``.
+    source is state i.  Every place that evaluates transitions takes
+    them checked from ``rates``, on all transitions or on the positions
+    ``ks``; only ``validate`` reads ``evaluate``'s values unchecked.
     """
 
     def __init__(self, state_names, compiled):
@@ -72,6 +72,12 @@ class _RateTable:
         starts = [bisect.bisect_left(self.sources, i)
                   for i in range(len(state_names) + 1)]
         self.out = tuple(map(range, starts, starts[1:]))
+
+    def rates(self, N, m, shape=None, ks=None, occupied: bool = False):
+        """``evaluate``'s rates once ``check`` has refused or excused them."""
+        q = self.evaluate(N, m, shape, ks)
+        self.check(q, m, occupied, ks)
+        return q
 
     def evaluate(self, N, m, shape=None, ks=None):
         """Rates of the transitions ks (default: all) at occupancy m.
@@ -137,7 +143,7 @@ class _RateTable:
         )
 
     def intensities(self, q, m) -> list:
-        """m_s * rate for every transition, q as ``check`` leaves it."""
+        """m_s * rate for every transition, q as ``rates`` returns it."""
         return [m[i] * value for i, value in zip(self.sources, q)]
 
     def net(self, flows) -> np.ndarray:
@@ -345,11 +351,7 @@ def rate(model: ModelSpec, N: float, m, s: str, t: str) -> float:
     k = model._pair(s, t)
     if k is None:
         return 0.0
-    table = model._rate_table
-    arr = np.asarray(m, dtype=float)
-    q = table.evaluate(N, arr, ks=(k,))
-    table.check(q, arr, ks=(k,))
-    return float(q[0])
+    return float(model._rate_table.rates(N, np.asarray(m, dtype=float), ks=(k,))[0])
 
 
 def slot_probability(
@@ -357,9 +359,9 @@ def slot_probability(
 ) -> float:
     """Per-agent transition probability in one slot of width 1/D.
 
-    The probability is rate/D clipped to [0, 1].  If the total
-    probability of leaving s in one slot exceeds 1 the slot width is
-    too coarse and SlotResolutionError suggests a larger D.
+    The probability is rate/D.  If the total probability of leaving s
+    in one slot exceeds 1 the slot width is too coarse and
+    SlotResolutionError suggests a larger D.
     """
     if D <= 0:
         raise ModelError("slot count D must be positive")
@@ -367,12 +369,9 @@ def slot_probability(
     table = model._rate_table
     i = model.index_of(s)
     ks = table.out[i]
-    arr = np.asarray(m, dtype=float)
-    q = table.evaluate(N, arr, ks=ks)
-    table.check(q, arr, ks=ks)
+    q = table.rates(N, np.asarray(m, dtype=float), ks=ks)
     probs, _ = table.slot_row(q, i, D)
-    wanted = 0.0 if k is None else float(probs[k - ks.start])
-    return min(1.0, max(0.0, wanted))
+    return 0.0 if k is None else float(probs[k - ks.start])
 
 
 def sample_simplex(n_states: int, count: int, seed: int) -> np.ndarray:

@@ -72,13 +72,15 @@ def _step_boundaries(
     pieces = [grid, np.array([t_end])]
     if sample_times is not None:
         extra = np.asarray(sample_times, dtype=float)
+        if extra.ndim != 1:
+            raise ModelError("sample times must be a vector")
+        if not np.all(np.isfinite(extra)):
+            raise ModelError("sample times must be finite")
         if extra.size:
             if extra.min() < 0.0 or extra.max() > t_end + 1e-12:
                 raise ModelError("sample times must lie within [0, t_end]")
             pieces.append(np.clip(extra, 0.0, t_end))
-        record = np.unique(
-            np.concatenate([np.array([0.0, t_end]), np.asarray(sample_times, float)])
-        )
+        record = np.unique(np.concatenate([np.array([0.0, t_end]), extra]))
     else:
         record = None
     bounds = np.unique(np.concatenate(pieces))

@@ -14,6 +14,7 @@ dynamics.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -70,6 +71,10 @@ class SimConfig:
     hist: tuple = ()
 
     def __post_init__(self):
+        for name in ("N", "reps", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
         if self.N < 1:
             raise ModelError("population size N must be at least 1")
         if not math.isfinite(self.t_end) or self.t_end < 0:
@@ -126,9 +131,7 @@ class _JumpLaw:
         law = self.memo.get(c)
         if law is None:
             table, N = self.model._rate_table, self.N
-            m = [x / N for x in c]
-            q = table.evaluate(N, m)
-            table.check(q, m, occupied=True)
+            q = table.rates(N, [x / N for x in c], occupied=True)
             weights = table.intensities(q, c)
             if len(self.memo) >= _MEMO_CAP:
                 self.memo.clear()
@@ -201,9 +204,7 @@ def simulate_slotted(model: ModelSpec, N: int, D: int, init, t_end: float, rng, 
     slot = 0
     while slot < n_slots:
         c = counts.tolist()
-        m = [x / N for x in c]
-        q = table.evaluate(N, m)
-        table.check(q, m, occupied=True)
+        q = table.rates(N, [x / N for x in c], occupied=True)
         rows = []
         stay_all = 1.0
         for i, ks in enumerate(table.out):
@@ -252,6 +253,7 @@ def simulate_slotted(model: ModelSpec, N: int, D: int, init, t_end: float, rng, 
 
 def _sampler(model: ModelSpec, config: SimConfig):
     """path(rng, at) in config's mode; jump-chain paths share one jump law."""
+    check_counts(config.init, config.N, model.n_states)
     if config.mode == "slotted":
         return lambda rng, at: simulate_slotted(
             model, config.N, config.resolution, config.init, config.t_end, rng, at

@@ -152,6 +152,24 @@ def test_generator_propagates_bad_rates():
         generator(model, enumerate_states(2, 3))
 
 
+def test_projected_kernel_is_identity_plus_active_rows_over_lam():
+    gen = generator(load_model(CONTENTION_DOC), enumerate_states(3, 6))
+    exit_rates = -gen.diagonal()
+    active = np.flatnonzero(exit_rates <= np.median(exit_rates))
+    lam = float(exit_rates[active].max())
+    kernel_t, sinks = exact._projected_kernel(gen, active, lam)
+    dense = gen.toarray()
+    # the sinks are every state outside the active set an active row reaches
+    outside = np.setdiff1d(np.arange(gen.shape[0]), active)
+    reached = [s for s in outside if dense[active, s].any()]
+    assert len(reached) > 0 and sinks.tolist() == reached
+    # I + G_SS/lam on the active rows, identity rows for the sinks
+    order = np.concatenate([active, sinks])
+    want = np.eye(len(order))
+    want[: len(active)] += dense[np.ix_(active, order)] / lam
+    assert np.allclose(kernel_t.toarray().T, want, rtol=0.0, atol=1e-15)
+
+
 def test_transient_zero_generator():
     model = load_model("states = a, b\nrate a -> b : 0\n")
     space = enumerate_states(2, 3)

@@ -183,6 +183,13 @@ def test_free_vars():
     assert free_vars(parse("q + p1*m[a]")) == ("m[a]", "p1", "q")
 
 
+def test_free_vars_walks_a_deep_code_built_tree():
+    node = Occ("a")
+    for k in range(5000):
+        node = BinOp("-", Name(f"p{k % 3}"), node)
+    assert free_vars(node) == ("m[a]", "p0", "p1", "p2")
+
+
 def _random_expr(rng: random.Random, depth: int):
     roll = rng.random()
     if depth <= 0 or roll < 0.3:

@@ -35,6 +35,13 @@ def test_poisson_weights_point_mass_at_zero_rate():
     assert w.tail == 0.0
 
 
+@pytest.mark.parametrize("lam", [0.0, -0.0])
+@pytest.mark.parametrize("tau", [0.5, 1e-3, 1e-10, 2.5e-11, 1e-15, 1e-300])
+def test_poisson_weights_zero_rate_window_at_every_tolerance(lam, tau):
+    w = poisson_weights(lam, tau)
+    assert (w.k_min, w.probs.tolist(), w.tail) == (0, [1.0], 0.0)
+
+
 def test_poisson_weights_unit_rate():
     w = poisson_weights(1.0, 1e-12)
     assert w.k_min == 0

@@ -1,10 +1,14 @@
 """Model documents, rate evaluation, slot probabilities, validation."""
 
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import popdrift
 from popdrift.drift import drift, intensity, limit_drift
 from popdrift.errors import ModelError, RateError, SlotResolutionError
 from popdrift.exact import enumerate_states, generator
@@ -122,6 +126,16 @@ def test_single_pair_entry_points_evaluate_only_their_pairs(entry):
     assert SINGLE_PAIR[entry](model) > 0.0
     with pytest.raises(RateError, match="rate b -> a"):
         drift(model, 4, (0.25, 0.75))
+
+
+def test_only_the_rate_table_pairs_evaluate_with_check():
+    # every other module takes its rates checked from _RateTable.rates
+    for info in pkgutil.iter_modules(popdrift.__path__):
+        if info.name == "model":
+            continue
+        source = inspect.getsource(importlib.import_module(f"popdrift.{info.name}"))
+        assert ".evaluate(" not in source, info.name
+        assert ".check(" not in source, info.name
 
 
 def test_transitions_yield_kernels_for_points_and_arrays():

@@ -113,6 +113,25 @@ def test_sample_outside_span_rejected():
         integrate(zero, (0.5, 0.5), 1.0, sample_times=[5.0])
 
 
+@pytest.mark.parametrize(
+    "times, words",
+    [([math.nan], "finite"), ([0.5, -math.inf], "finite"), ([[1.0, 2.0]], "a vector")],
+)
+def test_solve_refuses_sample_times_the_samplers_refuse(times, words):
+    with pytest.raises(ModelError, match=f"sample times must be {words}"):
+        solve(builtin_example(), "drift", 10, [1, 0], 5.0, sample_times=times)
+
+
+def test_solve_takes_empty_unsorted_and_barely_late_sample_times():
+    def times(sample_times):
+        traj = solve(builtin_example(), "drift", 10, [1, 0], 5.0, sample_times=sample_times)
+        return traj.times.tolist()
+
+    assert times([]) == [0.0, 5.0]
+    assert times([4.0, 1.0]) == [0.0, 1.0, 4.0, 5.0]
+    assert times([5.0 + 1e-12]) == [0.0, 5.0]
+
+
 def test_escaping_field_aborts():
     runaway = VectorField(kind="drift", N=1, fn=lambda m: np.array([-1.0, 1.0]))
     with pytest.raises(NumericsError, match="simplex"):

@@ -579,3 +579,34 @@ def test_simconfig_and_validate_refuse_a_negative_seed():
         SimConfig(N=2, init=(2, 0), t_end=1.0, seed=-1)
     with pytest.raises(ModelError, match="seed must be non-negative, got -1"):
         validate(builtin_example(), 100.0, seed=-1)
+
+
+# config fields an ensemble refuses before its first replication, with
+# the words of the refusal
+BAD_CONFIGS = {
+    "N": ({"N": 5.5}, "N must be an integer, got 5.5"),
+    "reps": ({"reps": 2.5}, "reps must be an integer, got 2.5"),
+    "seed": ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    "init": ({"init": (4, 0)}, "counts must sum to N=5, got 4"),
+}
+
+
+@pytest.mark.parametrize("mode", ["ctmc", "slotted"])
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_ensemble_refuses_a_bad_config_before_any_replication(case, mode, monkeypatch):
+    def path(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(sim, "_jump_path", path)
+    monkeypatch.setattr(sim, "simulate_slotted", path)
+    changes, words = BAD_CONFIGS[case]
+    fields = dict(N=5, init=(5, 0), t_end=1.0, reps=1000, mode=mode, resolution=10)
+    with pytest.raises(ModelError, match=words):
+        ensemble(builtin_example(), SimConfig(**{**fields, **changes}))
+
+
+def test_simconfig_takes_numpy_integers():
+    config = SimConfig(
+        N=np.int64(5), init=(5, 0), t_end=1.0, reps=np.int32(3), seed=np.uint8(2)
+    )
+    assert ensemble(builtin_example(), config).reps == 3
