@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ModelError, NumericsError
-from .model import ModelSpec
+from .model import ModelSpec, _flat_occupancy
 
 __all__ = [
     "VectorField",
@@ -49,7 +49,7 @@ class VectorField:
 
 def _intensities(table, N: float, m) -> list:
     # plain floats evaluate faster than numpy scalars, to the same bits
-    arr = np.asarray(m, dtype=float).tolist()
+    arr = _flat_occupancy(m, len(table.state_names)).tolist()
     return table.intensities(table.rates(N, arr, occupied=True), arr)
 
 

@@ -421,6 +421,78 @@ def _fold(e: Expr, params: Mapping[str, float]) -> Expr:
     return Num(float(fn(*(a.value for a in args))))
 
 
+# most terms _product_terms writes a rate as; past it the rate stays whole
+_MAX_TERMS = 32
+
+
+def _product_terms(e: Expr, params: Mapping[str, float]):
+    """e, parameters folded, as a list of (c, factors) that sums to it.
+
+    Term (c, ((f1, r1), ..., (fn, rn))) stands for the product
+    c * f1 * ... * fn, c a float and each factor fi a subtree, or 1 over
+    one, that reads N or an occupancy; ri is the frozenset of the states
+    whose occupancies fi reads.  Constants come out of products and
+    quotients.  Otherwise a subtree reading at most one occupancy stays
+    one factor, as does a call; ``*`` distributes over ``+`` and ``-``,
+    and a ``/`` whose denominator reads N or an occupancy multiplies each
+    term of its numerator by the factor 1/denominator.  The terms equal e
+    up to rounding, under numpy semantics.  None when some subtree needs
+    more than _MAX_TERMS terms.  Walks the folded tree with a stack, as
+    ``free_vars`` does.
+    """
+    with np.errstate(all="ignore"):
+        root = _fold(e, params)
+    done: dict[int, tuple] = {}  # id(node) -> (occupancies it reads, terms)
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        kids = [a for a, _ in _operands(node)]
+        if not ready:
+            stack.append((node, True))
+            stack.extend((a, False) for a in kids)
+            continue
+        parts = [done[id(a)] for a in kids]
+        reads = frozenset().union(*(r for r, _ in parts))
+        if isinstance(node, Occ):
+            reads = frozenset((node.state,))
+        scaled = isinstance(node, BinOp) and node.op in "*/" and any(
+            isinstance(a, Num) for a in kids
+        )
+        if isinstance(node, Num):
+            terms = [(node.value, ())]
+        elif len(reads) < 2 and not scaled or isinstance(node, Call):
+            terms = [(1.0, ((node, reads),))]
+        elif isinstance(node, Neg):
+            terms = parts[0][1] and [(-c, fs) for c, fs in parts[0][1]]
+        else:
+            terms = _combine(node, parts[0], parts[1])
+        done[id(node)] = (reads, terms)
+    return done[id(root)][1]
+
+
+def _combine(node: BinOp, left, right):
+    """Terms of node from its operands' (reads, terms); None past the cap
+    or from None."""
+    (_, lt), (den_reads, rt) = left, right
+    if node.op == "/":
+        den = node.right
+        if isinstance(den, Num):
+            with np.errstate(all="ignore"):
+                return lt and [(float(np.divide(c, den.value)), fs) for c, fs in lt]
+        inv = (BinOp("/", Num(1.0), den), den_reads)
+        return lt and [(c, fs + (inv,)) for c, fs in lt]
+    if lt is None or rt is None:
+        return None
+    if node.op == "*":
+        if len(lt) * len(rt) > _MAX_TERMS:
+            return None
+        return [(a * b, fa + fb) for a, fa in lt for b, fb in rt]
+    if len(lt) + len(rt) > _MAX_TERMS:
+        return None
+    sign = 1.0 if node.op == "+" else -1.0
+    return lt + [(sign * c, fs) for c, fs in rt]
+
+
 def compile_fn(
     e: Expr,
     params: Mapping[str, float],

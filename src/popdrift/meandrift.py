@@ -10,9 +10,13 @@ Poisson pmf is truncated to a window around its mode holding all but
 tau/(2I) of the mass, which bounds the neglected joint mass by tau.
 Lattice points with K_s = 0 contribute nothing: the intensity factor
 vanishes and the rate check sets a rate singular there to 0.  The
-coordinates are independent, so each transition is summed only over
-the windows of its source and of the occupancies its rate reads; every
-other coordinate contributes its window mass as a factor.
+coordinates are independent, so the average of a product of factors
+that read disjoint coordinates is the product of their averages: a
+rate the rate table's plan writes as a sum of such products is
+averaged one factor group at a time, each over its own coordinates'
+windows, and any other rate over the windows of its source and of the
+occupancies it reads.  Every coordinate a term does not read
+contributes its window mass as a factor.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .drift import VectorField
 from .errors import ModelError, NumericsError
-from .model import ModelSpec
+from .model import ModelSpec, _flat_occupancy
 
 __all__ = [
     "PoissonWeights",
@@ -40,6 +44,11 @@ LATTICE_POINT_CAP = 10**8
 # rate values per chunk of the rectangular sum, counted across all
 # transitions, to bound peak memory while keeping numpy batches large
 _CHUNK = 1 << 22
+
+# a transition whose sub-rectangle holds at most this many lattice points
+# is summed whole: averaging its factor groups apart costs about as much
+# as summing that many rate values, in numpy calls on short windows
+_WHOLE_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -98,8 +107,8 @@ def poisson_weights(lam: float, tau: float) -> PoissonWeights:
     span a Chernoff bound on the tails and widen when the walk runs
     past them.
     """
-    if lam < 0:
-        raise ModelError(f"Poisson rate must be non-negative, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ModelError(f"Poisson rate must be finite and non-negative, got {lam}")
     if not 0 < tau < 1:
         raise ModelError(f"tail tolerance must be in (0, 1), got {tau}")
     mode = int(math.floor(lam))
@@ -138,65 +147,110 @@ def poisson_weights(lam: float, tau: float) -> PoissonWeights:
     )
 
 
-def _window_lattice_sum(table, N: float, m, windows, ks=None) -> list:
-    """Poisson averages of the intensities (k_s/N) * Q_{s,t}(k/N).
+def _rectangle_sums(probs, weighted, supports, m, axes, sources, block,
+                    bounded=False):
+    """Window-weighted sums of a block of rows over the sub-rectangle of axes.
 
-    Returns one sum per transition in ks (default: all of the table).
-    The coordinates are independent, so transition k is summed only
-    over the sub-rectangle of its axes, its source and the occupancies
-    its rate reads (``table.reads[k]``); every other coordinate sums to
-    its window mass ``probs.sum()``, and the product of those masses
-    multiplies the result, so it equals the sum over the full rectangle
-    of all I coordinates.  Transitions with the same axes are evaluated
-    together in chunks along their first axis, each chunk holding at
-    most _CHUNK rate values, and each transition's rates are contracted
-    with the window weights (the source's times k_s/N).  The chunk sums
-    are added in order, so the float result can change in its last bits
-    with the chunk size.  A RateError reports the lattice point on the
-    axes and m on the other coordinates.
+    ``block(coords, shape)`` gives the rows' values, an array
+    (len(sources), *shape), at the lattice points coords, which hold m on
+    the other coordinates.  Row r is contracted with the window weights
+    ``probs``, and along its axis ``sources[r]``, when that is not None,
+    with ``weighted``, the weights times k/N.  The rows are evaluated in
+    chunks along the first axis, each holding at most _CHUNK values, and
+    the chunk sums are added in order, so the float result can change in
+    its last bits with the chunk size.  Returns each row's sum or, when
+    ``bounded``, each row's (sum, (min, max)).
     """
-    ks = range(len(table.fns)) if ks is None else ks
-    groups: dict = {}
-    for k in ks:
-        axes = tuple(sorted({table.sources[k], *table.reads[k]}))
-        groups.setdefault(axes, []).append(k)
-    sizes = [len(w.probs) for w in windows]
-    for axes in groups:
-        points = math.prod(sizes[c] for c in axes)
+    shape = [len(probs[c]) for c in axes]
+    step = max(1, min(shape[0], _CHUNK // (math.prod(shape[1:]) * len(sources))))
+    sums = [0.0] * len(sources)
+    lows, highs = np.inf, -np.inf
+    for start in range(0, shape[0], step):
+        cut = slice(start, start + step)
+        coords = list(m)
+        for a, c in enumerate(axes):
+            along = cut if a == 0 else slice(None)
+            # along axis a of the sub-rectangle, by trailing unit axes
+            coords[c] = supports[c][along].reshape((-1,) + (1,) * (len(axes) - 1 - a))
+        q = block(coords, (len(coords[axes[0]]), *shape[1:]))
+        if bounded:
+            flat = q.reshape(len(sources), -1)
+            # np.minimum and np.maximum keep a nan
+            lows = np.minimum(lows, flat.min(axis=1))
+            highs = np.maximum(highs, flat.max(axis=1))
+        for r, i in enumerate(sources):
+            part = q[r]
+            for a in reversed(range(len(axes))):
+                w = (weighted if axes[a] == i else probs)[axes[a]]
+                part = part @ (w[cut] if a == 0 else w)
+            sums[r] += float(part)
+    if bounded:
+        return list(zip(sums, zip(lows.tolist(), highs.tolist())))
+    return sums
+
+
+def _check_cap(windows, rectangles) -> None:
+    for axes in rectangles:
+        points = math.prod(len(windows[c].probs) for c in axes)
         if points > LATTICE_POINT_CAP:
             raise NumericsError(
                 f"mean intensity enumeration needs {points} lattice points "
                 f"(cap {LATTICE_POINT_CAP}); use a larger tail tolerance"
             )
+
+
+def _window_lattice_sum(table, N: float, m, windows, ks=None) -> list:
+    """Poisson averages of the intensities (k_s/N) * Q_{s,t}(k/N).
+
+    Returns one sum per transition in ks (default: all of the table).
+    The coordinates are independent, so a product of factors that read
+    disjoint coordinates averages to the product of their averages, and
+    a coordinate no factor reads sums to its window mass ``probs.sum()``.
+    Each transition has the sub-rectangle of its axes, its source and
+    ``table.reads[k]``.  Where that holds more than _WHOLE_POINTS points,
+    ``table.split_flows`` gives the transitions whose rates split into
+    such products, their groups averaged here each over its own axes'
+    windows.  Every other transition is summed over its sub-rectangle,
+    as one group of checked rates; transitions with the same axes are
+    evaluated together.  A transition whose source window is {0} has no
+    intensity.  A RateError reports the lattice point on the axes and m
+    on the other coordinates.
+    """
+    ks = range(len(table.fns)) if ks is None else ks
     supports = [w.support() / N for w in windows]
-    totals = {}
-    for axes, group in groups.items():
-        shape = [sizes[c] for c in axes]
-        step = max(1, min(shape[0], _CHUNK // (math.prod(shape[1:]) * len(group))))
-        sums = [0.0] * len(group)
-        for start in range(0, shape[0], step):
-            cut = slice(start, start + step)
-            coords, weights = list(m), {}
-            for a, c in enumerate(axes):
-                along = cut if a == 0 else slice(None)
-                # along axis a of the sub-rectangle, by trailing unit axes
-                coords[c] = supports[c][along].reshape((-1,) + (1,) * (len(axes) - 1 - a))
-                weights[c] = windows[c].probs[along]
-            cut_shape = (len(weights[axes[0]]), *shape[1:])
-            q = table.rates(N, coords, cut_shape, group, occupied=True)
-            for pos, k in enumerate(group):
-                i = table.sources[k]
-                part = q[pos]
-                for c in reversed(axes):
-                    w = weights[c] * coords[i].ravel() if c == i else weights[c]
-                    part = part @ w
-                sums[pos] += float(part)
-        other = math.prod(
-            float(w.probs.sum()) for c, w in enumerate(windows) if c not in axes
+    probs = [w.probs for w in windows]
+    weighted = [p * x for p, x in zip(probs, supports)]
+    masses = [float(p.sum()) for p in probs]
+
+    def average(axes, block, sources):
+        _check_cap(windows, [axes])
+        return _rectangle_sums(
+            probs, weighted, supports, m, axes, sources, block, bounded=True
         )
+
+    rectangles = {
+        k: tuple(sorted({table.sources[k], *table.reads[k]}))
+        for k in ks if windows[table.sources[k]].k_max > 0
+    }
+    large = [
+        k for k, axes in rectangles.items()
+        if math.prod(len(windows[c].probs) for c in axes) > _WHOLE_POINTS
+    ]
+    totals = table.split_flows(N, large, average, masses)
+    whole: dict = {}
+    for k, axes in rectangles.items():
+        if k not in totals:
+            whole.setdefault(axes, []).append(k)
+    _check_cap(windows, whole)
+    for axes, group in whole.items():
+        sums = _rectangle_sums(
+            probs, weighted, supports, m, axes, [table.sources[k] for k in group],
+            lambda coords, shape: table.rates(N, coords, shape, group, occupied=True),
+        )
+        other = math.prod(masses[c] for c in range(len(windows)) if c not in axes)
         for k, total in zip(group, sums):
             totals[k] = total * other
-    return [totals[k] for k in ks]
+    return [totals.get(k, 0.0) for k in ks]
 
 
 def _clamped(x: float) -> float:
@@ -210,7 +264,10 @@ def _clamped(x: float) -> float:
 
 
 def _coordinate_windows(model: ModelSpec, N: float, m, tau: float):
-    arr = np.asarray(m, dtype=float)
+    # the occupancy need not sum to 1: RK4 stage points leave the simplex
+    if not 0 < N < math.inf:
+        raise ModelError(f"population size N must be positive and finite, got {N}")
+    arr = _flat_occupancy(m, model.n_states)
     budget = tau / (2 * model.n_states)
     windows = [poisson_weights(N * _clamped(float(x)), budget) for x in arr]
     return arr, windows

@@ -19,11 +19,12 @@ document:
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -48,6 +49,80 @@ __all__ = [
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+# most a split rate's terms may cancel: the sum of their absolute values
+# over the absolute value of their sum.  Past it the split would lose
+# more than two bits of the average and the rate is summed whole.
+_CANCELLATION = 4.0
+
+
+def _batched(fns, N, m, shape):
+    """Values of fns at occupancies m that broadcast to shape, stacked."""
+    with np.errstate(all="ignore"):
+        # numpy operands: plain floats raise on x/0
+        N, m = np.float64(N), [np.asarray(c, dtype=float) for c in m]
+        q = np.empty((len(fns), *shape))
+        for pos, fn in enumerate(fns):
+            q[pos] = fn(N, m)
+        return q
+
+
+@dataclass(frozen=True)
+class _Group:
+    """A factor group of ``_RateTable.plan``: fn, the product of factors
+    that together read exactly the occupancies ``axes``, or of none, 1."""
+
+    axes: tuple
+    fn: Callable
+
+
+def _read_groups(factors, source) -> tuple:
+    """(factor, reads) pairs as (axes, factors) groups of connected reads.
+
+    The source's group, with no factors if none reads it, also takes the
+    factors that read no occupancy.
+    """
+    scalars, groups = [], [({source}, ())]
+    for f, reads in factors:
+        if not reads:
+            scalars.append(f)
+            continue
+        joined = [g for g in groups if g[0] & reads]
+        groups = [g for g in groups if not g[0] & reads]
+        axes = reads.union(*(a for a, _ in joined))
+        groups.append((axes, tuple(x for _, fs in joined for x in fs) + (f,)))
+    return tuple(
+        (tuple(sorted(axes)), fs + tuple(scalars) if source in axes else fs)
+        for axes, fs in groups
+    )
+
+
+def _certified(terms, stats, masses) -> Optional[float]:
+    """A split rate's average from its groups' (mean, (min, max)) stats,
+    or None when ``_RateTable.split_flows`` does not certify it."""
+    flow = low = size = 0.0
+    for c, uses, rest in terms:
+        lo = hi = mean = c
+        for use in uses:
+            g_mean, (g_lo, g_hi) = stats[use]
+            if not (math.isfinite(g_lo) and math.isfinite(g_hi)):
+                return None
+            ends = (lo * g_lo, lo * g_hi, hi * g_lo, hi * g_hi)
+            lo, hi, mean = min(ends), max(ends), mean * g_mean
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                return None
+        term = mean * math.prod(masses[x] for x in rest)
+        low += lo
+        flow += term
+        size += abs(term)
+    if low < 0.0 or not size <= _CANCELLATION * abs(flow) < math.inf:
+        return None
+    return flow
+
+
+def _product(factors) -> ex.Expr:
+    return functools.reduce(functools.partial(ex.BinOp, "*"), factors)
+
+
 class _RateTable:
     """One rate table compiled once, in canonical (source, target) order.
 
@@ -59,15 +134,19 @@ class _RateTable:
     source is state i.  Every place that evaluates transitions takes
     them checked from ``rates``, on all transitions or on the positions
     ``ks``; only ``validate`` reads ``evaluate``'s values unchecked.
+    The mean drift takes the averages of the rates that ``plan`` splits
+    from ``split_flows``, which certifies them in place of ``check``.
     """
 
-    def __init__(self, state_names, compiled):
+    def __init__(self, state_names, compiled, params):
         self.state_names = state_names
-        self.entries = tuple((i, j, fn) for i, j, fn, _ in compiled)
+        self.params = params
+        self.entries = tuple((i, j, fn) for i, j, fn, _, _ in compiled)
         self.sources = tuple(i for i, _, _ in self.entries)
         self.targets = tuple(j for _, j, _ in self.entries)
         self.fns = tuple(fn for _, _, fn in self.entries)
-        self.reads = tuple(reads for _, _, _, reads in compiled)
+        self.reads = tuple(reads for _, _, _, reads, _ in compiled)
+        self.nodes = tuple(node for *_, node in compiled)
         self.index = {(i, j): k for k, (i, j, _) in enumerate(self.entries)}
         starts = [bisect.bisect_left(self.sources, i)
                   for i in range(len(state_names) + 1)]
@@ -89,14 +168,9 @@ class _RateTable:
         rejects them.
         """
         fns = self.fns if ks is None else [self.fns[k] for k in ks]
+        if shape is not None:
+            return _batched(fns, N, m, shape)
         with np.errstate(all="ignore"):
-            if shape is not None:
-                # numpy operands: plain floats raise on x/0
-                N, m = np.float64(N), [np.asarray(c, dtype=float) for c in m]
-                q = np.empty((len(fns), *shape))
-                for pos, fn in enumerate(fns):
-                    q[pos] = fn(N, m)
-                return q
             try:
                 return [fn(N, m) for fn in fns]
             except ZeroDivisionError:
@@ -141,6 +215,109 @@ class _RateTable:
             m,
             f"evaluated to {float(value)}",
         )
+
+    @functools.cached_property
+    def plan(self):
+        """Each rate split into products of independent factor groups.
+
+        Built on first use, for the mean drift.  Returns (terms, groups).
+        ``terms[k]`` is None when transition k stays whole: summed over
+        the sub-rectangle of its axes, its source and ``reads[k]``.
+        Otherwise it is a tuple of (c, uses, rest): the rate is the sum
+        over its terms of c times the product of the ``groups[g]`` for
+        (g, source) in uses, whose axes are disjoint, and rest are the
+        coordinates none of those groups reads.  ``source`` is the
+        transition's source in the one group that reads it, where the
+        intensity weight k_s/N goes, and None in the others.  The terms
+        come from ``expr._product_terms``, their factors grouped by
+        connected read sets; equal groups are one group, and terms with
+        the same groups are one term.  A transition stays whole when it
+        needs too many terms or has a group of factors spanning all its
+        axes, so a rate splits when its factors read fewer coordinates at
+        a time or it is constant.
+        """
+        index = {s: i for i, s in enumerate(self.state_names)}
+        n = len(self.state_names)
+        groups, ids, plan = [], {}, []
+        for k, node in enumerate(self.nodes):
+            s, width = self.sources[k], len({self.sources[k], *self.reads[k]})
+            terms = ex._product_terms(node, self.params)
+            split = [
+                (c, _read_groups([(f, {index[x] for x in r}) for f, r in fs], s))
+                for c, fs in terms or ()
+            ]
+            if not split or any(
+                fs and len(a) == width for _, parts in split for a, fs in parts
+            ):
+                plan.append(None)
+                continue
+            entry: dict = {}  # (uses, rest) -> c
+            for c, parts in split:
+                uses = []
+                for key in parts:
+                    if key not in ids:
+                        ids[key] = len(groups)
+                        fs = key[1] or (ex.Num(1.0),)
+                        groups.append(
+                            _Group(key[0], ex.compile_fn(_product(fs), self.params, index))
+                        )
+                    uses.append((ids[key], s if s in key[0] else None))
+                read = {a for axes, _ in parts for a in axes}
+                like = (tuple(sorted(uses)), tuple(x for x in range(n) if x not in read))
+                entry[like] = entry.get(like, 0.0) + c
+            plan.append(tuple((c, *like) for like, c in entry.items()))
+        return tuple(plan), tuple(groups)
+
+    def split_flows(self, N, ks, average, masses) -> dict:
+        """Poisson averages of the intensities of the transitions among ks
+        that ``plan`` splits, where the split is certified.
+
+        ``average(axes, block, sources)`` gives, for each row r of
+        ``block(coords, shape)``, the values of some groups at the lattice
+        points coords of the sub-rectangle of axes, its window-weighted
+        sum, times k/N along axis ``sources[r]`` when that is not None,
+        and its (min, max).  ``masses[c]`` is coordinate c's window mass.
+        Each group is evaluated once per call.  Where the source
+        occupancy is zero there is no intensity, so a source group value
+        that is not finite is set to 0, as ``check`` does with
+        ``occupied``.  A split is certified when every group value is
+        finite, the interval lower bound of the term sum, from each
+        group's (min, max), is not negative, so no lattice point would
+        fail ``check``, and the terms cancel by at most _CANCELLATION.
+        Returns {k: average} for the certified transitions.
+        """
+        terms, groups = self.plan
+        ks = [k for k in ks if terms[k] is not None]
+        blocks: dict = {}  # axes -> {(g, source): None}, in order
+        for k in ks:
+            for _, uses, _ in terms[k]:
+                for g, s in uses:
+                    blocks.setdefault(groups[g].axes, {})[g, s] = None
+        stats = {}
+        for axes, uses in blocks.items():
+            uses = list(uses)
+            block = functools.partial(self._group_rows, N, uses)
+            stats.update(zip(uses, average(axes, block, [s for _, s in uses])))
+        flows = {}
+        for k in ks:
+            flow = _certified(terms[k], stats, masses)
+            if flow is not None:
+                flows[k] = flow
+        return flows
+
+    def _group_rows(self, N, uses, m, shape) -> np.ndarray:
+        """Values of the (group, source) uses at occupancies m that
+        broadcast to shape, stacked, each group evaluated once."""
+        groups = self.plan[1]
+        gids = list(dict.fromkeys(g for g, _ in uses))
+        q = _batched([groups[g].fn for g in gids], N, m, shape)
+        if len(gids) < len(uses):
+            q = q[[gids.index(g) for g, _ in uses]]
+        if not np.isfinite(q).all():
+            for row, (_, s) in zip(q, uses):
+                if s is not None:
+                    row[(m[s] == 0) & ~np.isfinite(row)] = 0.0
+        return q
 
     def intensities(self, q, m) -> list:
         """m_s * rate for every transition, q as ``rates`` returns it."""
@@ -244,11 +421,11 @@ class ModelSpec:
                     raise ModelError(f"{pair} uses undeclared parameter {var!r}", entry)
             fn = ex.compile_fn(node, self.params, self._index)
             compiled.append(
-                (self._index[s], self._index[t], fn, tuple(sorted(reads)))
+                (self._index[s], self._index[t], fn, tuple(sorted(reads)), node)
             )
         # canonical order: by (source, target) index
         compiled.sort(key=lambda item: (item[0], item[1]))
-        return _RateTable(self.state_names, compiled)
+        return _RateTable(self.state_names, compiled, self.params)
 
     @property
     def n_states(self) -> int:
@@ -288,8 +465,8 @@ class ModelSpec:
         return self.rates.get((s, t), ex.Num(0.0))
 
 
-def check_occupancy(m, n_states: Optional[int] = None) -> np.ndarray:
-    """Validate an occupancy vector: entries >= 0, sum 1 within 1e-12."""
+def _flat_occupancy(m, n_states: Optional[int] = None) -> np.ndarray:
+    """m as a flat float vector, with n_states entries when given."""
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 1:
         raise ModelError("occupancy must be a flat vector")
@@ -297,6 +474,12 @@ def check_occupancy(m, n_states: Optional[int] = None) -> np.ndarray:
         raise ModelError(
             f"occupancy has {arr.shape[0]} entries, model has {n_states} states"
         )
+    return arr
+
+
+def check_occupancy(m, n_states: Optional[int] = None) -> np.ndarray:
+    """Validate an occupancy vector: entries >= 0, sum 1 within 1e-12."""
+    arr = _flat_occupancy(m, n_states)
     if not np.all(np.isfinite(arr)):
         raise ModelError("occupancy entries must be finite")
     if np.any(arr < 0):

@@ -86,14 +86,18 @@ class SimConfig:
         if self.mode not in ("ctmc", "slotted"):
             raise ModelError(f"unknown simulation mode {self.mode!r}")
         if self.mode == "slotted":
-            if self.resolution is None or self.resolution < 1:
-                raise ModelError("slotted mode needs a time resolution D >= 1")
+            D = self.resolution
+            if not isinstance(D, numbers.Integral) or D < 1:
+                raise ModelError(
+                    f"slotted mode needs an integer time resolution D >= 1, got {D!r}"
+                )
         if self.sample_times is not None:
             _sample_times(self.sample_times, self.t_end)
-        for entry in self.hist:
-            t, _ = entry
+        for t, s in self.hist:
             if not 0 <= t <= self.t_end:
                 raise ModelError("histogram times must lie within [0, t_end]")
+            if not isinstance(s, numbers.Integral):
+                raise ModelError(f"histogram state index must be an integer, got {s!r}")
 
     def grid(self) -> np.ndarray:
         if self.sample_times is not None:

@@ -153,3 +153,8 @@ def test_drift_matches_binomial_enumeration_on_lattice():
         assert np.max(np.abs(got - want)) <= 1e-12, (N, n1)
         checked += 1
     assert checked == 50
+
+
+def test_drift_refuses_an_occupancy_of_the_wrong_length():
+    with pytest.raises(ModelError, match="1 entries"):
+        drift(builtin_example(), 10, (1.0,))

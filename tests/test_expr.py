@@ -9,6 +9,8 @@ import pytest
 
 from popdrift.expr import (
     _MAX_DEPTH,
+    _MAX_TERMS,
+    _product_terms,
     BinOp,
     Call,
     ExprEvalError,
@@ -360,3 +362,38 @@ def test_folded_constants_keep_the_bits_of_run_time_arithmetic():
                                               "max": np.maximum})
         for point in ((0.2, 0.8), (1.0, 0.0)):
             assert fn(40.0, point) == ref(40.0, point), text
+
+
+def test_product_terms_split_reads_and_pull_constants_out():
+    e = parse("p*(1 - pow(0.5, N*m[a])*pow(0.25, N*m[b]))/m[c]")
+    terms = _product_terms(e, {"p": 2.0})
+    inv = (BinOp("/", Num(1.0), Occ("c")), {"c"})
+    pa, pb = (parse("pow(0.5, N*m[a])"), {"a"}), (parse("pow(0.25, N*m[b])"), {"b"})
+    assert terms == [(2.0, (inv,)), (-2.0, (pa, pb, inv))]
+
+
+def test_product_terms_keep_one_read_subtrees_and_calls_whole():
+    for text, reads in (
+        ("m[a]*(1 - m[a])", {"a"}),
+        ("exp(-m[a]*m[b])", {"a", "b"}),
+        ("min(1, m[a]/m[b])", {"a", "b"}),
+        ("pow(2, N)", set()),
+    ):
+        e = parse(text)
+        assert _product_terms(e, {}) == [(1.0, ((e, reads),))]
+
+
+def test_product_terms_stop_at_the_cap():
+    # 2^5 = 32 terms fit, 2^6 = 64 do not
+    e = parse("*".join(["(m[a] + m[b])"] * 5))
+    assert len(_product_terms(e, {})) == _MAX_TERMS == 32
+    e = parse("*".join(["(m[a] + m[b])"] * 6))
+    assert _product_terms(e, {}) is None
+
+
+def test_product_terms_pull_constants_out_of_one_read_subtrees():
+    f = (parse("pow(0.5, N*m[a])"), {"a"})
+    assert _product_terms(parse("p*pow(0.5, N*m[a])"), {"p": 3.0}) == [(3.0, (f,))]
+    assert _product_terms(parse("pow(0.5, N*m[a])/4"), {}) == [(0.25, (f,))]
+    inv = (BinOp("/", Num(1.0), Occ("a")), {"a"})
+    assert _product_terms(parse("0.3/m[a]"), {}) == [(0.3, (inv,))]

@@ -1,6 +1,8 @@
 """Poisson averaging: weights, mean intensities, mean drift."""
 
 import math
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +10,14 @@ from scipy.stats import poisson as sp_poisson
 
 from popdrift.errors import ModelError, NumericsError, RateError
 from popdrift.meandrift import (
+    _WHOLE_POINTS,
     LATTICE_POINT_CAP,
     mean_drift,
     mean_drift_field,
     poisson_mean_intensity,
     poisson_weights,
 )
+from popdrift import model as model_module
 from popdrift.model import builtin_example, load_model, sample_simplex
 
 P1, P2 = 0.008, 0.05
@@ -158,9 +162,25 @@ def test_mean_intensity_skips_singular_empty_state_points():
 
 
 def test_mean_intensity_lattice_cap():
-    model = builtin_example()
+    # a rate that does not split sums over the joint rectangle: 356,303,376
+    # points here
+    model = load_model("states = a, b\nrate a -> b : exp(-m[a]*m[b])\n")
     with pytest.raises(NumericsError, match="cap"):
-        poisson_mean_intensity(model, 4e6, (0.5, 0.5), "idle", "backoff")
+        poisson_mean_intensity(model, 4e6, (0.5, 0.5), "a", "b")
+
+
+def test_separable_rate_past_the_joint_lattice_cap_matches_its_closed_form():
+    # the joint rectangle is past the cap, but each factor averages over
+    # its own window: E[(K_a/N) q (1 - A^K_a B^K_b)] with K ~ Poisson(N m)
+    # is m_a q (1 - A e^{lam_a (A-1)} e^{lam_b (B-1)})
+    doc = "states = a, b\nrate a -> b : 0.5*(1 - pow(1 - 1e-7, N*m[a])*pow(1 - 2e-7, N*m[b]))\n"
+    model = load_model(doc)
+    N, m, q, A, B = 4e6, (0.5, 0.5), 0.5, 1 - 1e-7, 1 - 2e-7
+    assert rectangle_points(N, m) > LATTICE_POINT_CAP
+    want = m[0] * q * (1 - A * math.exp(N * m[0] * (A - 1)) * math.exp(N * m[1] * (B - 1)))
+    assert want == pytest.approx(0.11279710468391893, rel=1e-15)
+    got = poisson_mean_intensity(model, N, m, "a", "b")
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_mean_drift_zero_sum():
@@ -287,3 +307,190 @@ def test_mean_drift_rate_error_reports_m_on_the_unread_coordinates():
     model = load_model("states = a, b, c\nrate a -> b : m[b] - 0.1\n")
     with pytest.raises(RateError, match=r"rate a -> b at m=\(.*, 0\.5\): evaluated to -"):
         mean_drift(model, 20, (0.3, 0.2, 0.5))
+
+
+def test_poisson_weights_refuse_non_finite_rates():
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ModelError, match="finite"):
+            poisson_weights(lam, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "N, m, words",
+    [
+        (0.0, (0.5, 0.5), "population size"),
+        (math.inf, (0.5, 0.5), "population size"),
+        (math.nan, (0.5, 0.5), "population size"),
+        (10, (1.0,), "1 entries"),
+    ],
+)
+def test_mean_drift_refuses_bad_input_before_any_window(N, m, words):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match=words):
+            mean_drift(builtin_example(), N, m)
+
+
+def test_mean_drift_takes_occupancies_off_the_simplex():
+    # RK4 stage points need not sum to 1
+    got = mean_drift(builtin_example(), 10, (0.7, 0.5))
+    assert np.all(np.isfinite(got))
+
+
+def test_bundled_mean_drift_asks_for_no_block_over_more_than_one_axis(monkeypatch):
+    # every rate and group evaluation over a block goes through _batched
+    shapes = []
+    batched = model_module._batched
+
+    def record(fns, N, m, shape):
+        shapes.append((len(fns), shape))
+        return batched(fns, N, m, shape)
+
+    monkeypatch.setattr(model_module, "_batched", record)
+    mean_drift(builtin_example(), 1000, (0.3, 0.7))
+    # one block per coordinate, each group evaluated once: the idle block
+    # holds the intensity weight's 1 and (1-p1/2)^k, the backoff block
+    # (1-p2/2)^k
+    assert [n for n, _ in shapes] == [2, 1], shapes
+    assert all(sum(n > 1 for n in shape) <= 1 for _, shape in shapes), shapes
+
+
+def rectangle_points(N, m):
+    """Lattice points of the joint rectangle of all coordinates."""
+    return math.prod(len(poisson_weights(N * x, 1e-10 / (2 * len(m))).probs) for x in m)
+
+
+def spy_split_flows(monkeypatch):
+    """The dicts _RateTable.split_flows returns, in call order."""
+    returned = []
+    split_flows = model_module._RateTable.split_flows
+
+    def record(self, *args):
+        flows = split_flows(self, *args)
+        returned.append(dict(flows))
+        return flows
+
+    monkeypatch.setattr(model_module._RateTable, "split_flows", record)
+    return returned
+
+
+@pytest.mark.parametrize(
+    "rate, flow",
+    [
+        # one factor reads both coordinates
+        ("exp(-m[a]*m[b])", 0.31450023668315374),
+        # 64 terms, past the term cap
+        ("*".join(["(m[a]+m[b])"] * 6), 0.40845614008879777),
+        # splits, but the interval lower bound of its terms is negative
+        ("(m[a] - m[b])*(m[a] - m[b])", 0.016240399998955962),
+        # splits and is certified non-negative, but its two terms cancel
+        # by a factor of about 20
+        ("0.5*(1 - pow(0.9999, N*m[a])*pow(0.9999, N*m[b]))", 0.019050613140226474),
+    ],
+)
+def test_rates_summed_whole_keep_their_value(monkeypatch, rate, flow):
+    model = load_model(f"states = a, b\nrate a -> b : {rate}\n")
+    N, m = 1000, (0.4, 0.6)
+    assert rectangle_points(N, m) > _WHOLE_POINTS
+    returned = spy_split_flows(monkeypatch)
+    assert mean_drift(model, N, m).tolist() == [-flow, flow]
+    assert returned == [{}]
+
+
+def test_like_terms_are_one_term(monkeypatch):
+    # one term 0.5 m_a m_b, so the certificate holds: the intensity
+    # averages to 0.5 E[(K_a/N)^2] m_b = 0.5 (m_a^2 + m_a/N) m_b
+    model = load_model("states = a, b\nrate a -> b : m[a]*m[b] - m[a]*m[b]*0.5\n")
+    (term,) = model._rate_table.plan[0][0]
+    assert term[0] == 0.5
+    returned = spy_split_flows(monkeypatch)
+    N, (ma, mb) = 1000, (0.4, 0.6)
+    assert rectangle_points(N, (ma, mb)) > _WHOLE_POINTS
+    got = mean_drift(model, N, (ma, mb))[1]
+    assert list(returned[0]) == [0]
+    assert got == pytest.approx(0.5 * (ma * ma + ma / N) * mb, rel=1e-9)
+
+
+def test_rate_the_certificate_refuses_keeps_its_rate_error_and_point(monkeypatch):
+    # m[b] - 0.1 splits from its source, but is -0.1 at k_b = 0
+    model = load_model("states = a, b\nrate a -> b : m[b] - 0.1\n")
+    assert model._rate_table.plan[0][0] is not None
+    N, m = 4000, (0.999, 0.001)
+    assert rectangle_points(N, m) > _WHOLE_POINTS
+    returned = spy_split_flows(monkeypatch)
+    with pytest.raises(RateError) as err:
+        mean_drift(model, N, m)
+    assert returned == [{}]
+    assert str(err.value) == "rate a -> b at m=(0.89525, 0.0): evaluated to -0.1"
+
+
+@pytest.mark.parametrize("rate", ["min(1, 0.001/m[a])", "0.3/m[a]"])
+def test_split_source_factor_singular_at_an_empty_source_gives_no_nan(
+    monkeypatch, rate
+):
+    # each source factor times k_a/N is a constant c for k_a >= 1, so the
+    # intensity averages to c P(K_a >= 1) m_b m_c; at k_a = 0 the factor
+    # is 1 or inf, and the split excuses it as the rate check does
+    model = load_model(f"states = a, b, c\nrate a -> b : {rate}*m[b]*m[c]\n")
+    returned = spy_split_flows(monkeypatch)
+    N, m = 800, (0.005, 0.5, 0.495)
+    assert rectangle_points(N, m) > _WHOLE_POINTS
+    assert poisson_weights(N * m[0], 1e-10 / 6).k_min == 0
+    c = 0.001 if rate.startswith("min") else 0.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = poisson_mean_intensity(model, N, m, "a", "b")
+    assert list(returned[0]) == [0]
+    assert got == pytest.approx(c * (1 - math.exp(-N * m[0])) * m[1] * m[2], rel=1e-9)
+
+
+def test_only_rectangles_past_the_whole_points_are_split(monkeypatch):
+    m = (0.3, 0.7)
+    assert rectangle_points(100, m) <= _WHOLE_POINTS < rectangle_points(1000, m)
+    returned = spy_split_flows(monkeypatch)
+    for N in (100, 1000):
+        mean_drift(builtin_example(), N, m)
+    assert [sorted(flows) for flows in returned] == [[], [0, 1]]
+
+
+def sliced_rectangle_flows(model, N, m, tau):
+    """Every transition's Poisson-averaged intensity, summed over the
+    full rectangle of all coordinate windows one k_1 slice at a time."""
+    windows = [poisson_weights(N * x, tau / (2 * model.n_states)) for x in m]
+    rest = list(np.meshgrid(*[w.support() / N for w in windows[1:]], indexing="ij"))
+    weight = np.ones(rest[0].shape)
+    for c, w in enumerate(windows[1:]):
+        weight = weight * w.probs.reshape([-1 if d == c else 1 for d in range(len(rest))])
+    flows = [0.0] * len(model.transitions())
+    for k, p in zip(windows[0].support(), windows[0].probs):
+        grid = [np.full(weight.shape, k / N)] + rest
+        for pos, (i, _, fn) in enumerate(model.transitions()):
+            with np.errstate(all="ignore"):
+                q = np.broadcast_to(fn(float(N), grid), weight.shape).copy()
+            q[grid[i] == 0] = 0.0  # no intensity where the source is empty
+            flows[pos] += float(np.sum(grid[i] * q * weight)) * p
+    return flows
+
+
+MODELS_DIR = pathlib.Path(__file__).parents[1] / "perfbench" / "models"
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    [("bundled", 20), ("contention.pop", 20), ("sir.pop", 20)],
+)
+def test_split_mean_drift_equals_the_full_rectangle_sum(name, count):
+    if name == "bundled":
+        model = builtin_example()
+    else:
+        model = load_model((MODELS_DIR / name).read_text(encoding="utf-8"))
+    for N in (1, 2, 5, 10, 50, 200, 1000):
+        for m in sample_simplex(model.n_states, count, seed=N):
+            flows = sliced_rectangle_flows(model, N, m, 1e-10)
+            net = np.zeros(model.n_states)
+            for (i, j, _), flow in zip(model.transitions(), flows):
+                net[i] -= flow
+                net[j] += flow
+            got = mean_drift(model, N, m)
+            scale = sum(abs(f) for f in flows)
+            assert np.allclose(got, net, rtol=0, atol=1e-12 * scale), (N, m)

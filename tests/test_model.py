@@ -129,13 +129,16 @@ def test_single_pair_entry_points_evaluate_only_their_pairs(entry):
 
 
 def test_only_the_rate_table_pairs_evaluate_with_check():
-    # every other module takes its rates checked from _RateTable.rates
+    # every other module takes its rates checked from _RateTable.rates,
+    # and the mean drift its split rates certified from split_flows
     for info in pkgutil.iter_modules(popdrift.__path__):
         if info.name == "model":
             continue
         source = inspect.getsource(importlib.import_module(f"popdrift.{info.name}"))
         assert ".evaluate(" not in source, info.name
         assert ".check(" not in source, info.name
+        assert "_batched(" not in source, info.name
+        assert "_group_rows(" not in source, info.name
 
 
 def test_transitions_yield_kernels_for_points_and_arrays():

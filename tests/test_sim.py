@@ -610,3 +610,13 @@ def test_simconfig_takes_numpy_integers():
         N=np.int64(5), init=(5, 0), t_end=1.0, reps=np.int32(3), seed=np.uint8(2)
     )
     assert ensemble(builtin_example(), config).reps == 3
+
+
+def test_simconfig_refuses_a_non_integer_slotted_resolution():
+    with pytest.raises(ModelError, match="integer time resolution"):
+        SimConfig(N=5, init=(5, 0), t_end=10.0, reps=3, mode="slotted", resolution=2.5)
+
+
+def test_simconfig_refuses_a_non_integer_histogram_state_index():
+    with pytest.raises(ModelError, match="histogram state index must be an integer"):
+        SimConfig(N=5, init=(5, 0), t_end=10.0, reps=3, hist=((0.5, 1.5),))
