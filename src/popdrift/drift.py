@@ -12,6 +12,7 @@ N until it stalls.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -19,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ModelError, NumericsError
-from .model import ModelSpec, _flat_occupancy
+from .model import ModelSpec, _check_population, _flat_occupancy
 
 __all__ = [
     "VectorField",
@@ -42,15 +43,14 @@ class VectorField:
     kind: str
     N: Optional[float]
     fn: Callable[[np.ndarray], np.ndarray] = field(compare=False)
+    # the built-in fields' fn on lists of floats, to the same bits;
+    # integrate steps on lists and adapts fn when this is None
+    _lists: Optional[Callable[[list], list]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
         return self.fn(m)
-
-
-def _intensities(table, N: float, m) -> list:
-    # plain floats evaluate faster than numpy scalars, to the same bits
-    arr = _flat_occupancy(m, len(table.state_names)).tolist()
-    return table.intensities(table.rates(N, arr, occupied=True), arr)
 
 
 def intensity(model: ModelSpec, N: float, m, s: str, t: str) -> float:
@@ -59,6 +59,7 @@ def intensity(model: ModelSpec, N: float, m, s: str, t: str) -> float:
     The rate check sets a rate to 0 at an empty source, so the intensity
     is well defined even where the bare rate expression is singular there.
     """
+    _check_population(N)
     k = model._pair(s, t)
     if k is None:
         return 0.0
@@ -69,8 +70,8 @@ def intensity(model: ModelSpec, N: float, m, s: str, t: str) -> float:
 
 def drift(model: ModelSpec, N: float, m) -> np.ndarray:
     """Drift vector at occupancy m for population size N."""
-    table = model._rate_table
-    return table.net(_intensities(table, N, m))
+    _check_population(N)
+    return np.array(model._rate_table.drift(N, _flat_occupancy(m).tolist()))
 
 
 def limit_drift(model: ModelSpec, m, mode: str = "declared") -> np.ndarray:
@@ -81,15 +82,24 @@ def limit_drift(model: ModelSpec, m, mode: str = "declared") -> np.ndarray:
     values differ by less than 1e-9 in max norm, and raises
     NumericsError if that never happens by 2^20.
     """
+    return np.array(_limit_lists(model, mode)(_flat_occupancy(m).tolist()))
+
+
+def _limit_lists(model: ModelSpec, mode: str):
     if mode == "declared":
-        table = model._limit()
-        return table.net(_intensities(table, math.nan, m))
+        return functools.partial(model._limit().drift, math.nan)
     if mode != "numeric":
         raise ModelError(f"unknown limit mode {mode!r}")
-    prev: Optional[np.ndarray] = None
+    return functools.partial(_numeric_limit, model)
+
+
+def _numeric_limit(model: ModelSpec, m: list) -> list:
+    table = model._rate_table
+    prev: Optional[list] = None
     for k in range(7, 21):
-        cur = drift(model, float(2**k), m)
-        if prev is not None and float(np.max(np.abs(cur - prev))) < 1e-9:
+        cur = table.drift(float(2**k), m)
+        # a nan difference fails the test, as in a max norm
+        if prev is not None and all(abs(a - b) < 1e-9 for a, b in zip(cur, prev)):
             return cur
         prev = cur
     raise NumericsError(
@@ -100,7 +110,11 @@ def limit_drift(model: ModelSpec, m, mode: str = "declared") -> np.ndarray:
 
 def drift_field(model: ModelSpec, N: float) -> VectorField:
     """The finite-N drift as a reusable vector field."""
-    return VectorField(kind="drift", N=N, fn=lambda m: drift(model, N, m))
+    _check_population(N)
+    return VectorField(
+        kind="drift", N=N, fn=lambda m: drift(model, N, m),
+        _lists=functools.partial(model._rate_table.drift, N),
+    )
 
 
 def limit_field(model: ModelSpec, mode: str = "declared") -> VectorField:
@@ -110,5 +124,6 @@ def limit_field(model: ModelSpec, mode: str = "declared") -> VectorField:
             "model declares no limit rates; use mode='numeric'"
         )
     return VectorField(
-        kind="limit", N=None, fn=lambda m: limit_drift(model, m, mode=mode)
+        kind="limit", N=None, fn=lambda m: limit_drift(model, m, mode=mode),
+        _lists=_limit_lists(model, mode),
     )

@@ -28,7 +28,7 @@ import numpy as np
 
 from .drift import VectorField
 from .errors import ModelError, NumericsError
-from .model import ModelSpec, _flat_occupancy
+from .model import ModelSpec, _check_population, _flat_occupancy
 
 __all__ = [
     "PoissonWeights",
@@ -265,8 +265,7 @@ def _clamped(x: float) -> float:
 
 def _coordinate_windows(model: ModelSpec, N: float, m, tau: float):
     # the occupancy need not sum to 1: RK4 stage points leave the simplex
-    if not 0 < N < math.inf:
-        raise ModelError(f"population size N must be positive and finite, got {N}")
+    _check_population(N)
     arr = _flat_occupancy(m, model.n_states)
     budget = tau / (2 * model.n_states)
     windows = [poisson_weights(N * _clamped(float(x)), budget) for x in arr]
@@ -289,11 +288,15 @@ def poisson_mean_intensity(
     return _window_lattice_sum(model._rate_table, N, arr, windows, ks=(k,))[0]
 
 
-def mean_drift(model: ModelSpec, N: float, m, tau: float = 1e-10) -> np.ndarray:
-    """Mean drift vector: Poisson-averaged intensities on e_t - e_s."""
+def _mean_drift_lists(model: ModelSpec, N: float, m, tau: float) -> list:
     arr, windows = _coordinate_windows(model, N, m, tau)
     table = model._rate_table
     return table.net(_window_lattice_sum(table, N, arr, windows))
+
+
+def mean_drift(model: ModelSpec, N: float, m, tau: float = 1e-10) -> np.ndarray:
+    """Mean drift vector: Poisson-averaged intensities on e_t - e_s."""
+    return np.array(_mean_drift_lists(model, N, m, tau))
 
 
 def mean_drift_field(
@@ -301,5 +304,6 @@ def mean_drift_field(
 ) -> VectorField:
     """The mean drift as a reusable vector field."""
     return VectorField(
-        kind="mean-drift", N=N, fn=lambda m: mean_drift(model, N, m, tau=tau)
+        kind="mean-drift", N=N, fn=lambda m: mean_drift(model, N, m, tau=tau),
+        _lists=lambda m: _mean_drift_lists(model, N, m, tau),
     )

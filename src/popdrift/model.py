@@ -323,13 +323,18 @@ class _RateTable:
         """m_s * rate for every transition, q as ``rates`` returns it."""
         return [m[i] * value for i, value in zip(self.sources, q)]
 
-    def net(self, flows) -> np.ndarray:
+    def net(self, flows) -> list:
         """Sum of each transition's flow along e_t - e_s."""
         out = [0.0] * len(self.state_names)
         for i, j, flow in zip(self.sources, self.targets, flows):
             out[i] -= flow
             out[j] += flow
-        return np.array(out, dtype=float)
+        return out
+
+    def drift(self, N, m: list) -> list:
+        """The drift at occupancy m, a list of floats, one per state."""
+        _check_length(m, len(self.state_names))
+        return self.net(self.intensities(self.rates(N, m, occupied=True), m))
 
     def slot_row(self, rates, i: int, D: int):
         """Per-agent move probabilities out of state i in a slot of width 1/D.
@@ -465,15 +470,23 @@ class ModelSpec:
         return self.rates.get((s, t), ex.Num(0.0))
 
 
+def _check_population(N) -> None:
+    if not 0 < N < math.inf:
+        raise ModelError(f"population size N must be positive and finite, got {N}")
+
+
+def _check_length(m, n_states: int) -> None:
+    if len(m) != n_states:
+        raise ModelError(f"occupancy has {len(m)} entries, model has {n_states} states")
+
+
 def _flat_occupancy(m, n_states: Optional[int] = None) -> np.ndarray:
     """m as a flat float vector, with n_states entries when given."""
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 1:
         raise ModelError("occupancy must be a flat vector")
-    if n_states is not None and arr.shape[0] != n_states:
-        raise ModelError(
-            f"occupancy has {arr.shape[0]} entries, model has {n_states} states"
-        )
+    if n_states is not None:
+        _check_length(arr, n_states)
     return arr
 
 

@@ -12,7 +12,9 @@ aborts with a diagnostic.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -52,7 +54,7 @@ class Trajectory:
 
     def sample(self, times) -> np.ndarray:
         """Occupancies at the given times by linear interpolation."""
-        ts = np.asarray(times, dtype=float)
+        ts = _time_vector(times)
         if ts.size and (ts.min() < self.times[0] - 1e-12
                         or ts.max() > self.times[-1] + 1e-12):
             raise ModelError(
@@ -64,6 +66,15 @@ class Trajectory:
         return out
 
 
+def _time_vector(times) -> np.ndarray:
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1:
+        raise ModelError("sample times must be a vector")
+    if not np.all(np.isfinite(ts)):
+        raise ModelError("sample times must be finite")
+    return ts
+
+
 def _step_boundaries(
     t_end: float, h: float, sample_times: Optional[Sequence[float]]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -71,11 +82,7 @@ def _step_boundaries(
     grid = np.arange(0.0, t_end, h)
     pieces = [grid, np.array([t_end])]
     if sample_times is not None:
-        extra = np.asarray(sample_times, dtype=float)
-        if extra.ndim != 1:
-            raise ModelError("sample times must be a vector")
-        if not np.all(np.isfinite(extra)):
-            raise ModelError("sample times must be finite")
+        extra = _time_vector(sample_times)
         if extra.size:
             if extra.min() < 0.0 or extra.max() > t_end + 1e-12:
                 raise ModelError("sample times must lie within [0, t_end]")
@@ -97,6 +104,35 @@ def _step_boundaries(
     return bounds, record
 
 
+def _sum(y: list) -> float:
+    # numpy's y.sum(): in order below 8 values, pairwise from 8 up (the
+    # builtin sum compensates its rounding from Python 3.12 on)
+    return functools.reduce(operator.add, y) if len(y) < 8 else float(np.sum(y))
+
+
+def _stage(y: list, h: float, k: list) -> list:
+    """The stage point y + h*k.  A stage point can leave the simplex where
+    a step would not, and the field is only defined on it: unless a
+    component is nan, components at or below 0 are then set to +0.0."""
+    point = [a + h * b for a, b in zip(y, k)]
+    if min(point) < 0.0 and not any(map(math.isnan, point)):
+        point = [x if x > 0.0 else 0.0 for x in point]
+    return point
+
+
+def _on_lists(field: VectorField, n: int):
+    """field on lists of floats: its fn gets an ndarray and must return n values."""
+    def lists(y: list) -> list:
+        k = np.asarray(field(np.array(y)), dtype=float)
+        if k.shape != (n,):
+            raise NumericsError(
+                f"field value has shape {k.shape}, the state has {n} entries"
+            )
+        return k.tolist()
+
+    return lists
+
+
 def integrate(
     field: VectorField,
     phi0,
@@ -107,11 +143,13 @@ def integrate(
     """Integrate dphi/dt = field(phi) from phi0 over [0, t_end].
 
     Output is sampled at ``sample_times`` plus both endpoints; when no
-    sample times are given, every step boundary is recorded.
+    sample times are given, every step boundary is recorded.  The state
+    is stepped as a list of floats, with numpy's order of operations, so
+    trajectories equal those of the same RK4 scheme on arrays bit for bit.
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ModelError(f"t_end must be finite and positive, got {t_end}")
-    y = check_occupancy(phi0).copy()
+    y = check_occupancy(phi0).tolist()
     h = step if step is not None else min(0.1, t_end / 1000.0)
     if not h > 0:
         raise ModelError(f"step must be positive, got {h}")
@@ -120,46 +158,43 @@ def integrate(
             f"horizon {t_end} at step {h} needs more than {STEP_CAP} steps"
         )
     bounds, record = _step_boundaries(t_end, h, sample_times)
-
-    record_idx = 0
+    bounds, record = bounds.tolist(), record.tolist()
+    f = field._lists or _on_lists(field, len(y))
+    slack = 1e-12 * max(1.0, t_end)
     times: list[float] = []
-    states: list[np.ndarray] = []
+    states: list[list] = []
 
-    def maybe_record(t: float) -> None:
-        nonlocal record_idx
-        while record_idx < len(record) and record[record_idx] <= t + 1e-12 * max(1.0, t_end):
-            times.append(float(record[record_idx]))
-            states.append(y.copy())
-            record_idx += 1
+    def keep(t: float) -> None:
+        while len(times) < len(record) and record[len(times)] <= t + slack:
+            times.append(record[len(times)])
+            states.append(y)
 
-    def at_stage(point: np.ndarray) -> np.ndarray:
-        # a stage point can leave the simplex where a step would not;
-        # the field is only defined on it
-        if point.min() < 0.0:
-            np.maximum(point, 0.0, out=point)
-        return np.asarray(field(point), dtype=float)
-
-    maybe_record(0.0)
-    for idx in range(len(bounds) - 1):
-        t0, t1 = bounds[idx], bounds[idx + 1]
+    keep(0.0)
+    for t0, t1 in zip(bounds, bounds[1:]):
         dt = t1 - t0
-        k1 = np.asarray(field(y), dtype=float)
-        k2 = at_stage(y + 0.5 * dt * k1)
-        k3 = at_stage(y + 0.5 * dt * k2)
-        k4 = at_stage(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+        k1 = f(y)
+        k2 = f(_stage(y, 0.5 * dt, k1))
+        k3 = f(_stage(y, 0.5 * dt, k2))
+        k4 = f(_stage(y, dt, k3))
+        c = dt / 6.0
+        y = [a + c * (((p + 2.0 * q) + 2.0 * r) + s)
+             for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, y)):
             raise NumericsError(
                 f"integration produced a non-finite state at t={t1}"
             )
-        low = float(y.min())
+        low = min(y)
         if low < -1e-9:
             raise NumericsError(
                 f"integration left the simplex at t={t1}: component {low}"
             )
-        np.clip(y, 0.0, None, out=y)
-        y /= y.sum()
-        maybe_record(t1)
+        if low <= 0.0:  # as np.clip, also -0.0 becomes 0.0
+            y = [x if x > 0.0 else 0.0 for x in y]
+        total = _sum(y)
+        if total == 0.0:
+            raise NumericsError(f"integration emptied the simplex at t={t1}")
+        y = [x / total for x in y]
+        keep(t1)
     return Trajectory(
         times=np.array(times),
         states=np.array(states),

@@ -14,6 +14,7 @@ from popdrift.drift import (
 )
 from popdrift.errors import ModelError, NumericsError
 from popdrift.model import builtin_example, load_model, sample_simplex
+from popdrift.odesolve import solve
 
 P1, P2 = 0.008, 0.05
 
@@ -158,3 +159,17 @@ def test_drift_matches_binomial_enumeration_on_lattice():
 def test_drift_refuses_an_occupancy_of_the_wrong_length():
     with pytest.raises(ModelError, match="1 entries"):
         drift(builtin_example(), 10, (1.0,))
+
+
+@pytest.mark.parametrize("N", [0, -5, math.inf, math.nan])
+def test_drift_refuses_a_population_size_that_is_not_positive_and_finite(N):
+    model = builtin_example()
+    calls = (
+        lambda: drift(model, N, (0.5, 0.5)),
+        lambda: intensity(model, N, (0.5, 0.5), "idle", "backoff"),
+        lambda: drift_field(model, N),
+        lambda: solve(model, "drift", N, (0.5, 0.5), 1.0),
+    )
+    for call in calls:
+        with pytest.raises(ModelError, match="population size N must be positive and finite"):
+            call()

@@ -1,14 +1,18 @@
 """Fixed-step integration of occupancy fields."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from popdrift.drift import VectorField, drift
+from popdrift.drift import VectorField, drift, drift_field, limit_field
 from popdrift.errors import ModelError, NumericsError
-from popdrift.model import builtin_example, load_model
-from popdrift.odesolve import integrate, solve
+from popdrift.meandrift import mean_drift_field
+from popdrift.model import builtin_example, check_occupancy, load_model
+from popdrift.odesolve import Trajectory, _step_boundaries, integrate, solve
+
+MODELS_DIR = pathlib.Path(__file__).parents[1] / "perfbench" / "models"
 
 P1, P2 = 0.008, 0.05
 
@@ -195,3 +199,122 @@ def test_trajectory_metadata():
     traj = solve(model, "drift", 7, (1.0, 0.0), 5.0)
     assert traj.kind == "drift" and traj.N == 7
     assert traj.step == pytest.approx(min(0.1, 5.0 / 1000))
+
+
+def reference_integrate(field, phi0, t_end, step=None, sample_times=None):
+    """The RK4 loop on numpy arrays that ``integrate`` replaced, kept to
+    compare against: ``integrate`` must give the same bits."""
+    y = check_occupancy(phi0).copy()
+    h = step if step is not None else min(0.1, t_end / 1000.0)
+    bounds, record = _step_boundaries(t_end, h, sample_times)
+
+    record_idx = 0
+    times = []
+    states = []
+
+    def maybe_record(t):
+        nonlocal record_idx
+        while record_idx < len(record) and record[record_idx] <= t + 1e-12 * max(1.0, t_end):
+            times.append(float(record[record_idx]))
+            states.append(y.copy())
+            record_idx += 1
+
+    def at_stage(point):
+        if point.min() < 0.0:
+            np.maximum(point, 0.0, out=point)
+        return np.asarray(field(point), dtype=float)
+
+    maybe_record(0.0)
+    for idx in range(len(bounds) - 1):
+        t0, t1 = bounds[idx], bounds[idx + 1]
+        dt = t1 - t0
+        k1 = np.asarray(field(y), dtype=float)
+        k2 = at_stage(y + 0.5 * dt * k1)
+        k3 = at_stage(y + 0.5 * dt * k2)
+        k4 = at_stage(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.all(np.isfinite(y)) and float(y.min()) >= -1e-9
+        np.clip(y, 0.0, None, out=y)
+        y /= y.sum()
+        maybe_record(t1)
+    return Trajectory(
+        times=np.array(times), states=np.array(states), kind=field.kind,
+        N=field.N, step=h,
+    )
+
+
+def _pop_model(name):
+    return load_model((MODELS_DIR / name).read_text(encoding="utf-8"))
+
+
+def _nine_states():
+    # a ring of 9 states: numpy sums 8 or more values pairwise
+    names = [f"s{i}" for i in range(9)]
+    doc = f"states = {', '.join(names)}\n" + "".join(
+        f"rate {a} -> {b} : 0.3 + m[{b}]\n" for a, b in zip(names, names[1:] + names[:1])
+    )
+    return drift_field(load_model(doc), 10), [1.0] + [0.0] * 8
+
+
+def _stage_clip():
+    # stiff at step 0.05: stage points put component 0 below zero
+    def fn(m):
+        return np.array([2.0 * m[1] - 60.0 * m[0], 60.0 * m[0] - 2.0 * m[1]])
+
+    return VectorField(kind="drift", N=1, fn=fn), (0.05, 0.95)
+
+
+ODE_CASES = {
+    "bundled drift N=50": lambda: (drift_field(builtin_example(), 50), (1.0, 0.0)),
+    "bundled declared limit": lambda: (limit_field(builtin_example()), (1.0, 0.0)),
+    "sirs drift": lambda: (drift_field(_pop_model("sir.pop"), 100), (0.9, 0.1, 0.0)),
+    "sirs mean drift": lambda: (
+        mean_drift_field(_pop_model("sir.pop"), 100), (0.9, 0.1, 0.0)
+    ),
+    "contention drift": lambda: (
+        drift_field(_pop_model("contention.pop"), 40), (1.0, 0.0, 0.0)
+    ),
+    "contention numeric limit": lambda: (
+        limit_field(_pop_model("contention.pop"), mode="numeric"), (1.0, 0.0, 0.0)
+    ),
+    "caller-built field": lambda: (
+        VectorField(kind="drift", N=3, fn=lambda m: np.array([m[1] - 0.3 * m[0] ** 2,
+                                                              0.3 * m[0] ** 2 - m[1]])),
+        (0.2, 0.8),
+    ),
+    "drain": lambda: (
+        VectorField(kind="drift", N=1, fn=lambda m: np.array([-1e-11, 1e-11]) / 0.01),
+        (0.0, 1.0),
+    ),
+    "nine states": _nine_states,
+    "stage point clipped": _stage_clip,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ODE_CASES))
+@pytest.mark.parametrize("sample_times", [None, [0.37, 1.5]])
+def test_integrate_matches_the_numpy_reference(case, sample_times):
+    field, phi0 = ODE_CASES[case]()
+    got = integrate(field, phi0, 2.0, step=0.05, sample_times=sample_times)
+    want = reference_integrate(field, phi0, 2.0, step=0.05, sample_times=sample_times)
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.states.tobytes() == want.states.tobytes()
+    assert (got.kind, got.N, got.step) == (want.kind, want.N, want.step)
+    if case == "stage point clipped":
+        seen = []
+        spy = VectorField(field.kind, field.N, lambda m: seen.append(m[0]) or field(m))
+        reference_integrate(spy, phi0, 2.0, step=0.05, sample_times=sample_times)
+        assert 0.0 in seen
+
+
+def test_integrate_refuses_a_field_value_of_another_length():
+    short = VectorField(kind="drift", N=1, fn=lambda m: np.array([0.5]))
+    with pytest.raises(NumericsError, match=r"shape \(1,\), the state has 2 entries"):
+        integrate(short, (0.5, 0.5), 1.0)
+
+
+@pytest.mark.parametrize("times", [[math.nan], [0.5, math.inf], [[0.1, 0.2]], 0.5])
+def test_trajectory_sample_refuses_what_sample_times_refuse(times):
+    traj = solve(builtin_example(), "drift", 10, (1.0, 0.0), 1.0)
+    with pytest.raises(ModelError, match="sample times must be"):
+        traj.sample(times)
