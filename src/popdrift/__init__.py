@@ -93,6 +93,7 @@ __all__ = [
     "expected_occupancy",
     "generator",
     "generator_check",
+    "integrate",
     "intensity",
     "largest_remainder_counts",
     "limit_drift",

@@ -13,6 +13,7 @@ model errors and 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from typing import Optional
@@ -32,6 +33,7 @@ from .expr import ExprError
 from .meandrift import mean_drift
 from .model import (
     ModelSpec,
+    _check_population as _check_positive_finite,
     builtin_example,
     check_occupancy,
     largest_remainder_counts,
@@ -98,8 +100,10 @@ _SECOND_STATE = 1
 
 
 def _check_population(N) -> None:
+    # the library takes any positive finite N; a command needs one agent
     if not N >= 1:  # also rejects NaN
         raise ModelError("population size N must be at least 1")
+    _check_positive_finite(N)
 
 
 def _check_horizon(t) -> None:
@@ -304,36 +308,33 @@ def _cmd_simulate(args):
     return lines, 0
 
 
-def _compare_row(model, N, args, seed):
+def _compare_row(model, N, args, seed) -> dict:
+    """The row's cells by column; a cell that fails leaves a warning line."""
     init = np.asarray(args.init)
     second = _SECOND_STATE
     cells = {}
-    notes = []
-    try:
-        cells["phi2_drift"] = solve(
-            model, "drift", N, init, args.t, step=args.step
-        ).final[second]
-    except (ModelError, NumericsError) as exc:
-        notes.append(f"warning: N={N} phi2_drift failed: {exc}")
-    try:
-        cells["phi2_meandrift"] = solve(
-            model, "meandrift", N, init, args.t, step=args.step, tau=args.tau
-        ).final[second]
-    except (ModelError, NumericsError) as exc:
-        notes.append(f"warning: N={N} phi2_meandrift failed: {exc}")
-    try:
+
+    @contextlib.contextmanager
+    def cell(name):
+        try:
+            yield
+        except (ModelError, NumericsError) as exc:
+            sys.stderr.write(f"warning: N={N} {name} failed: {exc}\n")
+
+    for variant in ("drift", "meandrift"):
+        with cell(f"phi2_{variant}"):
+            cells[f"phi2_{variant}"] = solve(
+                model, variant, N, init, args.t, step=args.step, tau=args.tau
+            ).final[second]
+    with cell("phi2_exact"):
         _, dist = _exact_transient(args, model, N)
         cells["phi2_exact"] = expected_occupancy(dist)[second]
-    except (ModelError, NumericsError) as exc:
-        notes.append(f"warning: N={N} phi2_exact failed: {exc}")
     if args.reps > 0:
-        try:
+        with cell("phi2_sim"):
             stats = ensemble(model, _sim_config(args, N, seed, (0.0, args.t)))
             cells["phi2_sim_mean"] = stats.mean[-1, second]
             cells["phi2_sim_stderr"] = stats.stderr[-1, second]
-        except (ModelError, NumericsError) as exc:
-            notes.append(f"warning: N={N} phi2_sim failed: {exc}")
-    return cells, notes
+    return cells
 
 
 def _cmd_compare(args):
@@ -346,9 +347,7 @@ def _cmd_compare(args):
         columns += ["phi2_sim_mean", "phi2_sim_stderr"]
     lines = ["N," + ",".join(columns)]
     for k, N in enumerate(args.Ns):
-        cells, notes = _compare_row(model, N, args, args.seed + k)
-        for note in notes:
-            sys.stderr.write(note + "\n")
+        cells = _compare_row(model, N, args, args.seed + k)
         row = [str(N)]
         for col in columns:
             row.append(_fmt(cells[col]) if col in cells else "")

@@ -23,6 +23,7 @@ Poisson tails add up to the error the result reports.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,8 @@ def enumerate_states(n_states: int, N: int) -> LumpedStateSpace:
     Errors when the stars-and-bars size C(N+I-1, I-1) exceeds
     STATE_SPACE_CAP.
     """
+    if not isinstance(N, numbers.Integral):
+        raise ModelError(f"N must be an integer, got {N!r}")
     if n_states < 1 or N < 0:
         raise ModelError("need n_states >= 1 and N >= 0")
     size = math.comb(N + n_states - 1, n_states - 1)

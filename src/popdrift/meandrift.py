@@ -95,6 +95,11 @@ def _mode_probability(lam: float, mode: int) -> float:
     )
 
 
+def _check_tolerance(tau: float) -> None:
+    if not 0 < tau < 1:
+        raise ModelError(f"tail tolerance must be in (0, 1), got {tau}")
+
+
 def poisson_weights(lam: float, tau: float) -> PoissonWeights:
     """Poisson pmf window covering at least 1-tau of the mass.
 
@@ -109,8 +114,7 @@ def poisson_weights(lam: float, tau: float) -> PoissonWeights:
     """
     if not 0 <= lam < math.inf:
         raise ModelError(f"Poisson rate must be finite and non-negative, got {lam}")
-    if not 0 < tau < 1:
-        raise ModelError(f"tail tolerance must be in (0, 1), got {tau}")
+    _check_tolerance(tau)
     mode = int(math.floor(lam))
     p_mode = _mode_probability(lam, mode)
     nats = math.log(2.0 / tau)
@@ -266,6 +270,7 @@ def _clamped(x: float) -> float:
 def _coordinate_windows(model: ModelSpec, N: float, m, tau: float):
     # the occupancy need not sum to 1: RK4 stage points leave the simplex
     _check_population(N)
+    _check_tolerance(tau)
     arr = _flat_occupancy(m, model.n_states)
     budget = tau / (2 * model.n_states)
     windows = [poisson_weights(N * _clamped(float(x)), budget) for x in arr]
@@ -303,6 +308,7 @@ def mean_drift_field(
     model: ModelSpec, N: float, tau: float = 1e-10
 ) -> VectorField:
     """The mean drift as a reusable vector field."""
+    _check_tolerance(tau)
     return VectorField(
         kind="mean-drift", N=N, fn=lambda m: mean_drift(model, N, m, tau=tau),
         _lists=lambda m: _mean_drift_lists(model, N, m, tau),

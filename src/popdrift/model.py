@@ -622,6 +622,7 @@ def validate(
     estimates the drift's Lipschitz constant and bound from consecutive
     sample pairs.
     """
+    _check_population(N)
     if sample_count < 2:
         raise ModelError("sample_count must be at least 2")
     if seed < 0:

@@ -79,29 +79,22 @@ def _step_boundaries(
     t_end: float, h: float, sample_times: Optional[Sequence[float]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """All step boundary times, and which of them are recorded."""
-    grid = np.arange(0.0, t_end, h)
-    pieces = [grid, np.array([t_end])]
-    if sample_times is not None:
-        extra = _time_vector(sample_times)
-        if extra.size:
-            if extra.min() < 0.0 or extra.max() > t_end + 1e-12:
-                raise ModelError("sample times must lie within [0, t_end]")
-            pieces.append(np.clip(extra, 0.0, t_end))
-        record = np.unique(np.concatenate([np.array([0.0, t_end]), extra]))
-    else:
-        record = None
-    bounds = np.unique(np.concatenate(pieces))
-    # collapse boundaries closer than float resolution allows
-    keep = np.ones(len(bounds), dtype=bool)
-    keep[1:] = np.diff(bounds) > 1e-12 * max(1.0, t_end)
-    bounds = bounds[keep]
-    if record is None:
-        record = bounds
-    else:
-        keep = np.ones(len(record), dtype=bool)
-        keep[1:] = np.diff(record) > 1e-12 * max(1.0, t_end)
-        record = record[keep]
-    return bounds, record
+
+    def merged(*pieces) -> np.ndarray:
+        # sorted, with times closer than float resolution allows collapsed
+        times = np.unique(np.concatenate(pieces))
+        keep = np.ones(len(times), dtype=bool)
+        keep[1:] = np.diff(times) > 1e-12 * max(1.0, t_end)
+        return times[keep]
+
+    grid = (np.arange(0.0, t_end, h), [t_end])
+    if sample_times is None:
+        bounds = merged(*grid)
+        return bounds, bounds
+    extra = _time_vector(sample_times)
+    if extra.size and (extra.min() < 0.0 or extra.max() > t_end + 1e-12):
+        raise ModelError("sample times must lie within [0, t_end]")
+    return merged(*grid, np.clip(extra, 0.0, t_end)), merged([0.0, t_end], extra)
 
 
 def _sum(y: list) -> float:
@@ -220,17 +213,14 @@ def solve(
     'limit' (N is ignored; declared limit rates are used when present,
     numeric stabilization otherwise).
     """
-    if variant == "drift":
-        if N is None:
-            raise ModelError("variant 'drift' needs N")
-        field = drift_field(model, N)
-    elif variant == "meandrift":
-        if N is None:
-            raise ModelError("variant 'meandrift' needs N")
-        field = mean_drift_field(model, N, tau=tau)
-    elif variant == "limit":
+    if variant == "limit":
         mode = "declared" if model.has_limit else "numeric"
         field = limit_field(model, mode=mode)
+    elif variant in ("drift", "meandrift"):
+        if N is None:
+            raise ModelError(f"variant {variant!r} needs N")
+        field = (drift_field(model, N) if variant == "drift"
+                 else mean_drift_field(model, N, tau=tau))
     else:
         raise ModelError(f"unknown variant {variant!r}")
     return integrate(field, phi0, t_end, step=step, sample_times=sample_times)

@@ -26,7 +26,10 @@ from .drift import drift
 from .errors import ModelError, NumericsError
 from .meandrift import poisson_weights
 from .model import ModelSpec, check_counts
-from .odesolve import Trajectory
+from .odesolve import Trajectory, _time_vector
+
+__all__ = ["SimConfig", "SimStats", "GeneratorCheck", "simulate_ctmc",
+           "simulate_slotted", "ensemble", "poisson_marginal_fit", "generator_check"]
 
 _CHUNK_REPS = 64
 _SLOT_BLOCK = 1024
@@ -37,12 +40,10 @@ _MEMO_CAP = 1024  # count vectors a _JumpLaw holds before it starts over
 
 
 def _sample_times(ts, t_end: float) -> np.ndarray:
-    """ts as a float vector: non-empty, finite, sorted, within [0, t_end]."""
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
+    """ts as odesolve's sample times, also non-empty, sorted, within [0, t_end]."""
+    ts = _time_vector(ts)
+    if ts.size == 0:
         raise ModelError("sample times must be a non-empty vector")
-    if not np.all(np.isfinite(ts)):
-        raise ModelError("sample times must be finite")
     if np.any(ts < 0) or np.any(ts > t_end):
         raise ModelError("sample times must lie within [0, t_end]")
     if np.any(np.diff(ts) < 0):
@@ -255,6 +256,12 @@ def simulate_slotted(model: ModelSpec, N: int, D: int, init, t_end: float, rng, 
     return out, z
 
 
+def _replication_rngs(config: SimConfig):
+    """Replication r's generator, r = 0 .. reps-1: the r-th spawn of the seed."""
+    for stream in np.random.SeedSequence(config.seed).spawn(config.reps):
+        yield np.random.default_rng(stream)
+
+
 def _sampler(model: ModelSpec, config: SimConfig):
     """path(rng, at) in config's mode; jump-chain paths share one jump law."""
     check_counts(config.init, config.N, model.n_states)
@@ -308,7 +315,7 @@ def ensemble(
     ref_vals = reference.sample(grid) if reference is not None else None
     R = config.reps
     n = model.n_states
-    streams = np.random.SeedSequence(config.seed).spawn(R)
+    rngs = _replication_rngs(config)
 
     total = np.zeros((grid.size, n))
     totalsq = np.zeros((grid.size, n))
@@ -324,8 +331,7 @@ def ensemble(
     for lo in range(0, R, _CHUNK_REPS):
         part = np.zeros((grid.size, n))
         partsq = np.zeros((grid.size, n))
-        for r in range(lo, min(R, lo + _CHUNK_REPS)):
-            rng = np.random.default_rng(streams[r])
+        for r, rng in zip(range(lo, min(R, lo + _CHUNK_REPS)), rngs):
             try:
                 counts, jump_totals = path(rng, at)
             except (ModelError, NumericsError) as exc:
@@ -391,8 +397,6 @@ def poisson_marginal_fit(histogram, lam: float) -> float:
     total = h.sum()
     if total <= 0:
         raise ModelError("histogram holds no observations")
-    if not math.isfinite(lam) or lam < 0:
-        raise ModelError("Poisson rate must be finite and non-negative")
     window = poisson_weights(lam, _FIT_TAU)
     # the window on the histogram's support; mass outside it is tail
     pmf = np.pad(window.probs, (window.k_min, h.size))[:h.size]
@@ -433,19 +437,14 @@ def generator_check(
     mid = 0.5 * (w0 + w1)
     probe = np.array([w0, mid, w1])
     R = config.reps
-    streams = np.random.SeedSequence(config.seed).spawn(R)
-    diffs = np.zeros((R, model.n_states))
     fds = np.zeros((R, model.n_states))
     drs = np.zeros((R, model.n_states))
     path = _sampler(model, config)
-    for r in range(R):
-        rng = np.random.default_rng(streams[r])
+    for r, rng in enumerate(_replication_rngs(config)):
         occ = path(rng, probe)[0] / float(config.N)
-        fd = (occ[2] - occ[0]) / (w1 - w0)
-        dr = drift(model, config.N, occ[1])
-        fds[r] = fd
-        drs[r] = dr
-        diffs[r] = fd - dr
+        fds[r] = (occ[2] - occ[0]) / (w1 - w0)
+        drs[r] = drift(model, config.N, occ[1])
+    diffs = fds - drs
     disc = diffs.mean(axis=0)
     if R > 1:
         se = diffs.std(axis=0, ddof=1) / math.sqrt(R)

@@ -125,6 +125,43 @@ def test_population_below_one_exits_2(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("validate", "--N", "inf", "--samples", "10"),
+        ("drift", "--N", "inf", "--m", "1,0"),
+        ("meandrift", "--N", "inf", "--m", "1,0"),
+        ("ode", "--variant", "drift", "--N", "inf", "--init", "1,0", "--t", "1"),
+    ],
+    ids=["validate", "drift", "meandrift", "ode"],
+)
+def test_infinite_population_exits_2(capsys, argv):
+    # the CLI's floor of one agent, then the library's finiteness check
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == (
+        "error: model: population size N must be positive and finite, got inf\n"
+    )
+    assert out == ""
+
+
+@pytest.mark.parametrize("tau", ["1.5", "5", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("meandrift", "--N", "10", "--m", "1,0"),
+        ("ode", "--variant", "meandrift", "--N", "10", "--init", "1,0", "--t", "1"),
+    ],
+    ids=["meandrift", "ode"],
+)
+def test_tau_outside_the_unit_interval_exits_2(capsys, argv, tau):
+    # the error names the tolerance given, not its per-coordinate share
+    code, out, err = run(capsys, *argv, "--tau", tau)
+    assert code == 2
+    assert err == f"error: model: tail tolerance must be in (0, 1), got {float(tau)}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("exact", "--N", "5", "--init", "1,0", "--t", "nan"),
         ("exact", "--N", "5", "--init", "1,0", "--t", "inf"),
         ("compare", "--Ns", "1,2", "--init", "1,0", "--t", "nan"),

@@ -83,6 +83,17 @@ def test_enumerate_cap():
         enumerate_states(3, 2000)
 
 
+@pytest.mark.parametrize("N", [2.5, 3.0])
+def test_enumerate_refuses_a_population_size_that_is_not_an_integer(N):
+    with pytest.raises(ModelError, match=f"N must be an integer, got {N}"):
+        enumerate_states(2, N)
+
+
+def test_enumerate_takes_a_numpy_integer():
+    space = enumerate_states(2, np.int64(3))
+    assert space.states.tolist() == enumerate_states(2, 3).states.tolist()
+
+
 def test_generator_n1_example_rates():
     model = builtin_example()
     space = enumerate_states(2, 1)

@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -329,6 +330,21 @@ def test_mean_drift_refuses_bad_input_before_any_window(N, m, words):
         warnings.simplefilter("error")
         with pytest.raises(ModelError, match=words):
             mean_drift(builtin_example(), N, m)
+
+
+@pytest.mark.parametrize("tau", [1.5, 5.0, 1.0, 0.0, -1e-3, math.nan])
+def test_mean_drift_refuses_a_tolerance_outside_the_unit_interval(tau):
+    # the refusal names the caller's tau, not its per-coordinate share
+    model, m = builtin_example(), (0.4, 0.6)
+    words = re.escape(f"tail tolerance must be in (0, 1), got {tau}")
+    refusals = [
+        lambda: mean_drift(model, 10, m, tau=tau),
+        lambda: poisson_mean_intensity(model, 10, m, "idle", "backoff", tau=tau),
+        lambda: mean_drift_field(model, 10, tau=tau),
+    ]
+    for refuse in refusals:
+        with pytest.raises(ModelError, match=f"^{words}$"):
+            refuse()
 
 
 def test_mean_drift_takes_occupancies_off_the_simplex():

@@ -141,6 +141,43 @@ def test_only_the_rate_table_pairs_evaluate_with_check():
         assert "_group_rows(" not in source, info.name
 
 
+def test_each_shared_rule_has_one_owner():
+    # replication streams, the Poisson-rate and tolerance checks, "variant
+    # needs N" and the sample-time vector check are each written once; the
+    # CLI takes the finiteness of N from the library's population check
+    from popdrift import cli, model as model_module
+
+    source = "".join(
+        inspect.getsource(importlib.import_module(f"popdrift.{info.name}"))
+        for info in pkgutil.iter_modules(popdrift.__path__)
+    )
+    for phrase in ("SeedSequence(", "Poisson rate must be finite", "needs N",
+                   "tail tolerance must be", "sample times must be finite"):
+        assert source.count(phrase) == 1, phrase
+    assert cli._check_positive_finite is model_module._check_population
+    assert "_check_positive_finite(N)" in inspect.getsource(cli._check_population)
+
+
+def test_all_lists_every_public_name():
+    exported = {
+        name for name, value in vars(popdrift).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert set(popdrift.__all__) == exported | {"__version__"}
+    for info in pkgutil.iter_modules(popdrift.__path__):
+        if info.name in ("__main__", "cli"):  # entry points
+            continue
+        module = importlib.import_module(f"popdrift.{info.name}")
+        defined = {
+            name for name, value in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isclass(value) or inspect.isfunction(value))
+            and value.__module__ == module.__name__
+        }
+        assert defined <= set(module.__all__), info.name
+        assert all(hasattr(module, name) for name in module.__all__), info.name
+
+
 def test_transitions_yield_kernels_for_points_and_arrays():
     # (source, target, fn) where fn takes a tuple point or a tuple of
     # arrays; the benchmark's kernel timings rely on this
@@ -389,6 +426,12 @@ def test_validate_records_negative_rate_failures():
     assert not report.ok
     assert not report.nonnegative
     assert report.failures
+
+
+@pytest.mark.parametrize("N", [math.inf, 0.0, -5.0, math.nan])
+def test_validate_refuses_a_population_size_that_is_not_positive_and_finite(N):
+    with pytest.raises(ModelError, match="N must be positive and finite"):
+        validate(builtin_example(), N, sample_count=10)
 
 
 def test_modelspec_rejects_bad_shapes():

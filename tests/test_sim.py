@@ -319,6 +319,22 @@ def test_samplers_refuse_bad_sample_times(sampler, case):
         SAMPLERS[sampler](builtin_example(), np.random.default_rng(0), times)
 
 
+def test_a_sample_time_matrix_gets_the_ode_words():
+    times = ((0.0, 0.5), (0.5, 1.0))
+    model = builtin_example()
+    traj = solve(model, "drift", 2, (1.0, 0.0), 1.0)
+    refusals = [
+        lambda: SimConfig(N=2, init=(2, 0), t_end=1.0, sample_times=times),
+        lambda: traj.sample(times),
+    ] + [
+        lambda sampler=sampler: sampler(model, np.random.default_rng(0), times)
+        for sampler in SAMPLERS.values()
+    ]
+    for refuse in refusals:
+        with pytest.raises(ModelError, match="^sample times must be a vector$"):
+            refuse()
+
+
 def test_path_memory_does_not_grow_with_events():
     # a SIRS path at N=500 over t=100 makes about 25,000 jumps; kept
     # per event, their count vectors alone would take over 0.5 MB
