@@ -30,7 +30,7 @@ from .exact import (
     transient,
 )
 from .expr import ExprError
-from .meandrift import mean_drift
+from .meandrift import _window_budget, mean_drift
 from .model import (
     ModelSpec,
     _check_population as _check_positive_finite,
@@ -342,6 +342,7 @@ def _cmd_compare(args):
     for N in args.Ns:
         _check_population(N)
     _check_horizon(args.t)
+    _window_budget(model, args.tau)  # refused once, not in every mean-drift cell
     columns = ["phi2_drift", "phi2_meandrift", "phi2_exact"]
     if args.reps > 0:
         columns += ["phi2_sim_mean", "phi2_sim_stderr"]

@@ -27,7 +27,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ModelError, NumericsError
 from .meandrift import poisson_weights
@@ -95,6 +94,8 @@ def enumerate_states(n_states: int, N: int) -> LumpedStateSpace:
     Errors when the stars-and-bars size C(N+I-1, I-1) exceeds
     STATE_SPACE_CAP.
     """
+    if not isinstance(n_states, numbers.Integral):
+        raise ModelError(f"n_states must be an integer, got {n_states!r}")
     if not isinstance(N, numbers.Integral):
         raise ModelError(f"N must be an integer, got {N!r}")
     if n_states < 1 or N < 0:
@@ -161,6 +162,8 @@ def generator(model: ModelSpec, space: LumpedStateSpace) -> sparse.csr_matrix:
     Off-diagonal entry (n, n - e_s + e_t) is n_s * Q_{s,t}(n/N); the
     diagonal is minus the row sum.
     """
+    from scipy import sparse  # loaded by the first generator, not at import
+
     if model.n_states != space.n_states:
         raise ModelError(
             f"model has {model.n_states} states, space {space.n_states}"
@@ -199,6 +202,8 @@ def _projected_kernel(gen: sparse.csr_matrix, active: np.ndarray, lam: float):
     into them (identity rows), so the kernel conserves mass.  Returns
     the CSR kernel and the sinks' state indices.
     """
+    from scipy import sparse
+
     n_active = len(active)
     rows = gen[active].tocoo()  # rows.row: position in active
     local = np.full(gen.shape[0], -1, dtype=np.int64)

@@ -22,6 +22,7 @@ contributes its window mass as a factor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,9 +96,17 @@ def _mode_probability(lam: float, mode: int) -> float:
     )
 
 
-def _check_tolerance(tau: float) -> None:
+def _check_tolerance(tau: float, parts: int = 1) -> float:
+    """The share tau/parts, once tau is in (0, 1) and the share is a
+    normal float: below that, poisson_weights' log(2/share) overflows."""
+    share = tau / parts
     if not 0 < tau < 1:
-        raise ModelError(f"tail tolerance must be in (0, 1), got {tau}")
+        bound = "in (0, 1)"
+    elif not share >= sys.float_info.min:
+        bound = f"at least {parts * sys.float_info.min:g}"
+    else:
+        return share
+    raise ModelError(f"tail tolerance must be {bound}, got {tau}")
 
 
 def poisson_weights(lam: float, tau: float) -> PoissonWeights:
@@ -267,12 +276,16 @@ def _clamped(x: float) -> float:
     return x
 
 
+def _window_budget(model: ModelSpec, tau: float) -> float:
+    # each coordinate's window leaves out tau/(2I), so the joint tail is at most tau
+    return _check_tolerance(tau, 2 * model.n_states)
+
+
 def _coordinate_windows(model: ModelSpec, N: float, m, tau: float):
     # the occupancy need not sum to 1: RK4 stage points leave the simplex
     _check_population(N)
-    _check_tolerance(tau)
+    budget = _window_budget(model, tau)
     arr = _flat_occupancy(m, model.n_states)
-    budget = tau / (2 * model.n_states)
     windows = [poisson_weights(N * _clamped(float(x)), budget) for x in arr]
     return arr, windows
 
@@ -308,7 +321,7 @@ def mean_drift_field(
     model: ModelSpec, N: float, tau: float = 1e-10
 ) -> VectorField:
     """The mean drift as a reusable vector field."""
-    _check_tolerance(tau)
+    _window_budget(model, tau)
     return VectorField(
         kind="mean-drift", N=N, fn=lambda m: mean_drift(model, N, m, tau=tau),
         _lists=lambda m: _mean_drift_lists(model, N, m, tau),

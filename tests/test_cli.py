@@ -159,6 +159,18 @@ def test_tau_outside_the_unit_interval_exits_2(capsys, argv, tau):
     assert out == ""
 
 
+@pytest.mark.parametrize("tau", ["1.5", "0", "5e-324"])
+def test_compare_refuses_tau_before_any_cell(capsys, tau):
+    # as meandrift and ode do, not one empty mean-drift cell per N
+    code, out, err = run(
+        capsys, "compare", "--Ns", "2,5", "--t", "10", "--init", "1,0", "--tau", tau
+    )
+    assert code == 2
+    assert err.startswith("error: model: tail tolerance must be ")
+    assert err.endswith(f", got {float(tau)}\n")
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -273,6 +285,76 @@ def test_python_m_popdrift_runs_the_cli():
 def test_import_leaves_scipy_special_unloaded():
     code = "import sys, popdrift; print('scipy.special' in sys.modules)"
     assert run_python("-c", code) == "False\n"
+
+
+# one command in a fresh interpreter; its last line is the exit code and
+# every scipy module then loaded
+CLI_THEN_SCIPY = (
+    "import sys\n"
+    "from popdrift.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+)
+
+
+def run_fresh(*argv):
+    lines = run_python("-c", CLI_THEN_SCIPY, *argv).splitlines(keepends=True)
+    code, *loaded = lines[-1].split()
+    return int(code), "".join(lines[:-1]), loaded
+
+
+CONTENTION_MODEL = str(
+    pathlib.Path(__file__).parents[1] / "perfbench" / "models" / "contention.pop"
+)
+_SMALL_SIM = ("simulate", "--N", "10", "--init", "1,0", "--t", "5", "--reps", "3",
+              "--seed", "1", "--hist", "5,backoff", "--ref", "{ref}")
+SCIPY_FREE_COMMANDS = {
+    "drift": ("drift", "--N", "10", "--m", "1,0"),
+    "meandrift": ("meandrift", "--N", "10", "--m", "1,0"),
+    "ode_drift": ("ode", "--variant", "drift", "--N", "10", "--init", "1,0",
+                  "--t", "5", "--points", "3"),
+    "ode_meandrift": ("ode", "--variant", "meandrift", "--N", "10",
+                      "--init", "1,0", "--t", "5", "--points", "3"),
+    "ode_limit": ("ode", "--variant", "limit", "--init", "1,0", "--t", "5",
+                  "--points", "3"),
+    # no limit lines: the limit is detected numerically
+    "ode_limit_numeric": ("ode", "--model", CONTENTION_MODEL, "--variant",
+                          "limit", "--init", "1,0,0", "--t", "5", "--points", "3"),
+    "simulate_ctmc": _SMALL_SIM,
+    "simulate_slotted": _SMALL_SIM + ("--mode", "slotted:10"),
+    "chaos": ("chaos", "--Ns", "5", "--t", "2", "--init", "1,0", "--reps", "3",
+              "--seed", "1"),
+}
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, popdrift; print([m for m in sys.modules if m.startswith('scipy')])"
+    assert run_python("-c", code) == "[]\n"
+
+
+@pytest.mark.parametrize("name", sorted(SCIPY_FREE_COMMANDS))
+def test_commands_without_exact_load_no_scipy(capsys, tmp_path, name):
+    ref = tmp_path / "ref.csv"
+    assert main(["ode", "--variant", "drift", "--N", "10", "--init", "1,0",
+                 "--t", "5", "--out", str(ref)]) == 0
+    argv = [a.format(ref=ref) for a in SCIPY_FREE_COMMANDS[name]]
+    code, out, loaded = run_fresh(*argv)
+    assert (code, loaded) == (0, [])
+    assert out == run(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exact", "--N", "10", "--init", "1,0", "--t", "5"),
+        ("compare", "--Ns", "2", "--t", "5", "--init", "1,0"),
+    ],
+    ids=["exact", "compare"],
+)
+def test_exact_generators_load_scipy_sparse_on_first_use(capsys, argv):
+    code, out, loaded = run_fresh(*argv)
+    assert code == 0 and "scipy.sparse" in loaded
+    assert out == run(capsys, *argv)[1]
 
 
 def test_limit_ode_ignores_population(capsys):

@@ -94,6 +94,13 @@ def test_enumerate_takes_a_numpy_integer():
     assert space.states.tolist() == enumerate_states(2, 3).states.tolist()
 
 
+def test_enumerate_refuses_a_state_count_that_is_not_an_integer():
+    with pytest.raises(ModelError, match="n_states must be an integer, got 2.5"):
+        enumerate_states(2.5, 3)
+    space = enumerate_states(np.int64(3), 3)
+    assert space.states.tolist() == enumerate_states(3, 3).states.tolist()
+
+
 def test_generator_n1_example_rates():
     model = builtin_example()
     space = enumerate_states(2, 1)

@@ -3,6 +3,7 @@
 import math
 import pathlib
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -345,6 +346,25 @@ def test_mean_drift_refuses_a_tolerance_outside_the_unit_interval(tau):
     for refuse in refusals:
         with pytest.raises(ModelError, match=f"^{words}$"):
             refuse()
+
+
+@pytest.mark.parametrize("tau", [5e-324, 1e-310])
+def test_mean_drift_refuses_a_tolerance_whose_share_underflows(tau):
+    # each window gets tau/(2I); a share below the smallest normal float
+    # overflows log(2/share), so the refusal names the caller's tau
+    model, m = builtin_example(), (0.5, 0.5)
+    refusals = [
+        lambda: mean_drift(model, 10, m, tau=tau),
+        lambda: poisson_mean_intensity(model, 10, m, "idle", "backoff", tau=tau),
+        lambda: mean_drift_field(model, 10, tau=tau),
+        lambda: poisson_weights(10.0, tau),
+    ]
+    for refuse in refusals:
+        with pytest.raises(ModelError, match=rf"^tail tolerance must be at least "
+                           rf"\S+, got {re.escape(str(tau))}$"):
+            refuse()
+    # the smallest tau whose shares are all normal floats is taken
+    assert np.all(np.isfinite(mean_drift(model, 10, m, tau=4 * sys.float_info.min)))
 
 
 def test_mean_drift_takes_occupancies_off_the_simplex():

@@ -1,8 +1,10 @@
 """Model documents, rate evaluation, slot probabilities, validation."""
 
+import ast
 import importlib
 import inspect
 import math
+import pathlib
 import pkgutil
 
 import numpy as np
@@ -139,6 +141,30 @@ def test_only_the_rate_table_pairs_evaluate_with_check():
         assert ".check(" not in source, info.name
         assert "_batched(" not in source, info.name
         assert "_group_rows(" not in source, info.name
+
+
+def _import_time_nodes(node):
+    # every node that runs at import: function bodies are left out
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # scipy.sparse alone costs more than numpy to import: only the
+    # functions that use scipy import it
+    for path in sorted(pathlib.Path(popdrift.__file__).parent.glob("*.py")):
+        for node in _import_time_nodes(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert all(name.split(".")[0] != "scipy" for name in names), (
+                f"{path.name}:{node.lineno}"
+            )
 
 
 def test_each_shared_rule_has_one_owner():
