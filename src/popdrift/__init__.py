@@ -44,6 +44,7 @@ from .model import (
     check_occupancy,
     largest_remainder_counts,
     load_model,
+    rate,
     sample_simplex,
     slot_probability,
     validate,
@@ -107,6 +108,7 @@ __all__ = [
     "poisson_mean_intensity",
     "poisson_weights",
     "pretty",
+    "rate",
     "sample_simplex",
     "simulate_ctmc",
     "simulate_slotted",

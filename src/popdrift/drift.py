@@ -64,7 +64,7 @@ def intensity(model: ModelSpec, N: float, m, s: str, t: str) -> float:
     if k is None:
         return 0.0
     arr = np.asarray(m, dtype=float)
-    q = model._rate_table.rates(N, arr, ks=(k,), occupied=True)
+    q = model._rate_table.rates(N, arr.tolist(), ks=(k,), occupied=True)
     return float(arr[model.index_of(s)]) * float(q[0])
 
 

@@ -15,12 +15,21 @@ over the grammar
 ``N`` is reserved for the population size.  Syntax errors carry a
 1-based column number.
 
-``compile_fn`` is the one way an expression gets a value.  Values
-follow numpy semantics: ``pow(0, 0)`` is 1, and a division by zero,
-``ln`` of zero or of a negative number, or ``pow`` outside its domain
-gives inf or nan instead of raising.  Nothing here refuses a value;
-the model's rate table checks each rate and refuses exactly those
-that are negative or non-finite.
+Expressions get values only through compiled source, and one
+renderer writes it: subtrees that read neither ``N`` nor ``m`` are
+folded to float literals, occupancies become ``m[index]``, and the
+source reads nothing but those, ``N`` and the names of
+``_KERNEL_GLOBALS``, so no model name reaches it.  It has two compiled
+forms.  ``compile_fn`` makes one function per expression that also
+broadcasts over numpy arrays.  ``_point_kernel`` makes one
+straight-line function per rate table, at one point of plain floats,
+that computes a repeated subtree once; its drift form also checks the
+rates and sums the net flows in the same call.  Values follow numpy
+semantics: ``pow(0, 0)`` is 1, and a division by zero, ``ln`` of
+zero or of a negative number, or ``pow`` outside its domain gives inf
+or nan instead of raising.  Nothing here refuses a value; the model's
+rate table checks each rate and refuses exactly those that are
+negative or non-finite.
 
 An expression nests at most 100 levels (``_MAX_DEPTH``): a number,
 name or occupancy term is one level, and each operator, function
@@ -37,7 +46,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -322,13 +331,18 @@ def _operands(e: Expr) -> list[tuple[Expr, bool]]:
     return []
 
 
-def _render(e: Expr, leaf: Callable[[Expr], str]) -> str:
+def _render(e: Expr, leaf: Callable[[Expr], Optional[str]]) -> str:
     """Text of e with the fewest parentheses that keep its tree.
 
-    ``leaf`` renders the Num, Name and Occ nodes.
+    ``leaf`` renders the Num, Name and Occ nodes, and any other node
+    for which it returns text rather than None.
     """
-    if isinstance(e, (Num, Name, Occ)):
-        return leaf(e)
+    text = leaf(e)
+    return _compose(e, leaf) if text is None else text
+
+
+def _compose(e: Expr, leaf: Callable[[Expr], Optional[str]]) -> str:
+    """Text of e's own operator over its operands, each from ``_render``."""
     parts = [
         f"({_render(a, leaf)})" if wrapped else _render(a, leaf)
         for a, wrapped in _operands(e)
@@ -357,12 +371,12 @@ def depth(e: Expr) -> int:
     return deepest
 
 
-def _text_leaf(e: Expr) -> str:
+def _text_leaf(e: Expr) -> Optional[str]:
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, Name):
         return e.ident
-    return f"m[{e.state}]"
+    return f"m[{e.state}]" if isinstance(e, Occ) else None
 
 
 def pretty(e: Expr) -> str:
@@ -493,6 +507,36 @@ def _combine(node: BinOp, left, right):
     return lt + [(sign * c, fs) for c, fs in rt]
 
 
+def _source_leaf(state_index: Mapping[str, int]) -> Callable[[Expr], Optional[str]]:
+    """The leaf renderer of compiled source, for folded trees: float
+    literals, ``N`` and ``m[index]``.  An unknown state raises
+    ExprEvalError."""
+
+    def leaf(node: Expr) -> Optional[str]:
+        if isinstance(node, Occ):
+            try:
+                return f"m[{state_index[node.state]}]"
+            except KeyError:
+                raise ExprEvalError(
+                    f"unknown state in occupancy term m[{node.state}]"
+                ) from None
+        if isinstance(node, Num):
+            return repr(node.value)
+        return "N" if isinstance(node, Name) else None
+
+    return leaf
+
+
+def _define(body: Sequence[str], result: str) -> Callable:
+    """The function ``f(N, m)`` that runs the statements body and returns
+    result, with only the names of _KERNEL_GLOBALS in scope."""
+    lines = "".join(f"    {line}\n" for line in body)
+    namespace = dict(_KERNEL_GLOBALS)
+    exec(f"def f(N, m):\n{lines}    return {result}\n", namespace)
+    # popped, so that f and the namespace it reads are no reference cycle
+    return namespace.pop("f")
+
+
 def compile_fn(
     e: Expr,
     params: Mapping[str, float],
@@ -511,18 +555,75 @@ def compile_fn(
     ZeroDivisionError), so callers validate results.  Unbound names
     raise ExprEvalError here, at compile time.
     """
-
-    def leaf(node: Expr) -> str:
-        if isinstance(node, Occ):
-            try:
-                return f"m[{state_index[node.state]}]"
-            except KeyError:
-                raise ExprEvalError(
-                    f"unknown state in occupancy term m[{node.state}]"
-                ) from None
-        return repr(node.value) if isinstance(node, Num) else "N"
-
     with np.errstate(all="ignore"):
         folded = _fold(e, params)
-    source = _render(folded, leaf)
-    return eval(f"lambda N, m: {source}", dict(_KERNEL_GLOBALS))
+    return _define((), _render(folded, _source_leaf(state_index)))
+
+
+def _point_kernel(
+    exprs: Sequence[Expr],
+    params: Mapping[str, float],
+    state_index: Mapping[str, int],
+    moves: Optional[tuple[Sequence[int], Sequence[int]]] = None,
+) -> tuple[Callable[[float, Sequence], Optional[list]], bool]:
+    """Compile a table of expressions to one straight-line ``f(N, m)``.
+
+    ``m`` is one point, a sequence of floats.  Each expression is folded
+    and rendered as ``compile_fn`` renders it, into one function body in
+    which a subtree that occurs more than once, within one expression or
+    across them, is computed once into a local.  Without ``moves``, f
+    returns the list of the values, q_k in table order.  With ``moves``
+    = (sources, targets), q_k is the rate of a move from state
+    sources[k] to targets[k]; f returns None if some q_k is not in
+    [0, inf), and otherwise the net flow per state: from 0.0, for each
+    k in order, m[sources[k]]*q_k subtracted at the source and added at
+    the target.  Values follow numpy semantics as in
+    ``compile_fn``, to the same bits.  Also returns whether the body
+    calls a numpy function; one that does not computes plain floats
+    with plain floats.
+    """
+    leaf = _source_leaf(state_index)
+    with np.errstate(all="ignore"):
+        roots = [_fold(e, params) for e in exprs]
+    # times each subtree's text is computed, not counting the insides of
+    # a repeat, which is computed once
+    uses: dict[str, int] = {}
+    calls_numpy = False
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if leaf(node) is None:
+            key = _render(node, leaf)
+            uses[key] = uses.get(key, 0) + 1
+            if uses[key] == 1:
+                calls_numpy |= isinstance(node, Call)
+                stack.extend(a for a, _ in _operands(node))
+
+    body: list[str] = []
+    names: dict[str, str] = {}  # text of a repeated subtree -> its local
+
+    def shared(node: Expr) -> Optional[str]:
+        text = leaf(node)
+        if text is not None:
+            return text
+        key = _render(node, leaf)
+        if uses[key] < 2:
+            return None
+        if key not in names:
+            names[key] = f"t{len(names)}"
+            body.append(f"{names[key]} = {_compose(node, shared)}")
+        return names[key]
+
+    rates = [f"q{k}" for k in range(len(roots))]
+    body += [f"{q} = {_render(root, shared)}" for q, root in zip(rates, roots)]
+    del shared  # it refers to itself; freed now, it leaves no reference cycle
+    if moves is None:
+        return _define(body, f"[{', '.join(rates)}]"), calls_numpy
+    if rates:
+        valid = " and ".join(f"0.0 <= {q} < inf" for q in rates)
+        body += [f"if not ({valid}):", "    return None"]
+    net = [f"d{i}" for i in range(len(state_index))]
+    body += [f"{d} = 0.0" for d in net]
+    for q, i, j in zip(rates, *moves):
+        body += [f"f = m[{i}]*{q}", f"d{i} -= f", f"d{j} += f"]
+    return _define(body, f"[{', '.join(net)}]"), calls_numpy

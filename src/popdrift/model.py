@@ -66,6 +66,35 @@ def _batched(fns, N, m, shape):
         return q
 
 
+def _at_point(kernel, calls_numpy: bool):
+    """kernel(N, m) at one point of plain floats, under numpy semantics.
+
+    numpy's error state is set around a kernel that calls numpy, and
+    otherwise only around the retry: plain float arithmetic warns of
+    nothing, but raises ZeroDivisionError on x/0 where numpy scalars
+    give inf or nan.
+    """
+
+    def retry(N, m):
+        return kernel(np.float64(N), [np.float64(x) for x in m])
+
+    def plain(N, m):
+        try:
+            return kernel(N, m)
+        except ZeroDivisionError:
+            with np.errstate(all="ignore"):
+                return retry(N, m)
+
+    def guarded(N, m):
+        with np.errstate(all="ignore"):
+            try:
+                return kernel(N, m)
+            except ZeroDivisionError:
+                return retry(N, m)
+
+    return guarded if calls_numpy else plain
+
+
 @dataclass(frozen=True)
 class _Group:
     """A factor group of ``_RateTable.plan``: fn, the product of factors
@@ -133,7 +162,10 @@ class _RateTable:
     target) index pair to k and ``out[i]`` is the range of k whose
     source is state i.  Every place that evaluates transitions takes
     them checked from ``rates``, on all transitions or on the positions
-    ``ks``; only ``validate`` reads ``evaluate``'s values unchecked.
+    ``ks``; only ``validate`` reads ``evaluate``'s values unchecked.  At
+    one point every rate comes from one straight-line call, ``kernel``,
+    and ``drift`` is that call with the check's common case and the net
+    flow fused in.
     The mean drift takes the averages of the rates that ``plan`` splits
     from ``split_flows``, which certifies them in place of ``check``.
     """
@@ -161,22 +193,18 @@ class _RateTable:
     def evaluate(self, N, m, shape=None, ks=None):
         """Rates of the transitions ks (default: all) at occupancy m.
 
-        With ``shape`` None, m is one point and the result is a list of
-        floats.  Otherwise m holds floats or arrays that broadcast to
-        ``shape`` and the result is an array of shape (len(ks), *shape).
+        With ``shape`` None, m is one point, a list of plain floats,
+        and the result is a list of floats, picked from ``kernel``'s.
+        Otherwise m holds floats or arrays that broadcast to ``shape``
+        and the result is an array of shape (len(ks), *shape).
         Domain violations give inf or nan as under numpy; ``check``
         rejects them.
         """
-        fns = self.fns if ks is None else [self.fns[k] for k in ks]
         if shape is not None:
+            fns = self.fns if ks is None else [self.fns[k] for k in ks]
             return _batched(fns, N, m, shape)
-        with np.errstate(all="ignore"):
-            try:
-                return [fn(N, m) for fn in fns]
-            except ZeroDivisionError:
-                # plain floats raise on x/0 where numpy gives inf or nan
-                m = [np.float64(x) for x in m]
-                return [fn(np.float64(N), m) for fn in fns]
+        q = self.kernel(N, m)
+        return q if ks is None else [q[k] for k in ks]
 
     def check(self, q, m, occupied: bool = False, ks=None) -> None:
         """Raise RateError at the first negative or non-finite rate in q.
@@ -217,6 +245,22 @@ class _RateTable:
         )
 
     @functools.cached_property
+    def kernel(self):
+        """Every rate at one point, as a list; built on first use."""
+        index = self._state_index
+        return _at_point(*ex._point_kernel(self.nodes, self.params, index))
+
+    @functools.cached_property
+    def _fused_drift(self):
+        """``drift`` at one point where every rate is in [0, inf), else None."""
+        index, moves = self._state_index, (self.sources, self.targets)
+        return _at_point(*ex._point_kernel(self.nodes, self.params, index, moves))
+
+    @property
+    def _state_index(self) -> dict:
+        return {s: i for i, s in enumerate(self.state_names)}
+
+    @functools.cached_property
     def plan(self):
         """Each rate split into products of independent factor groups.
 
@@ -236,7 +280,7 @@ class _RateTable:
         axes, so a rate splits when its factors read fewer coordinates at
         a time or it is constant.
         """
-        index = {s: i for i, s in enumerate(self.state_names)}
+        index = self._state_index
         n = len(self.state_names)
         groups, ids, plan = [], {}, []
         for k, node in enumerate(self.nodes):
@@ -334,7 +378,11 @@ class _RateTable:
     def drift(self, N, m: list) -> list:
         """The drift at occupancy m, a list of floats, one per state."""
         _check_length(m, len(self.state_names))
-        return self.net(self.intensities(self.rates(N, m, occupied=True), m))
+        out = self._fused_drift(N, m)
+        if out is None:
+            # check refuses the first bad rate or excuses it at an empty source
+            out = self.net(self.intensities(self.rates(N, m, occupied=True), m))
+        return out
 
     def slot_row(self, rates, i: int, D: int):
         """Per-agent move probabilities out of state i in a slot of width 1/D.
@@ -547,7 +595,8 @@ def rate(model: ModelSpec, N: float, m, s: str, t: str) -> float:
     k = model._pair(s, t)
     if k is None:
         return 0.0
-    return float(model._rate_table.rates(N, np.asarray(m, dtype=float), ks=(k,))[0])
+    m = np.asarray(m, dtype=float).tolist()
+    return float(model._rate_table.rates(N, m, ks=(k,))[0])
 
 
 def slot_probability(
@@ -565,7 +614,7 @@ def slot_probability(
     table = model._rate_table
     i = model.index_of(s)
     ks = table.out[i]
-    q = table.rates(N, np.asarray(m, dtype=float), ks=ks)
+    q = table.rates(N, np.asarray(m, dtype=float).tolist(), ks=ks)
     probs, _ = table.slot_row(q, i, D)
     return 0.0 if k is None else float(probs[k - ks.start])
 

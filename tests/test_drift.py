@@ -35,6 +35,31 @@ def test_drift_matches_hand_computation():
     assert f1 == pytest.approx(2.1045e-2, abs=1e-6)
 
 
+FULL_DOC = """
+states = a, b, c
+rate a -> b : 0.3 + m[c]/7
+rate a -> c : exp(-m[a])/3
+rate b -> a : 0.1*pow(1 - m[b]/2, N*m[a])
+rate b -> c : 1/(1 + 3*m[c])
+rate c -> a : 0.7
+rate c -> b : ln(1 + m[b]) + m[a]/11
+"""
+
+
+def test_drift_sums_each_flow_in_table_order():
+    # each state gets four flows, so a sum in another order would round
+    # differently at some of these points
+    model = load_model(FULL_DOC)
+    table = model._rate_table
+    for m in sample_simplex(3, 200, seed=5).tolist():
+        q = [fn(30.0, m) for fn in table.fns]
+        want = [0.0, 0.0, 0.0]
+        for (i, j, _), value in zip(model.transitions(), q):
+            want[i] -= m[i] * value
+            want[j] += m[i] * value
+        assert drift(model, 30.0, m).tobytes() == np.array(want).tobytes()
+
+
 def test_drift_components_sum_to_zero():
     model = builtin_example()
     for k, m in enumerate(sample_simplex(2, 50, seed=11)):

@@ -6,6 +6,8 @@ import inspect
 import math
 import pathlib
 import pkgutil
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -202,6 +204,121 @@ def test_all_lists_every_public_name():
         }
         assert defined <= set(module.__all__), info.name
         assert all(hasattr(module, name) for name in module.__all__), info.name
+
+
+def test_package_exports_each_submodule_function():
+    # popdrift.rate sits beside intensity, slot_probability and
+    # poisson_mean_intensity
+    for name in ("model", "drift", "meandrift", "exact", "sim", "odesolve"):
+        module = importlib.import_module(f"popdrift.{name}")
+        for public in module.__all__:
+            value = getattr(module, public)
+            if callable(value):
+                assert public in popdrift.__all__, f"{name}.{public}"
+                assert getattr(popdrift, public) is value, f"{name}.{public}"
+    model = builtin_example()
+    assert popdrift.rate(model, 10, (1.0, 0.0), "idle", "backoff") == pytest.approx(
+        poisson_free_rates(10, 0)[0], rel=1e-13
+    )
+
+
+SIRS_PATH = pathlib.Path(__file__).parents[1] / "perfbench" / "models" / "sir.pop"
+
+
+def test_loading_a_model_builds_no_point_kernel():
+    # the kernels are built on first use, as the mean-drift plan is
+    model = builtin_example()
+    lazy = {"kernel", "_fused_drift", "plan"}
+    for table in (model._rate_table, model._limit_table):
+        assert not lazy & set(vars(table))
+    drift(model, 50, (0.45, 0.55))
+    assert lazy & set(vars(model._rate_table)) == {"_fused_drift"}
+
+
+def test_a_bundled_drift_point_calls_pow_twice():
+    # each pow(...) appears in both rates; a repeated subtree is computed once
+    real = ex._KERNEL_GLOBALS["pow"]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    want = drift(builtin_example(), 50, (0.45, 0.55))
+    with mock.patch.dict(ex._KERNEL_GLOBALS, pow=counted):
+        model = builtin_example()
+        for point in ((0.45, 0.55), (1.0, 0.0)):
+            calls.clear()
+            drift(model, 50, point)
+            assert len(calls) == 2
+            calls.clear()
+            rate(model, 50, point, "idle", "backoff")
+            assert len(calls) == 2
+        assert drift(model, 50, (0.45, 0.55)).tobytes() == want.tobytes()
+
+
+def test_kernels_without_numpy_calls_never_set_numpy_error_state():
+    # numpy's error state costs more than a whole SIRS rate kernel; only
+    # a kernel that calls numpy needs it, once per point
+    real = np.errstate
+    entered = []
+
+    def counted(**kwargs):
+        entered.append(kwargs)
+        return real(**kwargs)
+
+    bundled, sirs = builtin_example(), load_model(SIRS_PATH.read_text())
+    points = [(0.45, 0.55), (1.0, 0.0), (0.0, 1.0)]
+    fields = [
+        (lambda m: drift(sirs, 100, (*m, 0.0)), 0),
+        (lambda m: limit_drift(bundled, m), 0),
+        (lambda m: drift(bundled, 50, m), 1),
+    ]
+    for fn, _ in fields:
+        fn(points[0])  # builds the kernel
+    for fn, per_point in fields:
+        with mock.patch.object(np, "errstate", counted):
+            for m in points:
+                fn(m)
+        assert len(entered) == per_point * len(points)
+        entered.clear()
+
+
+def test_compiled_source_has_one_exec_site():
+    # every compiled form goes through expr._define, whose namespace holds
+    # only _KERNEL_GLOBALS
+    sites = [
+        (path.name, line)
+        for path in sorted(pathlib.Path(popdrift.__file__).parent.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if re.search(r"\b(?:eval|exec)\(", line)
+    ]
+    assert len(sites) == 1 and sites[0][0] == "expr.py", sites
+
+
+def test_state_and_parameter_names_that_are_kernel_globals_drift_as_written():
+    # states exp and inf, parameter pow: no model name reaches the source
+    model = load_model(
+        "states = exp, inf\n"
+        "param pow = 0.5\n"
+        "rate exp -> inf : pow*m[inf] + pow(m[exp], 2)\n"
+        "rate inf -> exp : exp(-m[inf])*pow/m[exp]\n"
+    )
+    for a in (0.0, 0.25, 0.7, 1.0):
+        b = 1.0 - a
+        with np.errstate(all="ignore"):
+            q = [0.5 * b + np.power(a, 2.0), np.exp(-b) * 0.5 / np.float64(a)]
+        if a == 0.0:
+            with pytest.raises(RateError, match=r"exp at m=.*: evaluated to inf"):
+                drift(model, 10, (a, b))
+            continue
+        want = [0.0, 0.0]
+        for (i, j), value in zip(((0, 1), (1, 0)), q):
+            f = (a, b)[i] * value
+            want[i] -= f
+            want[j] += f
+        assert drift(model, 10, (a, b)).tobytes() == np.array(want).tobytes()
+        assert model.transitions()[1][2](10.0, [a, b]) == q[1]
 
 
 def test_transitions_yield_kernels_for_points_and_arrays():

@@ -27,7 +27,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from popdrift import exact  # noqa: E402
 from popdrift.drift import drift  # noqa: E402
-from popdrift.errors import RateError  # noqa: E402
+from popdrift.errors import ModelError, RateError  # noqa: E402
 from popdrift.expr import BinOp, Call, Neg, Num, Occ  # noqa: E402
 from popdrift.exact import (  # noqa: E402
     LumpedDistribution,
@@ -395,17 +395,18 @@ def rate_trees(states):
 
 
 @st.composite
-def domain_edge_tables(draw):
-    """A rate table of 2-3 states with random trees on random pairs, plus
-    a transition from the last state to the first whose plain-float
-    evaluation always divides by zero."""
+def domain_edge_tables(draw, divides_by_zero=True):
+    """A rate table of 2-3 states with random trees on random pairs, plus,
+    with ``divides_by_zero``, a transition from the last state to the
+    first whose plain-float evaluation always divides by zero."""
     n = draw(st.integers(2, 3))
     names = NAMES[:n]
     trigger = (names[-1], names[0])
     pairs = [(s, t) for s in names for t in names if s != t and (s, t) != trigger]
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True))
     rates = {pair: draw(rate_trees(names)) for pair in chosen}
-    rates[trigger] = BinOp("/", Num(1.0), BinOp("-", Occ(names[0]), Occ(names[0])))
+    if divides_by_zero:
+        rates[trigger] = BinOp("/", Num(1.0), BinOp("-", Occ(names[0]), Occ(names[0])))
     return ModelSpec(names, {}, rates)._rate_table
 
 
@@ -456,3 +457,47 @@ def test_rate_table_paths_agree_at_domain_edges(table, N, data):
             assert refused(table, retried, m, occupied) == want
             assert refused(table, list(batched), m, occupied) == want
             assert refused(table, batched, m, occupied) == want
+
+
+def each_rate_alone(table, N, m):
+    """Every fns[k] at the point m: plain floats, or numpy scalars for all
+    of them when one divides by zero."""
+    with np.errstate(all="ignore"):
+        try:
+            return [fn(N, m) for fn in table.fns]
+        except ZeroDivisionError:
+            return [fn(np.float64(N), [np.float64(x) for x in m]) for fn in table.fns]
+
+
+def outcome(call):
+    """call's value, or the type and text of the ModelError it raised."""
+    try:
+        return call()
+    except ModelError as err:
+        return type(err), str(err)
+
+
+@SETTINGS
+@given(st.one_of(domain_edge_tables(), domain_edge_tables(divides_by_zero=False)),
+       st.sampled_from([1.0, 3.0, 10.0]), st.data())
+def test_point_kernel_and_fused_drift_match_each_rate_alone(table, N, data):
+    # no numpy warning may escape either kernel: warnings are errors here
+    n = len(table.state_names)
+    for point in data.draw(st.lists(occupancies(n), min_size=1, max_size=4)):
+        m = point.tolist()
+        alone = each_rate_alone(table, N, m)
+        assert [bits(x) for x in table.kernel(N, m)] == [bits(x) for x in alone]
+
+        def reference():
+            q = list(alone)
+            table.check(q, m, occupied=True)
+            return table.net(table.intensities(q, m))
+
+        want, got = outcome(reference), outcome(lambda: table.drift(N, m))
+        if isinstance(want, tuple):
+            assert want[0] is RateError and got == want
+        else:
+            assert [bits(x) for x in got] == [bits(x) for x in want]
+        for wrong in (m[:-1], m + [0.0]):
+            text = f"occupancy has {len(wrong)} entries, model has {n} states"
+            assert outcome(lambda: table.drift(N, wrong)) == (ModelError, text)
