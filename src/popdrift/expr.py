@@ -19,13 +19,14 @@ Expressions get values only through compiled source, and one
 renderer writes it: subtrees that read neither ``N`` nor ``m`` are
 folded to float literals, occupancies become ``m[index]``, and the
 source reads nothing but those, ``N`` and the names of
-``_KERNEL_GLOBALS``, so no model name reaches it.  It has two compiled
-forms.  ``compile_fn`` makes one function per expression that also
-broadcasts over numpy arrays.  ``_point_kernel`` makes one
-straight-line function per rate table, at one point of plain floats,
-that computes a repeated subtree once; its drift form also checks the
-rates and sums the net flows in the same call.  Values follow numpy
-semantics: ``pow(0, 0)`` is 1, and a division by zero, ``ln`` of
+``_KERNEL_GLOBALS``, so no model name reaches it.  ``_kernel`` makes
+one straight-line function per table of expressions that computes a
+repeated subtree once and, written in plain operators and numpy
+ufuncs, serves a point of plain floats and arrays of points alike; its
+drift form also checks the rates and sums the net flows in the same
+call.  ``compile_fn`` compiles one expression alone, for callers and
+as the reference the tests hold the table kernels to.  Values follow
+numpy semantics: ``pow(0, 0)`` is 1, and a division by zero, ``ln`` of
 zero or of a negative number, or ``pow`` outside its domain gives inf
 or nan instead of raising.  Nothing here refuses a value; the model's
 rate table checks each rate and refuses exactly those that are
@@ -560,7 +561,7 @@ def compile_fn(
     return _define((), _render(folded, _source_leaf(state_index)))
 
 
-def _point_kernel(
+def _kernel(
     exprs: Sequence[Expr],
     params: Mapping[str, float],
     state_index: Mapping[str, int],
@@ -568,19 +569,19 @@ def _point_kernel(
 ) -> tuple[Callable[[float, Sequence], Optional[list]], bool]:
     """Compile a table of expressions to one straight-line ``f(N, m)``.
 
-    ``m`` is one point, a sequence of floats.  Each expression is folded
-    and rendered as ``compile_fn`` renders it, into one function body in
-    which a subtree that occurs more than once, within one expression or
-    across them, is computed once into a local.  Without ``moves``, f
-    returns the list of the values, q_k in table order.  With ``moves``
-    = (sources, targets), q_k is the rate of a move from state
-    sources[k] to targets[k]; f returns None if some q_k is not in
-    [0, inf), and otherwise the net flow per state: from 0.0, for each
-    k in order, m[sources[k]]*q_k subtracted at the source and added at
-    the target.  Values follow numpy semantics as in
-    ``compile_fn``, to the same bits.  Also returns whether the body
-    calls a numpy function; one that does not computes plain floats
-    with plain floats.
+    Each expression is folded and rendered as ``compile_fn`` renders it,
+    into one function body in which a subtree that occurs more than
+    once, within one expression or across them, is computed once into a
+    local.  Without ``moves``, ``m`` holds floats or arrays, as for
+    ``compile_fn``, and f returns the list of the values, q_k in table
+    order.  With ``moves`` = (sources, targets), ``m`` is one point of
+    floats and q_k is the rate of a move from sources[k] to targets[k];
+    f returns None if some q_k is not in [0, inf), and otherwise the net
+    flow per state: from 0.0, for each k in order, m[sources[k]]*q_k
+    subtracted at the source and added at the target.  Values follow
+    numpy semantics as in ``compile_fn``, to the same bits.  Also
+    returns whether the body calls a numpy function; one that does not
+    computes plain floats with plain floats.
     """
     leaf = _source_leaf(state_index)
     with np.errstate(all="ignore"):

@@ -229,7 +229,7 @@ def _window_lattice_sum(table, N: float, m, windows, ks=None) -> list:
     intensity.  A RateError reports the lattice point on the axes and m
     on the other coordinates.
     """
-    ks = range(len(table.fns)) if ks is None else ks
+    ks = range(len(table.sources)) if ks is None else ks
     supports = [w.support() / N for w in windows]
     probs = [w.probs for w in windows]
     weighted = [p * x for p, x in zip(probs, supports)]

@@ -24,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -55,14 +55,14 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _CANCELLATION = 4.0
 
 
-def _batched(fns, N, m, shape):
-    """Values of fns at occupancies m that broadcast to shape, stacked."""
+def _batched(kernel, ks, N, m, shape):
+    """Rows ks of kernel(N, m), at occupancies m that broadcast to shape."""
     with np.errstate(all="ignore"):
         # numpy operands: plain floats raise on x/0
-        N, m = np.float64(N), [np.asarray(c, dtype=float) for c in m]
-        q = np.empty((len(fns), *shape))
-        for pos, fn in enumerate(fns):
-            q[pos] = fn(N, m)
+        values = kernel(np.float64(N), [np.asarray(c, dtype=float) for c in m])
+        q = np.empty((len(ks), *shape))
+        for pos, k in enumerate(ks):
+            q[pos] = values[k]
         return q
 
 
@@ -93,15 +93,6 @@ def _at_point(kernel, calls_numpy: bool):
                 return retry(N, m)
 
     return guarded if calls_numpy else plain
-
-
-@dataclass(frozen=True)
-class _Group:
-    """A factor group of ``_RateTable.plan``: fn, the product of factors
-    that together read exactly the occupancies ``axes``, or of none, 1."""
-
-    axes: tuple
-    fn: Callable
 
 
 def _read_groups(factors, source) -> tuple:
@@ -153,35 +144,34 @@ def _product(factors) -> ex.Expr:
 
 
 class _RateTable:
-    """One rate table compiled once, in canonical (source, target) order.
+    """One rate table, in canonical (source, target) order.
 
-    Built from (source, target, fn, reads) tuples.  Transition k is
-    ``entries[k]`` = (source, target, fn), also held as ``sources[k]``,
-    ``targets[k]`` and ``fns[k]``; ``reads[k]`` are the sorted indices
-    of the occupancies its rate reads.  ``index`` maps a (source,
-    target) index pair to k and ``out[i]`` is the range of k whose
-    source is state i.  Every place that evaluates transitions takes
-    them checked from ``rates``, on all transitions or on the positions
-    ``ks``; only ``validate`` reads ``evaluate``'s values unchecked.  At
-    one point every rate comes from one straight-line call, ``kernel``,
-    and ``drift`` is that call with the check's common case and the net
-    flow fused in.
+    Transition k runs from ``sources[k]`` to ``targets[k]`` at the rate
+    ``nodes[k]``, which reads the occupancies ``reads[k]`` (sorted
+    indices).  ``index`` maps a (source, target) index pair to k and
+    ``out[i]`` is the range of k whose source is state i.  Every place
+    that evaluates transitions takes them checked from ``rates``, on all
+    transitions or on the positions ``ks``; only ``validate`` reads
+    ``evaluate``'s values unchecked.  At one point or over arrays, every
+    rate comes from one generated straight-line call, and ``drift`` is
+    that call with the check's common case and the net flow fused in.
     The mean drift takes the averages of the rates that ``plan`` splits
     from ``split_flows``, which certifies them in place of ``check``.
+    Compiled forms, ``fns[k]`` and ``entries[k]`` = (source, target,
+    fns[k]) included, are built on first use.
     """
 
-    def __init__(self, state_names, compiled, params):
-        self.state_names = state_names
+    def __init__(self, state_index, compiled, params):
+        self.state_index = state_index
+        self.state_names = tuple(state_index)
         self.params = params
-        self.entries = tuple((i, j, fn) for i, j, fn, _, _ in compiled)
-        self.sources = tuple(i for i, _, _ in self.entries)
-        self.targets = tuple(j for _, j, _ in self.entries)
-        self.fns = tuple(fn for _, _, fn in self.entries)
-        self.reads = tuple(reads for _, _, _, reads, _ in compiled)
+        self.sources = tuple(i for i, _, _, _ in compiled)
+        self.targets = tuple(j for _, j, _, _ in compiled)
+        self.reads = tuple(reads for _, _, reads, _ in compiled)
         self.nodes = tuple(node for *_, node in compiled)
-        self.index = {(i, j): k for k, (i, j, _) in enumerate(self.entries)}
+        self.index = {(i, j): k for k, (i, j, _, _) in enumerate(compiled)}
         starts = [bisect.bisect_left(self.sources, i)
-                  for i in range(len(state_names) + 1)]
+                  for i in range(len(state_index) + 1)]
         self.out = tuple(map(range, starts, starts[1:]))
 
     def rates(self, N, m, shape=None, ks=None, occupied: bool = False):
@@ -201,8 +191,8 @@ class _RateTable:
         rejects them.
         """
         if shape is not None:
-            fns = self.fns if ks is None else [self.fns[k] for k in ks]
-            return _batched(fns, N, m, shape)
+            ks = range(len(self.sources)) if ks is None else ks
+            return _batched(self._generated[0], ks, N, m, shape)
         q = self.kernel(N, m)
         return q if ks is None else [q[k] for k in ks]
 
@@ -245,32 +235,43 @@ class _RateTable:
         )
 
     @functools.cached_property
+    def _generated(self):
+        """(f, calls_numpy): f(N, m) lists every rate; built on first use."""
+        return ex._kernel(self.nodes, self.params, self.state_index)
+
+    @functools.cached_property
     def kernel(self):
-        """Every rate at one point, as a list; built on first use."""
-        index = self._state_index
-        return _at_point(*ex._point_kernel(self.nodes, self.params, index))
+        """Every rate at one point, as a list."""
+        return _at_point(*self._generated)
 
     @functools.cached_property
     def _fused_drift(self):
         """``drift`` at one point where every rate is in [0, inf), else None."""
-        index, moves = self._state_index, (self.sources, self.targets)
-        return _at_point(*ex._point_kernel(self.nodes, self.params, index, moves))
+        moves = (self.sources, self.targets)
+        return _at_point(*ex._kernel(self.nodes, self.params, self.state_index, moves))
 
-    @property
-    def _state_index(self) -> dict:
-        return {s: i for i, s in enumerate(self.state_names)}
+    @functools.cached_property
+    def fns(self) -> tuple:
+        return tuple(ex.compile_fn(e, self.params, self.state_index)
+                     for e in self.nodes)
+
+    @functools.cached_property
+    def entries(self) -> tuple:
+        return tuple(zip(self.sources, self.targets, self.fns))
 
     @functools.cached_property
     def plan(self):
         """Each rate split into products of independent factor groups.
 
-        Built on first use, for the mean drift.  Returns (terms, groups).
-        ``terms[k]`` is None when transition k stays whole: summed over
-        the sub-rectangle of its axes, its source and ``reads[k]``.
-        Otherwise it is a tuple of (c, uses, rest): the rate is the sum
-        over its terms of c times the product of the ``groups[g]`` for
-        (g, source) in uses, whose axes are disjoint, and rest are the
-        coordinates none of those groups reads.  ``source`` is the
+        Built on first use, for the mean drift.  Returns (terms, axes,
+        kernel), where group g, a product of factors that together read
+        exactly the occupancies ``axes[g]`` (or of none, 1), is entry g
+        of the list one generated ``kernel`` returns.  ``terms[k]`` is
+        None when transition k stays whole: summed over the sub-rectangle
+        of its axes, its source and ``reads[k]``.  Otherwise it is a
+        tuple of (c, uses, rest): the rate is the sum over its terms of c
+        times the product of the groups g for (g, source) in uses, whose
+        axes are disjoint, and rest are the coordinates none reads.  ``source`` is the
         transition's source in the one group that reads it, where the
         intensity weight k_s/N goes, and None in the others.  The terms
         come from ``expr._product_terms``, their factors grouped by
@@ -280,9 +281,9 @@ class _RateTable:
         axes, so a rate splits when its factors read fewer coordinates at
         a time or it is constant.
         """
-        index = self._state_index
+        index = self.state_index
         n = len(self.state_names)
-        groups, ids, plan = [], {}, []
+        groups, ids, plan = [], {}, []  # groups: (axes, factors)
         for k, node in enumerate(self.nodes):
             s, width = self.sources[k], len({self.sources[k], *self.reads[k]})
             terms = ex._product_terms(node, self.params)
@@ -301,16 +302,15 @@ class _RateTable:
                 for key in parts:
                     if key not in ids:
                         ids[key] = len(groups)
-                        fs = key[1] or (ex.Num(1.0),)
-                        groups.append(
-                            _Group(key[0], ex.compile_fn(_product(fs), self.params, index))
-                        )
+                        groups.append(key)
                     uses.append((ids[key], s if s in key[0] else None))
                 read = {a for axes, _ in parts for a in axes}
                 like = (tuple(sorted(uses)), tuple(x for x in range(n) if x not in read))
                 entry[like] = entry.get(like, 0.0) + c
             plan.append(tuple((c, *like) for like, c in entry.items()))
-        return tuple(plan), tuple(groups)
+        products = [_product(fs or (ex.Num(1.0),)) for _, fs in groups]
+        kernel, _ = ex._kernel(products, self.params, index)
+        return tuple(plan), tuple(axes for axes, _ in groups), kernel
 
     def split_flows(self, N, ks, average, masses) -> dict:
         """Poisson averages of the intensities of the transitions among ks
@@ -330,13 +330,13 @@ class _RateTable:
         fail ``check``, and the terms cancel by at most _CANCELLATION.
         Returns {k: average} for the certified transitions.
         """
-        terms, groups = self.plan
+        terms, group_axes, _ = self.plan
         ks = [k for k in ks if terms[k] is not None]
         blocks: dict = {}  # axes -> {(g, source): None}, in order
         for k in ks:
             for _, uses, _ in terms[k]:
                 for g, s in uses:
-                    blocks.setdefault(groups[g].axes, {})[g, s] = None
+                    blocks.setdefault(group_axes[g], {})[g, s] = None
         stats = {}
         for axes, uses in blocks.items():
             uses = list(uses)
@@ -352,9 +352,8 @@ class _RateTable:
     def _group_rows(self, N, uses, m, shape) -> np.ndarray:
         """Values of the (group, source) uses at occupancies m that
         broadcast to shape, stacked, each group evaluated once."""
-        groups = self.plan[1]
         gids = list(dict.fromkeys(g for g, _ in uses))
-        q = _batched([groups[g].fn for g in gids], N, m, shape)
+        q = _batched(self.plan[2], gids, N, m, shape)
         if len(gids) < len(uses):
             q = q[[gids.index(g) for g, _ in uses]]
         if not np.isfinite(q).all():
@@ -447,7 +446,7 @@ class ModelSpec:
         object.__setattr__(self, "_limit_table", limit)
 
     def _compile_table(self, table, kind: str):
-        """Compile the "rate" or "limit" table; each refusal carries its entry."""
+        """Check the "rate" or "limit" table; each refusal carries its entry."""
         what = "rate" if kind == "rate" else "limit rate"
         compiled = []
         for (s, t), node in table.items():
@@ -472,13 +471,12 @@ class ModelSpec:
                         raise ModelError(f"{pair} must not reference N", entry)
                 elif var not in self.params:
                     raise ModelError(f"{pair} uses undeclared parameter {var!r}", entry)
-            fn = ex.compile_fn(node, self.params, self._index)
             compiled.append(
-                (self._index[s], self._index[t], fn, tuple(sorted(reads)), node)
+                (self._index[s], self._index[t], tuple(sorted(reads)), node)
             )
         # canonical order: by (source, target) index
         compiled.sort(key=lambda item: (item[0], item[1]))
-        return _RateTable(self.state_names, compiled, self.params)
+        return _RateTable(self._index, compiled, self.params)
 
     @property
     def n_states(self) -> int:

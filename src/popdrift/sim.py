@@ -161,7 +161,7 @@ def _jump_path(law: _JumpLaw, init, t_end: float, rng, at):
     counts, stops, out = _start(law.model, law.N, init, t_end, at)
     table = law.model._rate_table
     n = law.model.n_states
-    last = len(table.entries) - 1
+    last = len(table.sources) - 1
     # plain lists: this runs once per event
     c = counts.tolist()
     z = [[0] * n for _ in range(n)]

@@ -378,9 +378,9 @@ def test_bundled_mean_drift_asks_for_no_block_over_more_than_one_axis(monkeypatc
     shapes = []
     batched = model_module._batched
 
-    def record(fns, N, m, shape):
-        shapes.append((len(fns), shape))
-        return batched(fns, N, m, shape)
+    def record(kernel, ks, N, m, shape):
+        shapes.append((len(ks), shape))
+        return batched(kernel, ks, N, m, shape)
 
     monkeypatch.setattr(model_module, "_batched", record)
     mean_drift(builtin_example(), 1000, (0.3, 0.7))
