@@ -275,6 +275,7 @@ def _cmd_simulate(args):
     hist = tuple(
         (t, model.index_of(name)) for t, name in (args.hist or ())
     )
+    _check_population(args.N)
     config = _sim_config(args, args.N, args.seed, grid, hist)
     reference = _load_reference(args.ref, model) if args.ref else None
     stats = ensemble(model, config, reference=reference)

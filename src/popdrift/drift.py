@@ -60,10 +60,10 @@ def intensity(model: ModelSpec, N: float, m, s: str, t: str) -> float:
     is well defined even where the bare rate expression is singular there.
     """
     _check_population(N)
+    arr = _flat_occupancy(m, model.n_states)
     k = model._pair(s, t)
     if k is None:
         return 0.0
-    arr = np.asarray(m, dtype=float)
     q = model._rate_table.rates(N, arr.tolist(), ks=(k,), occupied=True)
     return float(arr[model.index_of(s)]) * float(q[0])
 

@@ -23,14 +23,13 @@ Poisson tails add up to the error the result reports.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ModelError, NumericsError
 from .meandrift import poisson_weights
-from .model import ModelSpec, check_counts
+from .model import ModelSpec, _check_integer, check_counts
 
 __all__ = [
     "LumpedStateSpace",
@@ -94,10 +93,8 @@ def enumerate_states(n_states: int, N: int) -> LumpedStateSpace:
     Errors when the stars-and-bars size C(N+I-1, I-1) exceeds
     STATE_SPACE_CAP.
     """
-    if not isinstance(n_states, numbers.Integral):
-        raise ModelError(f"n_states must be an integer, got {n_states!r}")
-    if not isinstance(N, numbers.Integral):
-        raise ModelError(f"N must be an integer, got {N!r}")
+    _check_integer("n_states", n_states)
+    _check_integer("N", N)
     if n_states < 1 or N < 0:
         raise ModelError("need n_states >= 1 and N >= 0")
     size = math.comb(N + n_states - 1, n_states - 1)

@@ -508,6 +508,29 @@ def _combine(node: BinOp, left, right):
     return lt + [(sign * c, fs) for c, fs in rt]
 
 
+def _malformed(e) -> Optional[str]:
+    """Why e is not a tree that ``parse`` could build, or None.
+
+    Looks at node types, operators, and function names and arities;
+    names, states and depth are the caller's to check.
+    """
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (Num, Name, Occ, Neg, BinOp, Call)):
+            return f"holds {node!r} where an expression node belongs"
+        if isinstance(node, BinOp) and node.op not in _NUMPY_OPS:
+            return f"uses unknown operator {node.op!r}"
+        if isinstance(node, Call):
+            if node.func not in FUNCTIONS:
+                return f"calls unknown function {node.func!r}"
+            if len(node.args) != FUNCTIONS[node.func]:
+                return (f"calls {node.func}, which takes {FUNCTIONS[node.func]} "
+                        f"arguments, with {len(node.args)}")
+        stack.extend(a for a, _ in _operands(node))
+    return None
+
+
 def _source_leaf(state_index: Mapping[str, int]) -> Callable[[Expr], Optional[str]]:
     """The leaf renderer of compiled source, for folded trees: float
     literals, ``N`` and ``m[index]``.  An unknown state raises

@@ -321,6 +321,7 @@ def mean_drift_field(
     model: ModelSpec, N: float, tau: float = 1e-10
 ) -> VectorField:
     """The mean drift as a reusable vector field."""
+    _check_population(N)
     _window_budget(model, tau)
     return VectorField(
         kind="mean-drift", N=N, fn=lambda m: mean_drift(model, N, m, tau=tau),

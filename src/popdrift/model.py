@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -456,6 +457,9 @@ class ModelSpec:
                 raise ModelError(f"{what} references unknown state {unknown!r}", entry)
             if s == t:
                 raise ModelError(f"self-loop {pair} is not allowed", entry)
+            problem = ex._malformed(node)
+            if problem is not None:
+                raise ModelError(f"{pair} {problem}", entry)
             if ex.depth(node) > ex._MAX_DEPTH:
                 depth = ex._MAX_DEPTH
                 raise ModelError(f"{pair} nests deeper than {depth} levels", entry)
@@ -521,6 +525,19 @@ def _check_population(N) -> None:
         raise ModelError(f"population size N must be positive and finite, got {N}")
 
 
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral):
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_resolution(D) -> None:
+    """The slotted sampler's time resolution: an integer D >= 1."""
+    if not isinstance(D, numbers.Integral) or D < 1:
+        raise ModelError(
+            f"slotted mode needs an integer time resolution D >= 1, got {D!r}"
+        )
+
+
 def _check_length(m, n_states: int) -> None:
     if len(m) != n_states:
         raise ModelError(f"occupancy has {len(m)} entries, model has {n_states} states")
@@ -573,6 +590,9 @@ def largest_remainder_counts(m, N: int) -> np.ndarray:
     Ties are broken toward the lowest state index, so the result is
     deterministic.
     """
+    _check_integer("N", N)
+    if N < 0:
+        raise ModelError(f"N must be non-negative, got {N}")
     arr = check_occupancy(m)
     scaled = N * arr
     base = np.floor(scaled).astype(np.int64)
@@ -590,10 +610,11 @@ def rate(model: ModelSpec, N: float, m, s: str, t: str) -> float:
     RateError identifying the transition and the occupancy.
     Undeclared pairs have rate zero.
     """
+    _check_population(N)
+    m = _flat_occupancy(m, model.n_states).tolist()
     k = model._pair(s, t)
     if k is None:
         return 0.0
-    m = np.asarray(m, dtype=float).tolist()
     return float(model._rate_table.rates(N, m, ks=(k,))[0])
 
 
@@ -606,13 +627,14 @@ def slot_probability(
     in one slot exceeds 1 the slot width is too coarse and
     SlotResolutionError suggests a larger D.
     """
-    if D <= 0:
-        raise ModelError("slot count D must be positive")
+    _check_population(N)
+    _check_resolution(D)
+    m = _flat_occupancy(m, model.n_states).tolist()
     k = model._pair(s, t)
     table = model._rate_table
     i = model.index_of(s)
     ks = table.out[i]
-    q = table.rates(N, np.asarray(m, dtype=float).tolist(), ks=ks)
+    q = table.rates(N, m, ks=ks)
     probs, _ = table.slot_row(q, i, D)
     return 0.0 if k is None else float(probs[k - ks.start])
 
@@ -670,6 +692,8 @@ def validate(
     sample pairs.
     """
     _check_population(N)
+    _check_integer("sample_count", sample_count)
+    _check_integer("seed", seed)
     if sample_count < 2:
         raise ModelError("sample_count must be at least 2")
     if seed < 0:

@@ -14,7 +14,6 @@ dynamics.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -25,7 +24,7 @@ import numpy as np
 from .drift import drift
 from .errors import ModelError, NumericsError
 from .meandrift import poisson_weights
-from .model import ModelSpec, check_counts
+from .model import ModelSpec, _check_integer, _check_resolution, check_counts
 from .odesolve import Trajectory, _time_vector
 
 __all__ = ["SimConfig", "SimStats", "GeneratorCheck", "simulate_ctmc",
@@ -73,9 +72,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("N", "reps", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ModelError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
         if self.N < 1:
             raise ModelError("population size N must be at least 1")
         if not math.isfinite(self.t_end) or self.t_end < 0:
@@ -87,18 +84,13 @@ class SimConfig:
         if self.mode not in ("ctmc", "slotted"):
             raise ModelError(f"unknown simulation mode {self.mode!r}")
         if self.mode == "slotted":
-            D = self.resolution
-            if not isinstance(D, numbers.Integral) or D < 1:
-                raise ModelError(
-                    f"slotted mode needs an integer time resolution D >= 1, got {D!r}"
-                )
+            _check_resolution(self.resolution)
         if self.sample_times is not None:
             _sample_times(self.sample_times, self.t_end)
         for t, s in self.hist:
             if not 0 <= t <= self.t_end:
                 raise ModelError("histogram times must lie within [0, t_end]")
-            if not isinstance(s, numbers.Integral):
-                raise ModelError(f"histogram state index must be an integer, got {s!r}")
+            _check_integer("histogram state index", s)
 
     def grid(self) -> np.ndarray:
         if self.sample_times is not None:
@@ -198,8 +190,7 @@ def simulate_slotted(model: ModelSpec, N: int, D: int, init, t_end: float, rng, 
     (counts, jump_totals) as simulate_ctmc does; a slot's moves take
     effect at its end, so a time on that boundary reads them.
     """
-    if D < 1:
-        raise ModelError("time resolution D must be at least 1")
+    _check_resolution(D)
     counts, stops, out = _start(model, N, init, t_end, at)
     table = model._rate_table
     n = model.n_states

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from popdrift import expr
 from popdrift.cli import main
 from popdrift.errors import ModelError
 from popdrift.expr import _MAX_DEPTH
@@ -95,6 +96,36 @@ def test_numerics_error_exits_3(capsys, tmp_path):
     )
     assert code == 3
     assert err.startswith("error: numerics:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--N", "10", "--samples", "50"),
+        ("drift", "--N", "10", "--m", "1,0"),
+        ("meandrift", "--N", "1000", "--m", "0.3,0.7"),
+        ("ode", "--variant", "drift", "--N", "10", "--init", "1,0", "--t", "1"),
+        ("ode", "--variant", "meandrift", "--N", "10", "--init", "1,0", "--t", "1",
+         "--step", "0.5"),
+        ("ode", "--variant", "limit", "--init", "1,0", "--t", "1"),
+        ("exact", "--N", "10", "--init", "1,0", "--t", "1"),
+        ("simulate", "--N", "10", "--init", "1,0", "--t", "1", "--reps", "3"),
+        ("simulate", "--N", "10", "--init", "1,0", "--t", "1", "--reps", "3",
+         "--mode", "slotted:10"),
+        ("compare", "--Ns", "2,5", "--t", "1", "--init", "1,0", "--step", "0.5",
+         "--reps", "3"),
+    ],
+    ids=["validate", "drift", "meandrift", "ode-drift", "ode-meandrift", "ode-limit",
+         "exact", "simulate", "simulate-slotted", "compare"],
+)
+def test_commands_run_on_the_table_kernels_alone(capsys, monkeypatch, argv):
+    # the per-rate compile_fn closures are built only when asked for
+    def refused(*args):
+        raise AssertionError("compile_fn called")
+
+    monkeypatch.setattr(expr, "compile_fn", refused)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize(

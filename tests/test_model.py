@@ -16,7 +16,7 @@ import popdrift
 from popdrift.drift import drift, intensity, limit_drift
 from popdrift.errors import ModelError, RateError, SlotResolutionError
 from popdrift.exact import enumerate_states, generator
-from popdrift.meandrift import mean_drift, poisson_mean_intensity
+from popdrift.meandrift import mean_drift, mean_drift_field, poisson_mean_intensity
 from popdrift.model import (
     ModelSpec,
     builtin_example,
@@ -132,6 +132,58 @@ def test_single_pair_entry_points_evaluate_only_their_pairs(entry):
         drift(model, 4, (0.25, 0.75))
 
 
+@pytest.mark.parametrize("entry", sorted(SINGLE_PAIR))
+@pytest.mark.parametrize("N, m", [
+    (0, (0.25, 0.75)),
+    (math.nan, (0.25, 0.75)),
+    (4, (0.25, 0.5, 0.25)),
+    (4, (0.25,)),
+    (4, ((0.25, 0.75),)),
+])
+def test_single_pair_entry_points_refuse_what_drift_refuses(entry, N, m):
+    # rate once returned 0.0 at N=0 and a value for a 3-entry m, and
+    # raised a bare IndexError on a 1-entry or a 2-D m
+    model = load_model(MIXED_DOC.replace("-1", "1"))
+    calls = {
+        "rate": lambda: rate(model, N, m, "a", "b"),
+        "slot_probability": lambda: slot_probability(model, N, m, "a", "b", D=10),
+        "intensity": lambda: intensity(model, N, m, "a", "b"),
+        "poisson_mean_intensity": lambda: poisson_mean_intensity(model, N, m, "a", "b"),
+    }
+    with pytest.raises(ModelError) as want:
+        drift(model, N, m)
+    with pytest.raises(ModelError) as got:
+        calls[entry]()
+    assert str(got.value) == str(want.value)
+
+
+def test_mean_drift_field_refuses_N_when_it_is_built():
+    for N in (0, -1.0, math.inf, math.nan):
+        with pytest.raises(ModelError, match="population size N must be positive"):
+            mean_drift_field(builtin_example(), N)
+
+
+@pytest.mark.parametrize("kind", ["rate", "limit"])
+@pytest.mark.parametrize("node, problem", [
+    (ex.Call("foo", (ex.Occ("a"),)), "calls unknown function 'foo'"),
+    (ex.BinOp("^", ex.Occ("a"), ex.Num(2.0)), "uses unknown operator '^'"),
+    (ex.Call("pow", (ex.Occ("a"),)), "calls pow, which takes 2 arguments, with 1"),
+    (ex.Neg(ex.BinOp("*", 2.0, ex.Num(1.0))),
+     "holds 2.0 where an expression node belongs"),
+    (0.5, "holds 0.5 where an expression node belongs"),
+])
+def test_modelspec_refuses_trees_the_parser_never_makes(kind, node, problem):
+    # such trees once failed with a bare KeyError, TypeError or
+    # AttributeError, at load or at the first drift
+    rates = {("a", "b"): node if kind == "rate" else ex.Num(1.0)}
+    limits = {("a", "b"): node} if kind == "limit" else None
+    what = "rate" if kind == "rate" else "limit rate"
+    with pytest.raises(ModelError) as err:
+        ModelSpec(("a", "b"), {}, rates, limits)
+    assert str(err.value) == f"{what} a -> b {problem}"
+    assert err.value.entry == (kind, ("a", "b"))
+
+
 def test_only_the_rate_table_pairs_evaluate_with_check():
     # every other module takes its rates checked from _RateTable.rates,
     # and the mean drift its split rates certified from split_flows
@@ -233,6 +285,39 @@ def test_loading_a_model_builds_no_point_kernel():
         assert not lazy & set(vars(table))
     drift(model, 50, (0.45, 0.55))
     assert lazy & set(vars(model._rate_table)) == {"_fused_drift"}
+
+
+CONTENTION_PATH = SIRS_PATH.with_name("contention.pop")
+
+
+def test_only_the_table_kernels_are_compiled(monkeypatch):
+    # loading compiles nothing; the drift, the mean drift at N=50 (summed
+    # whole) and N=1000 (split into groups) and the generator define only
+    # the table kernel, the fused drift and the plan kernel, and never
+    # the per-rate compile_fn closures
+    defined = []
+    define = ex._define
+
+    def counted(body, result):
+        defined.append(result)
+        return define(body, result)
+
+    def refused(*args):
+        raise AssertionError("compile_fn called")
+
+    monkeypatch.setattr(ex, "_define", counted)
+    monkeypatch.setattr(ex, "compile_fn", refused)
+    models = [builtin_example(), load_model(CONTENTION_PATH.read_text())]
+    assert defined == []
+    for model in models:
+        m = np.full(model.n_states, 1.0 / model.n_states)
+        drift(model, 50, m)
+        mean_drift(model, 50, m)
+        mean_drift(model, 1000, m)
+        generator(model, enumerate_states(model.n_states, 20))
+        compiled = {"_generated", "_fused_drift", "plan"}
+        assert compiled <= set(vars(model._rate_table))
+    assert len(defined) == 3 * len(models)
 
 
 def test_a_bundled_drift_point_calls_pow_twice():

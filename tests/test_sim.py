@@ -17,7 +17,13 @@ from popdrift.exact import (
     point_mass,
     transient,
 )
-from popdrift.model import builtin_example, load_model, slot_probability, validate
+from popdrift.model import (
+    builtin_example,
+    largest_remainder_counts,
+    load_model,
+    slot_probability,
+    validate,
+)
 from popdrift.odesolve import solve
 from popdrift.sim import (
     SimConfig,
@@ -631,6 +637,37 @@ def test_simconfig_takes_numpy_integers():
 def test_simconfig_refuses_a_non_integer_slotted_resolution():
     with pytest.raises(ModelError, match="integer time resolution"):
         SimConfig(N=5, init=(5, 0), t_end=10.0, reps=3, mode="slotted", resolution=2.5)
+
+
+# library integer arguments that SimConfig would refuse, with the words
+# of the refusal; each once got through or failed with a bare error
+RESOLUTION = "slotted mode needs an integer time resolution D >= 1, got nan"
+BAD_INTEGERS = {
+    "counts N<0": (lambda model: largest_remainder_counts((0.5, 0.5), -3),
+                   "N must be non-negative, got -3"),
+    "counts N=2.5": (lambda model: largest_remainder_counts((0.5, 0.5), 2.5),
+                     "N must be an integer, got 2.5"),
+    "validate samples": (lambda model: validate(model, 10, sample_count=2.5),
+                         "sample_count must be an integer, got 2.5"),
+    "validate seed": (lambda model: validate(model, 10, seed=1.5),
+                      "seed must be an integer, got 1.5"),
+    "simulate_slotted D": (lambda model: simulate_slotted(
+        model, 5, math.nan, (5, 0), 1.0, np.random.default_rng(0), (1.0,)),
+        RESOLUTION),
+    "slot_probability D": (lambda model: slot_probability(
+        model, 5, (0.5, 0.5), "idle", "backoff", math.nan), RESOLUTION),
+    "SimConfig D": (lambda model: SimConfig(
+        N=5, init=(5, 0), t_end=1.0, mode="slotted", resolution=math.nan),
+        RESOLUTION),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INTEGERS))
+def test_library_integer_arguments_are_refused_as_simconfig_refuses_them(case):
+    call, words = BAD_INTEGERS[case]
+    with pytest.raises(ModelError) as err:
+        call(builtin_example())
+    assert str(err.value) == words
 
 
 def test_simconfig_refuses_a_non_integer_histogram_state_index():
