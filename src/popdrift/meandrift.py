@@ -299,10 +299,10 @@ def poisson_mean_intensity(
     NumericsError when the rectangular enumeration would exceed the
     lattice point cap.
     """
+    arr, windows = _coordinate_windows(model, N, m, tau)
     k = model._pair(s, t)
     if k is None:
         return 0.0
-    arr, windows = _coordinate_windows(model, N, m, tau)
     return _window_lattice_sum(model._rate_table, N, arr, windows, ks=(k,))[0]
 
 

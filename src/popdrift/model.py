@@ -272,9 +272,10 @@ class _RateTable:
         of its axes, its source and ``reads[k]``.  Otherwise it is a
         tuple of (c, uses, rest): the rate is the sum over its terms of c
         times the product of the groups g for (g, source) in uses, whose
-        axes are disjoint, and rest are the coordinates none reads.  ``source`` is the
-        transition's source in the one group that reads it, where the
-        intensity weight k_s/N goes, and None in the others.  The terms
+        axes are disjoint, and rest are the coordinates none reads.
+        ``source`` is the transition's source in the one group that reads
+        it, where the intensity weight k_s/N goes, and None in the
+        others.  The terms
         come from ``expr._product_terms``, their factors grouped by
         connected read sets; equal groups are one group, and terms with
         the same groups are one term.  A transition stays whole when it
@@ -438,6 +439,13 @@ class ModelSpec:
                 raise ModelError("parameter name 'N' is reserved", entry)
             if not _IDENT_RE.match(pname):
                 raise ModelError(f"invalid parameter name {pname!r}", entry)
+            value = self.params[pname]
+            try:
+                float(value)
+            except (TypeError, ValueError):
+                raise ModelError(
+                    f"param {pname!r} needs a numeric value, got {value!r}", entry
+                ) from None
         index = {s: i for i, s in enumerate(names)}
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_rate_table", self._compile_table(self.rates, "rate"))

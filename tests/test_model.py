@@ -142,19 +142,21 @@ def test_single_pair_entry_points_evaluate_only_their_pairs(entry):
 ])
 def test_single_pair_entry_points_refuse_what_drift_refuses(entry, N, m):
     # rate once returned 0.0 at N=0 and a value for a 3-entry m, and
-    # raised a bare IndexError on a 1-entry or a 2-D m
-    model = load_model(MIXED_DOC.replace("-1", "1"))
+    # raised a bare IndexError on a 1-entry or a 2-D m; an undeclared
+    # pair, whose rate is 0, is no excuse either
+    model = load_model("states = a, b\nrate a -> b : 0.5\n")
     calls = {
-        "rate": lambda: rate(model, N, m, "a", "b"),
-        "slot_probability": lambda: slot_probability(model, N, m, "a", "b", D=10),
-        "intensity": lambda: intensity(model, N, m, "a", "b"),
-        "poisson_mean_intensity": lambda: poisson_mean_intensity(model, N, m, "a", "b"),
+        "rate": lambda s, t: rate(model, N, m, s, t),
+        "slot_probability": lambda s, t: slot_probability(model, N, m, s, t, D=10),
+        "intensity": lambda s, t: intensity(model, N, m, s, t),
+        "poisson_mean_intensity": lambda s, t: poisson_mean_intensity(model, N, m, s, t),
     }
     with pytest.raises(ModelError) as want:
         drift(model, N, m)
-    with pytest.raises(ModelError) as got:
-        calls[entry]()
-    assert str(got.value) == str(want.value)
+    for pair in (("a", "b"), ("b", "a")):
+        with pytest.raises(ModelError) as got:
+            calls[entry](*pair)
+        assert str(got.value) == str(want.value)
 
 
 def test_mean_drift_field_refuses_N_when_it_is_built():
@@ -182,6 +184,17 @@ def test_modelspec_refuses_trees_the_parser_never_makes(kind, node, problem):
         ModelSpec(("a", "b"), {}, rates, limits)
     assert str(err.value) == f"{what} a -> b {problem}"
     assert err.value.entry == (kind, ("a", "b"))
+
+
+@pytest.mark.parametrize("value", ["x", None, (0.5,)])
+def test_modelspec_refuses_a_parameter_that_is_not_a_number(value):
+    # loading folds no parameter any more, so the first drift would fail
+    # with a bare ValueError or TypeError
+    rates = {("a", "b"): ex.BinOp("*", ex.Name("p"), ex.Occ("a"))}
+    with pytest.raises(ModelError) as err:
+        ModelSpec(("a", "b"), {"p": value}, rates)
+    assert str(err.value) == f"param 'p' needs a numeric value, got {value!r}"
+    assert err.value.entry == ("param", "p")
 
 
 def test_only_the_rate_table_pairs_evaluate_with_check():
