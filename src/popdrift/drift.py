@@ -59,19 +59,16 @@ def intensity(model: ModelSpec, N: float, m, s: str, t: str) -> float:
     The rate check sets a rate to 0 at an empty source, so the intensity
     is well defined even where the bare rate expression is singular there.
     """
-    _check_population(N)
-    arr = _flat_occupancy(m, model.n_states)
-    k = model._pair(s, t)
+    m, k = model._single_pair(N, m, s, t)
     if k is None:
         return 0.0
-    q = model._rate_table.rates(N, arr.tolist(), ks=(k,), occupied=True)
-    return float(arr[model.index_of(s)]) * float(q[0])
+    q = model._rate_table.rates(N, m, ks=(k,), occupied=True)
+    return m[model.index_of(s)] * float(q[0])
 
 
 def drift(model: ModelSpec, N: float, m) -> np.ndarray:
     """Drift vector at occupancy m for population size N."""
-    _check_population(N)
-    return np.array(model._rate_table.drift(N, _flat_occupancy(m).tolist()))
+    return drift_field(model, N)(m)
 
 
 def limit_drift(model: ModelSpec, m, mode: str = "declared") -> np.ndarray:
@@ -82,15 +79,7 @@ def limit_drift(model: ModelSpec, m, mode: str = "declared") -> np.ndarray:
     values differ by less than 1e-9 in max norm, and raises
     NumericsError if that never happens by 2^20.
     """
-    return np.array(_limit_lists(model, mode)(_flat_occupancy(m).tolist()))
-
-
-def _limit_lists(model: ModelSpec, mode: str):
-    if mode == "declared":
-        return functools.partial(model._limit().drift, math.nan)
-    if mode != "numeric":
-        raise ModelError(f"unknown limit mode {mode!r}")
-    return functools.partial(_numeric_limit, model)
+    return limit_field(model, mode)(m)
 
 
 def _numeric_limit(model: ModelSpec, m: list) -> list:
@@ -108,22 +97,26 @@ def _numeric_limit(model: ModelSpec, m: list) -> list:
     )
 
 
+def _field(kind: str, N: Optional[float], lists) -> VectorField:
+    """A built-in field: its list kernel, and fn, that kernel on a flat ndarray."""
+    return VectorField(
+        kind=kind, N=N, fn=lambda m: np.array(lists(_flat_occupancy(m).tolist())),
+        _lists=lists,
+    )
+
+
 def drift_field(model: ModelSpec, N: float) -> VectorField:
     """The finite-N drift as a reusable vector field."""
     _check_population(N)
-    return VectorField(
-        kind="drift", N=N, fn=lambda m: drift(model, N, m),
-        _lists=functools.partial(model._rate_table.drift, N),
-    )
+    return _field("drift", N, functools.partial(model._rate_table.drift, N))
 
 
 def limit_field(model: ModelSpec, mode: str = "declared") -> VectorField:
     """The population-limit drift as a reusable vector field."""
-    if mode == "declared" and not model.has_limit:
-        raise ModelError(
-            "model declares no limit rates; use mode='numeric'"
-        )
-    return VectorField(
-        kind="limit", N=None, fn=lambda m: limit_drift(model, m, mode=mode),
-        _lists=_limit_lists(model, mode),
-    )
+    if mode == "declared":
+        lists = functools.partial(model._limit().drift, math.nan)
+    elif mode == "numeric":
+        lists = functools.partial(_numeric_limit, model)
+    else:
+        raise ModelError(f"unknown limit mode {mode!r}")
+    return _field("limit", None, lists)

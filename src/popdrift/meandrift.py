@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drift import VectorField
+from .drift import VectorField, _field
 from .errors import ModelError, NumericsError
-from .model import ModelSpec, _check_population, _flat_occupancy
+from .model import ModelSpec, _check_length, _check_population
 
 __all__ = [
     "PoissonWeights",
@@ -119,11 +119,12 @@ def poisson_weights(lam: float, tau: float) -> PoissonWeights:
     running products of the ratios lam/(k+1) and k/lam from the mode,
     which stay in range for any lam a float can hold.  The candidates
     span a Chernoff bound on the tails and widen when the walk runs
-    past them.
+    past them; more than LATTICE_POINT_CAP of them raise NumericsError.
     """
     if not 0 <= lam < math.inf:
         raise ModelError(f"Poisson rate must be finite and non-negative, got {lam}")
-    _check_tolerance(tau)
+    if not sys.float_info.min <= tau < 1:  # the taus _check_tolerance refuses
+        _check_tolerance(tau)
     mode = int(math.floor(lam))
     p_mode = _mode_probability(lam, mode)
     nats = math.log(2.0 / tau)
@@ -131,6 +132,11 @@ def poisson_weights(lam: float, tau: float) -> PoissonWeights:
     while True:
         # candidates k = mode-n_low .. mode+width; p[n_low] is the mode
         n_low = min(width, mode)
+        if n_low + 1 + width > LATTICE_POINT_CAP:
+            raise NumericsError(
+                f"Poisson window at rate {lam:g} needs {n_low + 1 + width} "
+                f"candidate counts (cap {LATTICE_POINT_CAP})"
+            )
         ks = np.arange(mode - n_low + 1, mode + width + 1, dtype=float)
         p = np.empty(n_low + 1 + width)
         np.divide(ks[:n_low], lam, out=p[:n_low])  # p_{k-1}/p_k = k/lam
@@ -281,13 +287,9 @@ def _window_budget(model: ModelSpec, tau: float) -> float:
     return _check_tolerance(tau, 2 * model.n_states)
 
 
-def _coordinate_windows(model: ModelSpec, N: float, m, tau: float):
+def _windows(N: float, m: list, budget: float) -> list:
     # the occupancy need not sum to 1: RK4 stage points leave the simplex
-    _check_population(N)
-    budget = _window_budget(model, tau)
-    arr = _flat_occupancy(m, model.n_states)
-    windows = [poisson_weights(N * _clamped(float(x)), budget) for x in arr]
-    return arr, windows
+    return [poisson_weights(N * _clamped(x), budget) for x in m]
 
 
 def poisson_mean_intensity(
@@ -299,31 +301,29 @@ def poisson_mean_intensity(
     NumericsError when the rectangular enumeration would exceed the
     lattice point cap.
     """
-    arr, windows = _coordinate_windows(model, N, m, tau)
-    k = model._pair(s, t)
+    (m, windows), k = model._single_pair(
+        N, m, s, t, check=lambda: _window_budget(model, tau),
+        at=lambda m, budget: (m, _windows(N, m, budget)))
     if k is None:
         return 0.0
-    return _window_lattice_sum(model._rate_table, N, arr, windows, ks=(k,))[0]
-
-
-def _mean_drift_lists(model: ModelSpec, N: float, m, tau: float) -> list:
-    arr, windows = _coordinate_windows(model, N, m, tau)
-    table = model._rate_table
-    return table.net(_window_lattice_sum(table, N, arr, windows))
+    return _window_lattice_sum(model._rate_table, N, m, windows, ks=(k,))[0]
 
 
 def mean_drift(model: ModelSpec, N: float, m, tau: float = 1e-10) -> np.ndarray:
     """Mean drift vector: Poisson-averaged intensities on e_t - e_s."""
-    return np.array(_mean_drift_lists(model, N, m, tau))
+    return mean_drift_field(model, N, tau)(m)
 
 
 def mean_drift_field(
     model: ModelSpec, N: float, tau: float = 1e-10
 ) -> VectorField:
-    """The mean drift as a reusable vector field."""
+    """The mean drift as a reusable vector field, N and tau checked once."""
     _check_population(N)
-    _window_budget(model, tau)
-    return VectorField(
-        kind="mean-drift", N=N, fn=lambda m: mean_drift(model, N, m, tau=tau),
-        _lists=lambda m: _mean_drift_lists(model, N, m, tau),
-    )
+    budget = _window_budget(model, tau)
+    table = model._rate_table
+
+    def lists(m: list) -> list:
+        _check_length(m, model.n_states)
+        return table.net(_window_lattice_sum(table, N, m, _windows(N, m, budget)))
+
+    return _field("mean-drift", N, lists)

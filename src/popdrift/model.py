@@ -506,6 +506,15 @@ class ModelSpec:
             raise ModelError("rates are defined for distinct state pairs")
         return self._rate_table.index.get((self.index_of(s), self.index_of(t)))
 
+    def _single_pair(self, N, m, s: str, t: str, check=None, at=None):
+        """The single-pair preamble: check N, run check(), flatten m to a
+        list of one float per state, replace it by at(m, what check()
+        returned), resolve s -> t.  Returns m and _pair(s, t)."""
+        _check_population(N)
+        checked = check() if check else None
+        m = _flat_occupancy(m, self.n_states).tolist()
+        return (at(m, checked) if at else m), self._pair(s, t)
+
     def transitions(self) -> tuple:
         """Declared transitions as (source_index, target_index, rate_fn)."""
         return self._rate_table.entries
@@ -618,9 +627,7 @@ def rate(model: ModelSpec, N: float, m, s: str, t: str) -> float:
     RateError identifying the transition and the occupancy.
     Undeclared pairs have rate zero.
     """
-    _check_population(N)
-    m = _flat_occupancy(m, model.n_states).tolist()
-    k = model._pair(s, t)
+    m, k = model._single_pair(N, m, s, t)
     if k is None:
         return 0.0
     return float(model._rate_table.rates(N, m, ks=(k,))[0])
@@ -635,10 +642,7 @@ def slot_probability(
     in one slot exceeds 1 the slot width is too coarse and
     SlotResolutionError suggests a larger D.
     """
-    _check_population(N)
-    _check_resolution(D)
-    m = _flat_occupancy(m, model.n_states).tolist()
-    k = model._pair(s, t)
+    m, k = model._single_pair(N, m, s, t, check=lambda: _check_resolution(D))
     table = model._rate_table
     i = model.index_of(s)
     ks = table.out[i]

@@ -50,6 +50,11 @@ def _sample_times(ts, t_end: float) -> np.ndarray:
     return ts
 
 
+def _check_horizon(t_end: float) -> None:
+    if not math.isfinite(t_end) or t_end < 0:
+        raise ModelError("t_end must be finite and non-negative")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Replicated-simulation settings.
@@ -75,8 +80,7 @@ class SimConfig:
             _check_integer(name, getattr(self, name))
         if self.N < 1:
             raise ModelError("population size N must be at least 1")
-        if not math.isfinite(self.t_end) or self.t_end < 0:
-            raise ModelError("t_end must be finite and non-negative")
+        _check_horizon(self.t_end)
         if self.reps < 1:
             raise ModelError("replication count must be at least 1")
         if self.seed < 0:
@@ -100,8 +104,7 @@ class SimConfig:
 
 def _start(model: ModelSpec, N: int, init, t_end: float, at):
     """Checked start of a path: counts, sample times with a sentinel, output rows."""
-    if not math.isfinite(t_end) or t_end < 0:
-        raise ModelError("t_end must be finite and non-negative")
+    _check_horizon(t_end)
     at = _sample_times(at, t_end)
     counts = check_counts(init, N, model.n_states).astype(np.int64)
     rows = np.empty((at.size, model.n_states), dtype=np.int64)

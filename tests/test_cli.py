@@ -229,6 +229,15 @@ def test_exact_horizon_beyond_the_product_cap_exits_3_at_once(capsys):
     assert out == ""
 
 
+def test_meandrift_past_the_window_cap_exits_3_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "meandrift", "--N", "1e20", "--m", "0.5,0.5")
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert err.startswith("error: numerics: Poisson window at rate 5e+19")
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["drift", "meandrift"])
 @pytest.mark.parametrize(
     "m, message",

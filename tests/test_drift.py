@@ -198,3 +198,29 @@ def test_drift_refuses_a_population_size_that_is_not_positive_and_finite(N):
     for call in calls:
         with pytest.raises(ModelError, match="population size N must be positive and finite"):
             call()
+
+
+def test_point_functions_equal_their_field_kernels_bit_for_bit():
+    model = builtin_example()
+    for m in sample_simplex(2, 20, seed=7):
+        assert drift(model, 50, m).tolist() == drift_field(model, 50)._lists(m.tolist())
+        for mode in ("declared", "numeric"):
+            kernel = limit_field(model, mode)._lists
+            assert limit_drift(model, m, mode).tolist() == kernel(m.tolist())
+
+
+def test_point_functions_refuse_with_their_fields_texts():
+    model = load_model("states = a, b\nrate a -> b : 1\n")  # no limit rates
+    cases = [
+        (lambda: drift(model, 0, (0.5, 0.5)), lambda: drift_field(model, 0)),
+        (lambda: drift(model, 10, (1.0,)), lambda: drift_field(model, 10)((1.0,))),
+        (lambda: limit_drift(model, (0.5, 0.5)), lambda: limit_field(model)),
+        (lambda: limit_drift(model, (0.5, 0.5), mode="x"),
+         lambda: limit_field(model, mode="x")),
+    ]
+    for point, field in cases:
+        with pytest.raises(ModelError) as by_point:
+            point()
+        with pytest.raises(ModelError) as by_field:
+            field()
+        assert str(by_point.value) == str(by_field.value)

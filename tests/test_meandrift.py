@@ -4,6 +4,7 @@ import math
 import pathlib
 import re
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from popdrift.meandrift import (
     poisson_mean_intensity,
     poisson_weights,
 )
-from popdrift import model as model_module
+from popdrift import meandrift as meandrift_module, model as model_module
 from popdrift.model import builtin_example, load_model, sample_simplex
 
 P1, P2 = 0.008, 0.05
@@ -530,3 +531,48 @@ def test_split_mean_drift_equals_the_full_rectangle_sum(name, count):
             got = mean_drift(model, N, m)
             scale = sum(abs(f) for f in flows)
             assert np.allclose(got, net, rtol=0, atol=1e-12 * scale), (N, m)
+
+
+def test_a_built_mean_drift_field_checks_N_and_tau_once(monkeypatch):
+    field = mean_drift_field(builtin_example(), 50)
+    calls = []
+    for name in ("_check_population", "_check_tolerance"):
+        def spy(*args, real=getattr(meandrift_module, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(meandrift_module, name, spy)
+    for _ in range(10):
+        field((0.5, 0.5))
+    assert calls == []
+
+
+def test_mean_drift_equals_its_field_kernel_bit_for_bit():
+    model = builtin_example()
+    for N in (5, 50, 1000):
+        kernel = mean_drift_field(model, N)._lists
+        for m in sample_simplex(2, 5, seed=N):
+            assert mean_drift(model, N, m).tolist() == kernel(m.tolist())
+
+
+@pytest.mark.parametrize(
+    "N, m, tau",
+    [(0, (0.5, 0.5), 1e-10), (math.nan, (0.5, 0.5), 1e-10),
+     (10, (0.5, 0.5), 1.5), (10, (1.0,), 1e-10), (10, (-0.5, 1.5), 1e-10)],
+)
+def test_mean_drift_refuses_with_its_fields_texts(N, m, tau):
+    model = builtin_example()
+    with pytest.raises(ModelError) as by_point:
+        mean_drift(model, N, m, tau=tau)
+    with pytest.raises(ModelError) as by_field:
+        mean_drift_field(model, N, tau=tau)(m)
+    assert str(by_point.value) == str(by_field.value)
+
+
+def test_poisson_weights_refuse_a_window_past_the_cap_before_allocating_it():
+    start = time.perf_counter()
+    with pytest.raises(NumericsError, match=re.escape(
+        "Poisson window at rate 5e+19 needs 100210363733 candidate counts "
+        f"(cap {LATTICE_POINT_CAP})"
+    )):
+        poisson_weights(5e19, 2.5e-11)
+    assert time.perf_counter() - start < 0.5

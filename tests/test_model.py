@@ -236,7 +236,8 @@ def test_no_module_imports_scipy_at_import_time():
 
 def test_each_shared_rule_has_one_owner():
     # replication streams, the Poisson-rate and tolerance checks, "variant
-    # needs N" and the sample-time vector check are each written once; the
+    # needs N", the sample-time vector check, the sampler horizon check and
+    # the refusal of an undeclared limit are each written once; the
     # CLI takes the finiteness of N from the library's population check
     from popdrift import cli, model as model_module
 
@@ -245,7 +246,9 @@ def test_each_shared_rule_has_one_owner():
         for info in pkgutil.iter_modules(popdrift.__path__)
     )
     for phrase in ("SeedSequence(", "Poisson rate must be finite", "needs N",
-                   "tail tolerance must be", "sample times must be finite"):
+                   "tail tolerance must be", "sample times must be finite",
+                   "t_end must be finite and non-negative",
+                   "declares no limit rates"):
         assert source.count(phrase) == 1, phrase
     assert cli._check_positive_finite is model_module._check_population
     assert "_check_positive_finite(N)" in inspect.getsource(cli._check_population)
