@@ -16,16 +16,15 @@ over the grammar
 1-based column number.
 
 Expressions get values only through compiled source, and one
-renderer writes it: subtrees that read neither ``N`` nor ``m`` are
-folded to float literals, occupancies become ``m[index]``, and the
-source reads nothing but those, ``N`` and the names of
-``_KERNEL_GLOBALS``, so no model name reaches it.  ``_kernel`` makes
-one straight-line function per table of expressions that computes a
+compiler writes it: ``_kernel`` folds subtrees that read neither ``N``
+nor ``m`` to float literals, writes occupancies as ``m[index]``, and
+the source reads nothing but those, ``N`` and the names of
+``_KERNEL_GLOBALS``, so no model name reaches it.  It makes one
+straight-line function per table of expressions that computes a
 repeated subtree once and, written in plain operators and numpy
 ufuncs, serves a point of plain floats and arrays of points alike; its
 drift form also checks the rates and sums the net flows in the same
-call.  ``compile_fn`` compiles one expression alone, for callers and
-as the reference the tests hold the table kernels to.  Values follow
+call.  ``compile_fn`` is its one-expression case.  Values follow
 numpy semantics: ``pow(0, 0)`` is 1, and a division by zero, ``ln`` of
 zero or of a negative number, or ``pow`` outside its domain gives inf
 or nan instead of raising.  Nothing here refuses a value; the model's
@@ -568,20 +567,16 @@ def compile_fn(
 ) -> Callable[[float, Sequence], object]:
     """Compile an expression to ``f(N, m)`` with parameters baked in.
 
-    ``m`` is indexed by state position and may hold floats or numpy
-    arrays; operations broadcast elementwise.  Subtrees that read
-    neither ``N`` nor ``m`` are evaluated once here; the rest is
-    rendered as Python source in which those values are float literals
-    and occupancies are ``m[index]``, so no model name reaches the
-    source.  The compiled function is unchecked: domain violations
-    produce inf/nan under numpy semantics rather than raising (for
-    plain-float ``N`` and ``m``, a division by zero still raises
-    ZeroDivisionError), so callers validate results.  Unbound names
-    raise ExprEvalError here, at compile time.
+    The one-expression table of ``_kernel``: ``m`` is indexed by state
+    position and may hold floats or numpy arrays, and operations
+    broadcast elementwise.  The compiled function is unchecked: domain
+    violations produce inf/nan under numpy semantics rather than
+    raising (for plain-float ``N`` and ``m``, a division by zero still
+    raises ZeroDivisionError), so callers validate results.  Unbound
+    names raise ExprEvalError here, at compile time.
     """
-    with np.errstate(all="ignore"):
-        folded = _fold(e, params)
-    return _define((), _render(folded, _source_leaf(state_index)))
+    kernel, _ = _kernel([e], params, state_index)
+    return lambda N, m: kernel(N, m)[0]
 
 
 def _kernel(
@@ -592,19 +587,19 @@ def _kernel(
 ) -> tuple[Callable[[float, Sequence], Optional[list]], bool]:
     """Compile a table of expressions to one straight-line ``f(N, m)``.
 
-    Each expression is folded and rendered as ``compile_fn`` renders it,
-    into one function body in which a subtree that occurs more than
-    once, within one expression or across them, is computed once into a
-    local.  Without ``moves``, ``m`` holds floats or arrays, as for
-    ``compile_fn``, and f returns the list of the values, q_k in table
-    order.  With ``moves`` = (sources, targets), ``m`` is one point of
-    floats and q_k is the rate of a move from sources[k] to targets[k];
-    f returns None if some q_k is not in [0, inf), and otherwise the net
+    Each expression is folded, its constant subtrees evaluated once
+    here, and rendered into one function body in which a subtree that
+    occurs more than once, within one expression or across them, is
+    computed once into a local.  Without ``moves``, ``m`` holds floats
+    or arrays and f returns the list of the values, q_k in table order.
+    With ``moves`` = (sources, targets), ``m`` is one point of floats
+    and q_k is the rate of a move from sources[k] to targets[k]; f
+    returns None if some q_k is not in [0, inf), and otherwise the net
     flow per state: from 0.0, for each k in order, m[sources[k]]*q_k
     subtracted at the source and added at the target.  Values follow
-    numpy semantics as in ``compile_fn``, to the same bits.  Also
-    returns whether the body calls a numpy function; one that does not
-    computes plain floats with plain floats.
+    numpy semantics, as the module docstring says.  Also returns
+    whether the body calls a numpy function; one that does not computes
+    plain floats with plain floats.
     """
     leaf = _source_leaf(state_index)
     with np.errstate(all="ignore"):

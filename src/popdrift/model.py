@@ -153,13 +153,15 @@ class _RateTable:
     ``out[i]`` is the range of k whose source is state i.  Every place
     that evaluates transitions takes them checked from ``rates``, on all
     transitions or on the positions ``ks``; only ``validate`` reads
-    ``evaluate``'s values unchecked.  At one point or over arrays, every
+    ``kernel``'s values unchecked.  At one point or over arrays, every
     rate comes from one generated straight-line call, and ``drift`` is
     that call with the check's common case and the net flow fused in.
     The mean drift takes the averages of the rates that ``plan`` splits
     from ``split_flows``, which certifies them in place of ``check``.
-    Compiled forms, ``fns[k]`` and ``entries[k]`` = (source, target,
-    fns[k]) included, are built on first use.
+    Compiled forms are built on first use.  ``entries[k]`` = (source,
+    target, f) holds transition k's own ``compile_fn`` closure, which
+    computes its rate alone: a view of the table kernel would compute
+    every rate, and raise or warn where another one divides by zero.
     """
 
     def __init__(self, state_index, compiled, params):
@@ -176,31 +178,27 @@ class _RateTable:
         self.out = tuple(map(range, starts, starts[1:]))
 
     def rates(self, N, m, shape=None, ks=None, occupied: bool = False):
-        """``evaluate``'s rates once ``check`` has refused or excused them."""
-        q = self.evaluate(N, m, shape, ks)
-        self.check(q, m, occupied, ks)
-        return q
-
-    def evaluate(self, N, m, shape=None, ks=None):
-        """Rates of the transitions ks (default: all) at occupancy m.
+        """Rates of the transitions ks (default: all) at occupancy m, once
+        ``check`` has refused or excused them.
 
         With ``shape`` None, m is one point, a list of plain floats,
         and the result is a list of floats, picked from ``kernel``'s.
         Otherwise m holds floats or arrays that broadcast to ``shape``
         and the result is an array of shape (len(ks), *shape).
-        Domain violations give inf or nan as under numpy; ``check``
-        rejects them.
         """
         if shape is not None:
             ks = range(len(self.sources)) if ks is None else ks
-            return _batched(self._generated[0], ks, N, m, shape)
-        q = self.kernel(N, m)
-        return q if ks is None else [q[k] for k in ks]
+            q = _batched(self._generated[0], ks, N, m, shape)
+        else:
+            q = self.kernel(N, m)
+            q = q if ks is None else [q[k] for k in ks]
+        self.check(q, m, occupied, ks)
+        return q
 
     def check(self, q, m, occupied: bool = False, ks=None) -> None:
         """Raise RateError at the first negative or non-finite rate in q.
 
-        q comes from ``evaluate`` at the same m and ks.  With
+        q holds the unchecked rates at the same m and ks.  With
         ``occupied``, a transition whose source occupancy is zero has no
         intensity whatever its rate: such a rate is excused and set to 0.
         """
@@ -252,13 +250,9 @@ class _RateTable:
         return _at_point(*ex._kernel(self.nodes, self.params, self.state_index, moves))
 
     @functools.cached_property
-    def fns(self) -> tuple:
-        return tuple(ex.compile_fn(e, self.params, self.state_index)
-                     for e in self.nodes)
-
-    @functools.cached_property
     def entries(self) -> tuple:
-        return tuple(zip(self.sources, self.targets, self.fns))
+        return tuple((i, j, ex.compile_fn(e, self.params, self.state_index))
+                     for i, j, e in zip(self.sources, self.targets, self.nodes))
 
     @functools.cached_property
     def plan(self):
@@ -519,9 +513,6 @@ class ModelSpec:
         """Declared transitions as (source_index, target_index, rate_fn)."""
         return self._rate_table.entries
 
-    def limit_transitions(self) -> tuple:
-        return self._limit().entries
-
     def _limit(self) -> _RateTable:
         if self._limit_table is None:
             raise ModelError("model declares no limit rates")
@@ -718,7 +709,7 @@ def validate(
     lipschitz = 0.0
     drifts = np.full((sample_count, model.n_states), np.nan)
     for k, m in enumerate(points.tolist()):
-        q = table.evaluate(N, m)
+        q = table.kernel(N, m)
         valid = [float(x) for x in q if 0.0 <= x < math.inf]
         max_rate = max([max_rate, *valid])
         try:

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .drift import drift
+from .drift import drift_field
 from .errors import ModelError, NumericsError
 from .meandrift import poisson_weights
 from .model import ModelSpec, _check_integer, _check_resolution, check_counts
@@ -434,10 +434,11 @@ def generator_check(
     fds = np.zeros((R, model.n_states))
     drs = np.zeros((R, model.n_states))
     path = _sampler(model, config)
+    vf = drift_field(model, config.N)
     for r, rng in enumerate(_replication_rngs(config)):
         occ = path(rng, probe)[0] / float(config.N)
         fds[r] = (occ[2] - occ[0]) / (w1 - w0)
-        drs[r] = drift(model, config.N, occ[1])
+        drs[r] = vf(occ[1])
     diffs = fds - drs
     disc = diffs.mean(axis=0)
     if R > 1:

@@ -16,6 +16,8 @@ from popdrift.errors import ModelError, NumericsError
 from popdrift.model import builtin_example, load_model, sample_simplex
 from popdrift.odesolve import solve
 
+from oracle import rate_fns, rates_at
+
 P1, P2 = 0.008, 0.05
 
 
@@ -52,9 +54,9 @@ def test_drift_sums_each_flow_in_table_order():
     model = load_model(FULL_DOC)
     table = model._rate_table
     for m in sample_simplex(3, 200, seed=5).tolist():
-        q = [fn(30.0, m) for fn in table.fns]
+        q = rates_at(table, 30.0, m)
         want = [0.0, 0.0, 0.0]
-        for (i, j, _), value in zip(model.transitions(), q):
+        for (i, j, _), value in zip(rate_fns(table), q):
             want[i] -= m[i] * value
             want[j] += m[i] * value
         assert drift(model, 30.0, m).tobytes() == np.array(want).tobytes()

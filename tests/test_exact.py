@@ -20,6 +20,8 @@ from popdrift.exact import (
 )
 from popdrift.model import builtin_example, load_model
 
+from oracle import rate_fns
+
 CONTENTION_DOC = """states = idle, backoff, send
 param a = 0.05
 param b = 0.2
@@ -121,7 +123,7 @@ def dense_generator(model, space):
     gen = np.zeros((space.size, space.size))
     for k, counts in enumerate(space.states.tolist()):
         m = [c / space.N for c in counts]
-        for s, t, fn in model.transitions():
+        for s, t, fn in rate_fns(model._rate_table):
             if counts[s] == 0:
                 continue
             target = list(counts)

@@ -29,6 +29,8 @@ from popdrift.drift import drift
 from popdrift.errors import RateError
 from popdrift.model import load_model, rate
 
+from oracle import evaluate
+
 
 def test_parse_rate_expression_shape():
     ast = parse("p1*(1 - pow(1-p1/2, N*m[idle]))")
@@ -73,29 +75,6 @@ def test_parse_rejects_wrong_arity():
 def test_parse_scientific_notation():
     assert parse("1.5e-3") == Num(1.5e-3)
     assert parse(".5") == Num(0.5)
-
-
-def evaluate(e, bindings):
-    """Reference value of e: a tree walk on numpy float64 scalars.
-
-    The oracle of the agreement tests below.  It reads ``N``, parameters
-    and ``m[state]`` keys from bindings and shares no code with the
-    kernel's renderer or constant folder, only numpy's arithmetic.
-    """
-    if isinstance(e, Num):
-        return np.float64(e.value)
-    if isinstance(e, Name):
-        return np.float64(bindings[e.ident])
-    if isinstance(e, Occ):
-        return np.float64(bindings[f"m[{e.state}]"])
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, bindings)
-    if isinstance(e, BinOp):
-        fn = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[e.op]
-        return fn(evaluate(e.left, bindings), evaluate(e.right, bindings))
-    fn = {"pow": np.power, "exp": np.exp, "ln": np.log,
-          "min": np.minimum, "max": np.maximum}[e.func]
-    return fn(*(evaluate(a, bindings) for a in e.args))
 
 
 def same_value(got, want) -> bool:

@@ -23,6 +23,8 @@ from popdrift.meandrift import (
 from popdrift import meandrift as meandrift_module, model as model_module
 from popdrift.model import builtin_example, load_model, sample_simplex
 
+from oracle import rate_fns
+
 P1, P2 = 0.008, 0.05
 
 
@@ -498,10 +500,11 @@ def sliced_rectangle_flows(model, N, m, tau):
     weight = np.ones(rest[0].shape)
     for c, w in enumerate(windows[1:]):
         weight = weight * w.probs.reshape([-1 if d == c else 1 for d in range(len(rest))])
-    flows = [0.0] * len(model.transitions())
+    fns = rate_fns(model._rate_table)
+    flows = [0.0] * len(fns)
     for k, p in zip(windows[0].support(), windows[0].probs):
         grid = [np.full(weight.shape, k / N)] + rest
-        for pos, (i, _, fn) in enumerate(model.transitions()):
+        for pos, (i, _, fn) in enumerate(fns):
             with np.errstate(all="ignore"):
                 q = np.broadcast_to(fn(float(N), grid), weight.shape).copy()
             q[grid[i] == 0] = 0.0  # no intensity where the source is empty
@@ -525,7 +528,7 @@ def test_split_mean_drift_equals_the_full_rectangle_sum(name, count):
         for m in sample_simplex(model.n_states, count, seed=N):
             flows = sliced_rectangle_flows(model, N, m, 1e-10)
             net = np.zeros(model.n_states)
-            for (i, j, _), flow in zip(model.transitions(), flows):
+            for (i, j, _), flow in zip(rate_fns(model._rate_table), flows):
                 net[i] -= flow
                 net[j] += flow
             got = mean_drift(model, N, m)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import popdrift
-from popdrift.drift import drift, intensity, limit_drift
+from popdrift.drift import drift, intensity, limit_drift, limit_field
 from popdrift.errors import ModelError, RateError, SlotResolutionError
 from popdrift.exact import enumerate_states, generator
 from popdrift.meandrift import mean_drift, mean_drift_field, poisson_mean_intensity
@@ -31,6 +31,8 @@ from popdrift.model import (
 )
 from popdrift.sim import simulate_ctmc, simulate_slotted
 from popdrift import expr as ex
+
+from oracle import rates_at
 
 P1, P2 = 0.008, 0.05
 
@@ -204,7 +206,7 @@ def test_only_the_rate_table_pairs_evaluate_with_check():
         if info.name == "model":
             continue
         source = inspect.getsource(importlib.import_module(f"popdrift.{info.name}"))
-        assert ".evaluate(" not in source, info.name
+        assert ".kernel(" not in source, info.name
         assert ".check(" not in source, info.name
         assert "_batched(" not in source, info.name
         assert "_group_rows(" not in source, info.name
@@ -395,6 +397,16 @@ def test_compiled_source_has_one_exec_site():
         if re.search(r"\b(?:eval|exec)\(", line)
     ]
     assert len(sites) == 1 and sites[0][0] == "expr.py", sites
+    # and _define, which holds it, has one caller: _kernel
+    callers = [
+        (path.name, getattr(top, "name", None))
+        for path in sorted(pathlib.Path(popdrift.__file__).parent.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and "_define" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert set(callers) == {("expr.py", "_kernel")}, callers
 
 
 def test_state_and_parameter_names_that_are_kernel_globals_drift_as_written():
@@ -420,6 +432,24 @@ def test_state_and_parameter_names_that_are_kernel_globals_drift_as_written():
             want[j] += f
         assert drift(model, 10, (a, b)).tobytes() == np.array(want).tobytes()
         assert model.transitions()[1][2](10.0, [a, b]) == q[1]
+
+
+def test_a_transition_closure_computes_its_own_rate_alone():
+    # at this point the other rates divide by zero and take ln(0) on plain
+    # floats; a view of the table kernel would compute them too, and raise
+    model = load_model(
+        "states = a, b, c\n"
+        "rate a -> b : 0.5/m[a]\n"
+        "rate b -> c : 2 + ln(m[a])\n"
+        "rate c -> a : 0.3*m[b] + exp(-N*m[c])\n"
+    )
+    table = model._rate_table
+    m = [0.0, 0.25, 0.75]
+    with pytest.raises(ZeroDivisionError):
+        table._generated[0](10.0, m)
+    k = table.index[(2, 0)]
+    got = model.transitions()[k][2](10.0, m)  # warnings are errors here
+    assert got == rates_at(table, 10.0, m)[k]
 
 
 def test_transitions_yield_kernels_for_points_and_arrays():
@@ -602,7 +632,7 @@ def test_model_without_limit_reports_it():
     model = load_model("states = a, b\nrate a -> b : 1\n")
     assert not model.has_limit
     with pytest.raises(ModelError, match="no limit"):
-        model.limit_transitions()
+        limit_field(model)
 
 
 def test_check_occupancy():

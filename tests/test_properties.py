@@ -41,8 +41,10 @@ from popdrift.meandrift import (  # noqa: E402
     poisson_mean_intensity,
     poisson_weights,
 )
-from popdrift.model import ModelSpec, load_model  # noqa: E402
+from popdrift.model import ModelSpec, _batched, load_model  # noqa: E402
 from popdrift.sim import simulate_ctmc, simulate_slotted  # noqa: E402
+
+from oracle import rate_fns, rates_at  # noqa: E402
 
 NAMES = ("a", "b", "c")
 
@@ -265,7 +267,7 @@ def full_rectangle_flows(model, N, m, tau):
     for c, w in enumerate(windows):
         weight = weight * w.probs.reshape([-1 if d == c else 1 for d in range(len(m))])
     flows = []
-    for i, _, fn in model.transitions():
+    for i, _, fn in rate_fns(model._rate_table):
         with np.errstate(all="ignore"):
             q = np.broadcast_to(fn(float(N), grid), weight.shape).copy()
         q[grid[i] == 0] = 0.0  # no intensity where the source is empty
@@ -280,11 +282,11 @@ def test_mean_drift_equals_the_full_rectangle_sum(data, model, N):
     tau = 1e-6
     want = full_rectangle_flows(model, N, m, tau)
     names = model.state_names
-    for (i, j, _), flow in zip(model.transitions(), want):
+    for (i, j, _), flow in zip(rate_fns(model._rate_table), want):
         got = poisson_mean_intensity(model, N, m, names[i], names[j], tau=tau)
         assert got == pytest.approx(flow, rel=1e-12, abs=1e-300)
     net = np.zeros(model.n_states)
-    for (i, j, _), flow in zip(model.transitions(), want):
+    for (i, j, _), flow in zip(rate_fns(model._rate_table), want):
         net[i] -= flow
         net[j] += flow
     scale = sum(want)
@@ -439,34 +441,30 @@ def refused(table, q, m, occupied):
 def test_rate_table_paths_agree_at_domain_edges(table, N, data):
     n = len(table.state_names)
     points = data.draw(st.lists(occupancies(n), min_size=1, max_size=4))
-    # the batched path, all points at once
-    batch = table.evaluate(N, [np.array(c) for c in zip(*points)], (len(points),))
+    # the batched path, all points at once, unchecked
+    ks = range(len(table.nodes))
+    batch = _batched(table._generated[0], ks, N, [np.array(c) for c in zip(*points)],
+                     (len(points),))
     for p, point in enumerate(points):
         m = point.tolist()
-        # each transition alone: plain floats, or the retry where it divides by zero
-        alone = [table.evaluate(N, m, ks=(k,))[0] for k in range(len(table.fns))]
+        # each transition alone, by the oracle
+        alone = rates_at(table, N, m)
         # all at once: the trigger divides by zero, so every rate is retried
-        retried = table.evaluate(N, m)
+        retried = table.kernel(N, m)
         with pytest.raises(ZeroDivisionError):
-            table.fns[table.index[(n - 1, 0)]](N, m)
+            table.entries[table.index[(n - 1, 0)]][2](N, m)
+        with np.errstate(all="ignore"):
+            closures = [f(np.float64(N), [np.float64(x) for x in m])
+                        for _, _, f in table.entries]
         batched = batch[:, p]
         assert [bits(x) for x in alone] == [bits(x) for x in retried]
+        assert [bits(x) for x in alone] == [bits(x) for x in closures]
         assert [bits(x) for x in alone] == [bits(x) for x in batched]
         for occupied in (False, True):
             want = refused(table, alone, m, occupied)
             assert refused(table, retried, m, occupied) == want
             assert refused(table, list(batched), m, occupied) == want
             assert refused(table, batched, m, occupied) == want
-
-
-def each_rate_alone(table, N, m):
-    """Every fns[k] at the point m: plain floats, or numpy scalars for all
-    of them when one divides by zero."""
-    with np.errstate(all="ignore"):
-        try:
-            return [fn(N, m) for fn in table.fns]
-        except ZeroDivisionError:
-            return [fn(np.float64(N), [np.float64(x) for x in m]) for fn in table.fns]
 
 
 def outcome(call):
@@ -485,7 +483,7 @@ def test_point_kernel_and_fused_drift_match_each_rate_alone(table, N, data):
     n = len(table.state_names)
     for point in data.draw(st.lists(occupancies(n), min_size=1, max_size=4)):
         m = point.tolist()
-        alone = each_rate_alone(table, N, m)
+        alone = rates_at(table, N, m)
         assert [bits(x) for x in table.kernel(N, m)] == [bits(x) for x in alone]
 
         def reference():

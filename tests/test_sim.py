@@ -1,5 +1,6 @@
 """Path generators, ensembles, Poisson fit, mean-dynamics check."""
 
+import importlib
 import math
 import pathlib
 import tracemalloc
@@ -33,6 +34,8 @@ from popdrift.sim import (
     simulate_ctmc,
     simulate_slotted,
 )
+
+from oracle import rates_at
 
 ZERO_DOC = "states = a, b\nrate a -> b : 0\n"
 FAST_DOC = "states = a, b\nrate a -> b : 2 + m[b]\nrate b -> a : 1 + 0.5*m[a]\n"
@@ -452,7 +455,7 @@ def reference_ctmc(model, N, init, t_end, rng, at):
     while True:
         c = counts.tolist()
         m = [x / N for x in c]
-        q = table.evaluate(N, m)
+        q = rates_at(table, N, m)
         table.check(q, m, occupied=True)
         weights = table.intensities(q, c)
         total = math.fsum(weights)
@@ -582,6 +585,23 @@ def test_ensemble_and_generator_check_build_one_jump_law_each(monkeypatch):
     ensemble(builtin_example(), config)
     generator_check(builtin_example(), config, (1.0, 2.0))
     assert built == [10, 10]
+
+
+def test_generator_check_builds_one_drift_field(monkeypatch):
+    # every replication's midpoint drift comes from one field; the
+    # package's name popdrift.drift is the function, hence import_module
+    drift_module = importlib.import_module("popdrift.drift")
+    built = []
+    real = drift_module._field
+
+    def counted(kind, N, lists):
+        built.append(kind)
+        return real(kind, N, lists)
+
+    monkeypatch.setattr(drift_module, "_field", counted)
+    config = SimConfig(N=10, init=(10, 0), t_end=5.0, reps=50, seed=1)
+    generator_check(builtin_example(), config, (1.0, 2.0))
+    assert built == ["drift"]
 
 
 def test_generator_check_keeps_its_recorded_values():
