@@ -18,12 +18,21 @@ is counted; a segment whose leak exceeds its share is redone with a
 higher cap, raised toward the states the leak went to, and the raised
 cap carries into the next segment.  The dropped mass, the leaks and the
 Poisson tails add up to the error the result reports.
+
+Given the model, transient reads its generator from a row source: the
+rates and exit rates of every state, evaluated once, and the columns
+of a state's row, the ranks of its neighbours, computed only when an
+active set first takes that state in.  Each segment's kernel is built
+from those rows alone; generator is the same rows over every state as
+one CSR matrix.  Kernel products call scipy's csr_matvec, the routine
+behind its sparse @, into reused buffers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +77,15 @@ class LumpedStateSpace:
     def size(self) -> int:
         return self.states.shape[0]
 
+    @cached_property
+    def _binom(self) -> np.ndarray:
+        """binom[p, m] = C(m+p, p) for p < I and m <= N, built once per space."""
+        binom = np.ones((self.n_states, self.N + 1), dtype=np.int64)
+        for p in range(1, self.n_states):
+            binom[p] = np.cumsum(binom[p - 1])
+        binom.flags.writeable = False
+        return binom
+
     def rank(self, counts) -> np.ndarray:
         """Lexicographic positions of the count vectors in the rows of counts.
 
@@ -75,9 +93,7 @@ class LumpedStateSpace:
         skips C(M+p, p) - C(M-n_c+p, p) vectors, p = I-1-c.  Rows outside
         the space get meaningless ranks; index_of checks its input.
         """
-        binom = np.ones((self.n_states, self.N + 1), dtype=np.int64)
-        for p in range(1, self.n_states):
-            binom[p] = np.cumsum(binom[p - 1])  # binom[p, m] = C(m+p, p)
+        binom = self._binom
         head = np.asarray(counts, dtype=np.int64)[..., :-1]
         after = self.N - np.cumsum(head, axis=-1)
         p = np.arange(self.n_states - 1, 0, -1)
@@ -153,6 +169,72 @@ def point_mass(space: LumpedStateSpace, counts, time: float = 0.0) -> LumpedDist
     return LumpedDistribution(space=space, probs=probs, time=time)
 
 
+class _Rows:
+    """Generator rows of one model over one space, ranked on demand.
+
+    The rates n_s * Q_{s,t}(n/N) and the exit rates cover the whole
+    space, since the exit-rate cap reads every state.  The column of a
+    rate, the rank of the neighbour n - e_s + e_t, is computed only when
+    an active set first takes its state in, and kept for every later
+    segment and redone attempt.
+    """
+
+    def __init__(self, model: ModelSpec, space: LumpedStateSpace):
+        if model.n_states != space.n_states:
+            raise ModelError(
+                f"model has {model.n_states} states, space {space.n_states}"
+            )
+        N = space.N
+        states = space.states
+        table = model._rate_table
+        # max(N, 1): at N = 0 the only count vector is all zeros
+        coords = [states[:, c] / max(N, 1) for c in range(space.n_states)]
+        q = table.rates(float(N), coords, (space.size,), occupied=True)
+        sources = np.asarray(table.sources, dtype=np.int64)
+        dests = np.asarray(table.targets, dtype=np.int64)
+        self.space = space
+        self.rates = states[:, sources].T * q  # row k: transition k's rates
+        # each state's rates added in transition order, starting from 0.0
+        self.exit_rates = np.zeros(space.size)
+        for rates in self.rates:
+            self.exit_rates += rates
+        e = np.eye(space.n_states, dtype=np.int64)
+        self._moves = e[dests] - e[sources]
+        self._cols = np.zeros(self.rates.shape, dtype=np.int64)
+        self._ranked = np.zeros(space.size, dtype=bool)
+
+    def entries(self, active: np.ndarray):
+        """COO entries (position in active, column, value) of the active
+        rows: the positive rates in transition-major order, then the
+        diagonal."""
+        k, pos = np.nonzero(self.rates[:, active] > 0)
+        at = active[pos]
+        new = ~self._ranked[at]
+        if new.any():
+            k_new, at_new = k[new], at[new]
+            self._cols[k_new, at_new] = self.space.rank(
+                self.space.states[at_new] + self._moves[k_new]
+            )
+            self._ranked[active] = True
+        return (
+            np.concatenate([pos, np.arange(len(active))]),
+            np.concatenate([self._cols[k, at], active]),
+            np.concatenate([self.rates[k, at], -self.exit_rates[active]]),
+        )
+
+
+class _MatrixRows:
+    """A row source over a CSR generator that the caller built."""
+
+    def __init__(self, gen: sparse.csr_matrix):
+        self.exit_rates = -gen.diagonal()
+        self._gen = gen
+
+    def entries(self, active: np.ndarray):
+        rows = self._gen[active].tocoo()  # rows.row: position in active
+        return rows.row, rows.col, rows.data
+
+
 def generator(model: ModelSpec, space: LumpedStateSpace) -> sparse.csr_matrix:
     """Sparse generator of the count-vector chain.
 
@@ -161,61 +243,38 @@ def generator(model: ModelSpec, space: LumpedStateSpace) -> sparse.csr_matrix:
     """
     from scipy import sparse  # loaded by the first generator, not at import
 
-    if model.n_states != space.n_states:
-        raise ModelError(
-            f"model has {model.n_states} states, space {space.n_states}"
-        )
-    N = space.N
-    states = space.states
-    table = model._rate_table
-    # max(N, 1): at N = 0 the only count vector is all zeros
-    coords = [states[:, c] / max(N, 1) for c in range(space.n_states)]
-    q = table.rates(float(N), coords, (space.size,), occupied=True)
-    sources = np.asarray(table.sources, dtype=np.int64)
-    dests = np.asarray(table.targets, dtype=np.int64)
-    rates = states[:, sources].T * q
-    # transition-major order: bincount adds each row's rates in q's order
-    k, row_idx = np.nonzero(rates > 0)
-    data = rates[k, row_idx]
-    e = np.eye(space.n_states, dtype=np.int64)
-    col_idx = space.rank(states[row_idx] - e[sources[k]] + e[dests[k]])
-    diag = np.bincount(row_idx, weights=data, minlength=space.size)
-    all_rows = np.concatenate([row_idx, np.arange(space.size)])
-    all_cols = np.concatenate([col_idx, np.arange(space.size)])
-    all_data = np.concatenate([data, -diag])
-    gen = sparse.csr_matrix(
-        (all_data, (all_rows, all_cols)), shape=(space.size, space.size)
-    )
+    pos, cols, data = _Rows(model, space).entries(np.arange(space.size))
+    gen = sparse.csr_matrix((data, (pos, cols)), shape=(space.size, space.size))
     gen.sum_duplicates()
     gen.eliminate_zeros()
     return gen
 
 
-def _projected_kernel(gen: sparse.csr_matrix, active: np.ndarray, lam: float):
+def _projected_kernel(rows, active: np.ndarray, lam: float):
     """Transposed kernel I + G_SS/lam on the active states, plus sinks.
 
-    Rows and columns are the active states in order, then every state
-    outside them that an active row reaches; those sinks keep what flows
-    into them (identity rows), so the kernel conserves mass.  Returns
-    the CSR kernel and the sinks' state indices.
+    rows is a row source or a CSR generator.  Rows and columns are the
+    active states in order, then every state outside them that an
+    active row reaches; those sinks keep what flows into them (identity
+    rows), so the kernel conserves mass.  Returns the CSR kernel and
+    the sinks' state indices.
     """
     from scipy import sparse
 
+    if not isinstance(rows, (_Rows, _MatrixRows)):
+        rows = _MatrixRows(rows)
+    pos, cols, data = rows.entries(active)
     n_active = len(active)
-    rows = gen[active].tocoo()  # rows.row: position in active
-    local = np.full(gen.shape[0], -1, dtype=np.int64)
+    local = np.full(len(rows.exit_rates), -1, dtype=np.int64)
     local[active] = np.arange(n_active)
-    sinks = np.unique(rows.col[local[rows.col] < 0])
+    sinks = np.unique(cols[local[cols] < 0])
     size = n_active + len(sinks)
     local[sinks] = np.arange(n_active, size)
     diag = np.arange(size)
     kernel_t = sparse.csr_matrix(
         (
-            np.concatenate([rows.data * (1.0 / lam), np.ones(size)]),
-            (
-                np.concatenate([local[rows.col], diag]),
-                np.concatenate([rows.row, diag]),
-            ),
+            np.concatenate([data * (1.0 / lam), np.ones(size)]),
+            (np.concatenate([local[cols], diag]), np.concatenate([pos, diag])),
         ),
         shape=(size, size),
     )
@@ -223,25 +282,44 @@ def _projected_kernel(gen: sparse.csr_matrix, active: np.ndarray, lam: float):
 
 
 def _poisson_sum(kernel_t: sparse.csr_matrix, v: np.ndarray, w) -> np.ndarray:
-    """sum_k w_k v P^k over the window of w: k_max kernel products."""
+    """sum_k w_k v P^k over the window of w: k_max kernel products.
+
+    Each product is scipy's csr_matvec, the routine behind kernel_t @ v,
+    called directly into a reused buffer; it adds A v to that buffer.
+    """
+    from scipy.sparse._sparsetools import csr_matvec
+
+    n = len(v)
+    k_min, k_max, probs = w.k_min, w.k_max, w.probs
     acc = np.zeros_like(v)
     buf = np.empty_like(v)
-    for k in range(w.k_max + 1):
-        if k >= w.k_min:
-            np.multiply(v, w.probs[k - w.k_min], out=buf)
+    v = v.copy()
+    nxt = np.empty_like(v)
+    for k in range(k_max + 1):
+        if k >= k_min:
+            np.multiply(v, probs[k - k_min], out=buf)
             acc += buf
-        if k < w.k_max:
-            v = kernel_t @ v
+        if k < k_max:
+            nxt.fill(0.0)
+            csr_matvec(n, n, kernel_t.indptr, kernel_t.indices, kernel_t.data, v, nxt)
+            v, nxt = nxt, v
     return acc
 
 
 def transient(
-    gen: sparse.csr_matrix,
+    gen: ModelSpec | sparse.csr_matrix,
     init: LumpedDistribution,
     t: float,
     tol: float = 1e-12,
 ) -> LumpedDistribution:
     """Transient distribution after time t by projected uniformization.
+
+    gen is the model, or a CSR generator over init.space.  Given the
+    model, transient evaluates its rates and exit rates over the whole
+    space once, but builds generator rows, and ranks their neighbours,
+    only for the states its active sets take in; the result is the same
+    to the bit as from generator(model, init.space), which builds every
+    row first.
 
     Each segment first drops the smallest probabilities, as many as fit
     in the dropped mass's share of tol accrued so far.  Its active set S
@@ -269,12 +347,16 @@ def transient(
     if not 0 < tol < 1:
         raise ModelError(f"tolerance must be in (0, 1), got {tol}")
     size = init.space.size
-    if gen.shape != (size, size):
+    if isinstance(gen, ModelSpec):
+        rows = _Rows(gen, init.space)
+    elif gen.shape != (size, size):
         raise ModelError(
             f"generator shape {gen.shape} does not match {size} states"
         )
+    else:
+        rows = _MatrixRows(gen)
     pi = init.probs.copy()
-    exit_rates = -gen.diagonal()
+    exit_rates = rows.exit_rates
     lam_max = float(exit_rates.max())
     if lam_max * t == 0.0:
         return LumpedDistribution(
@@ -308,7 +390,7 @@ def transient(
                 break
             last = lam * (t - done) <= _SEGMENT_JUMPS
             dt = t - done if last else _SEGMENT_JUMPS / lam
-            kernel_t, sinks = _projected_kernel(gen, active, lam)
+            kernel_t, sinks = _projected_kernel(rows, active, lam)
             w = poisson_weights(lam * dt, share * (done + dt) - tails)
             v = np.zeros(kernel_t.shape[0])
             v[: len(active)] = pi[active]
@@ -348,4 +430,6 @@ def transient(
 
 def expected_occupancy(dist: LumpedDistribution) -> np.ndarray:
     """Mean occupancy vector under an exact distribution."""
+    if dist.space.N == 0:
+        raise ModelError("occupancy is undefined at N=0: the space holds no agents")
     return dist.probs @ (dist.space.states / dist.space.N)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -395,6 +396,23 @@ def test_exact_generators_load_scipy_sparse_on_first_use(capsys, argv):
     code, out, loaded = run_fresh(*argv)
     assert code == 0 and "scipy.sparse" in loaded
     assert out == run(capsys, *argv)[1]
+
+
+def test_exact_builds_rows_only_for_the_states_it_touches(capsys):
+    # the whole generator at N=400 (80,601 states, 401,401 nonzeros)
+    # peaks near 38 MB; the rows of the one segment's active set fit
+    # well under 25 MB
+    import scipy.sparse._sparsetools  # noqa: F401  (imports are not the run)
+
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "exact", "--model", CONTENTION_MODEL, "--N", "400",
+                           "--init", "1,0,0", "--t", "0.5", "--tol", "1e-10")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.startswith("t,")
+    assert peak < 25e6
 
 
 def test_limit_ode_ignores_population(capsys):

@@ -12,12 +12,14 @@ from popdrift import exact
 from popdrift.errors import ModelError, NumericsError, RateError
 from popdrift.exact import (
     LumpedDistribution,
+    LumpedStateSpace,
     enumerate_states,
     expected_occupancy,
     generator,
     point_mass,
     transient,
 )
+from popdrift.meandrift import poisson_weights
 from popdrift.model import builtin_example, load_model
 
 from oracle import rate_fns
@@ -190,6 +192,71 @@ def test_projected_kernel_is_identity_plus_active_rows_over_lam():
     assert np.allclose(kernel_t.toarray().T, want, rtol=0.0, atol=1e-15)
 
 
+def test_direct_products_equal_scipy_matmul_bit_for_bit():
+    # _poisson_sum calls scipy's private csr_matvec; hold it to the
+    # public kernel_t @ v, so a change of that signature shows here
+    gen = generator(load_model(CONTENTION_DOC), enumerate_states(3, 30))
+    exit_rates = -gen.diagonal()
+    active = np.flatnonzero(exit_rates <= np.median(exit_rates))
+    lam = float(exit_rates[active].max())
+    kernel_t, _ = exact._projected_kernel(gen, active, lam)
+    v = np.random.default_rng(3).random(kernel_t.shape[0])
+    w = poisson_weights(60.0, 1e-12)
+    assert w.k_min > 0
+    want = np.zeros_like(v)
+    u = v
+    for k in range(w.k_max + 1):
+        if k >= w.k_min:
+            want += u * w.probs[k - w.k_min]
+        if k < w.k_max:
+            u = kernel_t @ u
+    before = v.copy()
+    got = exact._poisson_sum(kernel_t, v, w)
+    assert got.tobytes() == want.tobytes()
+    assert v.tobytes() == before.tobytes()
+
+
+def test_row_source_matches_the_generator_through_redone_segments():
+    # contention at N=200 redoes its one segment twice before the leak
+    # fits its share
+    model = load_model(CONTENTION_DOC)
+    space = enumerate_states(3, 200)
+    init = point_mass(space, (200, 0, 0))
+    want = transient(generator(model, space), init, 20.0, tol=1e-10)
+    with mock.patch.object(
+        exact, "_projected_kernel", wraps=exact._projected_kernel
+    ) as kernel:
+        got = transient(model, init, 20.0, tol=1e-10)
+    assert kernel.call_count == 3
+    assert got.probs.tobytes() == want.probs.tobytes()
+    assert got.error.hex() == want.error.hex()
+
+
+def test_transient_ranks_only_the_rows_its_active_sets_take_in():
+    model = load_model(CONTENTION_DOC)
+    space = enumerate_states(3, 400)  # 80,601 count vectors
+    init = point_mass(space, (400, 0, 0))
+    ranked = []
+    rank = LumpedStateSpace.rank
+
+    def counting(self, counts):
+        out = rank(self, counts)
+        ranked.append(out.size)
+        return out
+
+    with mock.patch.object(LumpedStateSpace, "rank", counting):
+        transient(model, init, 0.5, tol=1e-10)
+    gen = generator(model, space)
+    off_diagonal = gen.nnz - np.count_nonzero(gen.diagonal())
+    assert 0 < sum(ranked) < off_diagonal / 4
+
+
+def test_transient_refuses_a_model_of_another_state_count():
+    space = enumerate_states(3, 4)
+    with pytest.raises(ModelError, match="model has 2 states, space 3"):
+        transient(builtin_example(), point_mass(space, (4, 0, 0)), 1.0)
+
+
 def test_transient_zero_generator():
     model = load_model("states = a, b\nrate a -> b : 0\n")
     space = enumerate_states(2, 3)
@@ -334,6 +401,22 @@ def test_expected_occupancy_point_and_mixture():
     probs[space3.index_of((3, 0))] = 0.5
     mix = LumpedDistribution(space=space3, probs=probs, time=0.0)
     assert np.allclose(expected_occupancy(mix), [0.5, 0.5])
+
+
+def test_expected_occupancy_refuses_an_empty_population():
+    space = enumerate_states(2, 0)
+    out = transient(generator(builtin_example(), space), point_mass(space, (0, 0)), 1.0)
+    with pytest.raises(ModelError, match="undefined at N=0"):
+        expected_occupancy(out)
+
+
+def test_rank_builds_its_binomial_table_once_per_space():
+    space = enumerate_states(3, 5)
+    space.rank(space.states)
+    table = space._binom
+    space.rank(space.states)
+    assert space._binom is table
+    assert not table.flags.writeable
 
 
 def test_expected_occupancy_n1_long_run():

@@ -10,9 +10,12 @@ whose rates read random subsets of the occupancies, and the rate
 table's evaluation paths on random rate trees at numpy's domain edges.
 The projected exact transient is checked against dense and sparse
 matrix exponentials: its reported error must cover its distance to them.
+Given the model, it must equal the transient of the model's whole
+generator bit for bit.
 """
 
 import math
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -41,7 +44,7 @@ from popdrift.meandrift import (  # noqa: E402
     poisson_mean_intensity,
     poisson_weights,
 )
-from popdrift.model import ModelSpec, _batched, load_model  # noqa: E402
+from popdrift.model import ModelSpec, _batched, builtin_example, load_model  # noqa: E402
 from popdrift.sim import simulate_ctmc, simulate_slotted  # noqa: E402
 
 from oracle import rate_fns, rates_at  # noqa: E402
@@ -291,6 +294,40 @@ def test_mean_drift_equals_the_full_rectangle_sum(data, model, N):
         net[j] += flow
     scale = sum(want)
     assert np.allclose(mean_drift(model, N, m, tau=tau), net, rtol=0, atol=1e-12 * scale)
+
+
+SHIPPED_MODELS = (
+    builtin_example(),
+    load_model(CONTENTION),
+    load_model(
+        (pathlib.Path(__file__).parents[1] / "perfbench" / "models" / "sir.pop")
+        .read_text(encoding="utf-8")
+    ),
+)
+
+
+def smallest_projected_N(n_states):
+    """The smallest N whose space holds more than _MIN_ACTIVE states."""
+    N = 1
+    while math.comb(N + n_states - 1, n_states - 1) <= exact._MIN_ACTIVE:
+        N += 1
+    return N
+
+
+@SETTINGS
+@given(st.data(), st.one_of(st.sampled_from(SHIPPED_MODELS), sparse_models()),
+       st.floats(0.5, 30.0), st.sampled_from([1e-10, 1e-6]))
+def test_row_source_transient_equals_the_generator_transient(data, model, t, tol):
+    # spaces above _MIN_ACTIVE, so the run projects and ranks on demand
+    lo = smallest_projected_N(model.n_states)
+    N = data.draw(st.integers(lo, 2 * lo), label="N")
+    space = enumerate_states(model.n_states, N)
+    start = data.draw(st.integers(0, space.size - 1), label="start")
+    init = point_mass(space, space.states[start])
+    want = transient(generator(model, space), init, t, tol=tol)
+    got = transient(model, init, t, tol=tol)
+    assert got.probs.tobytes() == want.probs.tobytes()
+    assert got.error.hex() == want.error.hex()
 
 
 @SETTINGS
