@@ -805,6 +805,39 @@ GOLDEN_SWEEPS = {
 }
 
 
+CONTENTION_MODEL = str(
+    pathlib.Path(__file__).parents[1] / "perfbench" / "models" / "contention.pop"
+)
+# sha256 of the stdout of mean-drift ODEs: the benchmark's two (the
+# bundled model's split path at N=1000, SIRS's joint sum over two
+# coordinates) and a contention ODE that moves its windows at N=200
+GOLDEN_MEAN_DRIFT = {
+    "ode_meandrift_n1000": (
+        ("ode", "--variant", "meandrift", "--N", "1000", "--init", "1,0",
+         "--t", "50", "--step", "0.5", "--tau", "1e-10"),
+        "6319852754ee4b2c56ad009616f7efbca4cd8dc29a317b75f8bfb0bfec7787d9",
+    ),
+    "ode_meandrift_sirs_n100": (
+        ("ode", "--model", SIR_MODEL, "--variant", "meandrift", "--N", "100",
+         "--init", "0.9,0.1,0", "--t", "0.5", "--step", "0.25", "--tau", "1e-10"),
+        "20906e0dc8ae6b0706897a173013bd430eb19a29564fcbdd9434f403713fdb38",
+    ),
+    "ode_meandrift_contention_n200": (
+        ("ode", "--model", CONTENTION_MODEL, "--variant", "meandrift", "--N", "200",
+         "--init", "1,0,0", "--t", "20", "--step", "0.1"),
+        "0b2d0b810dad440c138b441de6a72f1e60677401af975c09989defa19dc93193",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MEAN_DRIFT))
+def test_mean_drift_ode_output_matches_its_digest(capsys, name):
+    argv, digest = GOLDEN_MEAN_DRIFT[name]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
 def test_seeded_sweep_output_matches_its_digest(capsys, name):
     argv, digest = GOLDEN_SWEEPS[name]
