@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drift import VectorField, _field
-from .errors import ModelError, NumericsError
+from .errors import ModelError, NumericsError, RateError
 from .model import ModelSpec, _check_length, _check_population
 
 __all__ = [
@@ -50,6 +50,10 @@ _CHUNK = 1 << 22
 # is summed whole: averaging its factor groups apart costs about as much
 # as summing that many rate values, in numpy calls on short windows
 _WHOLE_POINTS = 1 << 14
+
+# most lattice points a mean-drift field keeps a block of rows over,
+# one table of values per row: a box past it is not kept
+_BOX_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -166,19 +170,33 @@ def poisson_weights(lam: float, tau: float) -> PoissonWeights:
     )
 
 
+def _contract(q, axes, sources, probs, weighted, sums, cut=slice(None)) -> None:
+    """Add to sums[r] the window-weighted sum of row r of q.
+
+    q holds the rows' values over the sub-rectangle of axes, cut along
+    the first axis.  Row r is contracted with the window weights
+    ``probs``, and along its axis ``sources[r]``, when that is not None,
+    with ``weighted``, the weights times k/N, last axis first.
+    """
+    for r, i in enumerate(sources):
+        part = q[r]
+        for a in reversed(range(len(axes))):
+            w = (weighted if axes[a] == i else probs)[axes[a]]
+            part = part @ (w[cut] if a == 0 else w)
+        sums[r] += float(part)
+
+
 def _rectangle_sums(probs, weighted, supports, m, axes, sources, block,
                     bounded=False):
     """Window-weighted sums of a block of rows over the sub-rectangle of axes.
 
     ``block(coords, shape)`` gives the rows' values, an array
     (len(sources), *shape), at the lattice points coords, which hold m on
-    the other coordinates.  Row r is contracted with the window weights
-    ``probs``, and along its axis ``sources[r]``, when that is not None,
-    with ``weighted``, the weights times k/N.  The rows are evaluated in
-    chunks along the first axis, each holding at most _CHUNK values, and
-    the chunk sums are added in order, so the float result can change in
-    its last bits with the chunk size.  Returns each row's sum or, when
-    ``bounded``, each row's (sum, (min, max)).
+    the other coordinates; ``_contract`` weighs them.  The rows are
+    evaluated in chunks along the first axis, each holding at most
+    _CHUNK values, and the chunk sums are added in order, so the float
+    result can change in its last bits with the chunk size.  Returns
+    each row's sum or, when ``bounded``, each row's (sum, (min, max)).
     """
     shape = [len(probs[c]) for c in axes]
     step = max(1, min(shape[0], _CHUNK // (math.prod(shape[1:]) * len(sources))))
@@ -189,23 +207,22 @@ def _rectangle_sums(probs, weighted, supports, m, axes, sources, block,
         coords = list(m)
         for a, c in enumerate(axes):
             along = cut if a == 0 else slice(None)
-            # along axis a of the sub-rectangle, by trailing unit axes
-            coords[c] = supports[c][along].reshape((-1,) + (1,) * (len(axes) - 1 - a))
+            coords[c] = _along(supports[c][along], a, len(axes))
         q = block(coords, (len(coords[axes[0]]), *shape[1:]))
         if bounded:
             flat = q.reshape(len(sources), -1)
             # np.minimum and np.maximum keep a nan
             lows = np.minimum(lows, flat.min(axis=1))
             highs = np.maximum(highs, flat.max(axis=1))
-        for r, i in enumerate(sources):
-            part = q[r]
-            for a in reversed(range(len(axes))):
-                w = (weighted if axes[a] == i else probs)[axes[a]]
-                part = part @ (w[cut] if a == 0 else w)
-            sums[r] += float(part)
+        _contract(q, axes, sources, probs, weighted, sums, cut)
     if bounded:
         return list(zip(sums, zip(lows.tolist(), highs.tolist())))
     return sums
+
+
+def _along(x, a: int, dims: int):
+    """The vector x along axis a of dims axes, by trailing unit axes."""
+    return x.reshape((-1,) + (1,) * (dims - 1 - a))
 
 
 def _check_cap(windows, rectangles) -> None:
@@ -216,6 +233,162 @@ def _check_cap(windows, rectangles) -> None:
                 f"mean intensity enumeration needs {points} lattice points "
                 f"(cap {LATTICE_POINT_CAP}); use a larger tail tolerance"
             )
+
+
+def _points(lo, hi) -> int:
+    return math.prod([h + 1 - l for l, h in zip(lo, hi)])
+
+
+def _cut(box, axes, lo, hi):
+    """The windows lo[c]..hi[c] of the coordinates c on axes, cut from a
+    kept box (lo, hi, values), rows first; None unless they lie inside it."""
+    cut = [slice(None)]
+    for c, b_lo, b_hi in zip(axes, box[0], box[1]):
+        if lo[c] < b_lo or hi[c] > b_hi:
+            return None
+        cut.append(slice(lo[c] - b_lo, hi[c] + 1 - b_lo))
+    return box[2][tuple(cut)]
+
+
+def _grown(box, lo, hi):
+    """The union of a kept box (lo, hi, values) with the window lo..hi,
+    widened by half its width past each side the window crossed."""
+    out_lo, out_hi = [], []
+    for b_lo, b_hi, w_lo, w_hi in zip(box[0], box[1], lo, hi):
+        u_lo, u_hi = min(b_lo, w_lo), max(b_hi, w_hi)
+        margin = (u_hi - u_lo + 1) // 2
+        out_lo.append(max(0, u_lo - margin) if w_lo < b_lo else u_lo)
+        out_hi.append(u_hi + margin if w_hi > b_hi else u_hi)
+    return out_lo, out_hi
+
+
+def _lattice_sums(table, N: float):
+    """_window_lattice_sum at population N, keeping block values between calls.
+
+    Each block of rows it sums, the checked rates of a group of whole
+    transitions or the group values ``table.split_flows`` asks for,
+    depends only on N and the lattice point on its axes.  Its values are
+    kept over a box of integer counts, one range per axis, and windows
+    inside the box are read as a slice of it.  The first box of a block
+    is its first window.  A window outside the box grows it to their
+    union, widened by _grown; when that holds more than _BOX_POINTS
+    points, or its rates raise RateError, the window alone is the new
+    box, evaluated as the uncached sum evaluates it, so an error names
+    the same point.  A window of more than _BOX_POINTS points keeps no
+    box: its block is summed in chunks as the uncached sum does.  What
+    depends on N and the table alone, the split blocks of a set of
+    transitions, the coordinates off each sub-rectangle and the k/N
+    supports up to _BOX_POINTS, is built once.
+    """
+    n = len(table.state_names)
+    # a group of whole transitions or a block's split uses
+    # -> (lo, hi, values over the box, rows first)
+    boxes: dict = {}
+    splits: dict = {}  # transitions -> table.split_blocks(transitions)
+    rests: dict = {}  # axes -> the other coordinates
+    grid = np.empty(0)  # k/N for k = 0, 1, ...
+
+    def boxed(key, axes, rows, lo, hi, build):
+        """Block key's values on the windows lo[c]..hi[c] of its axes,
+        from its box; None when no box is kept for them."""
+        box = boxes.get(key)
+        if box is not None:
+            q = _cut(box, axes, lo, hi)
+            if q is not None:
+                return q
+        window = [lo[c] for c in axes], [hi[c] for c in axes]
+        span = window
+        if box is not None:
+            grown = _grown(box, *window)
+            if _points(*grown) <= _BOX_POINTS:
+                span = grown
+        if span is window and _points(*window) > _BOX_POINTS:
+            return None
+        try:
+            values = build(*span)
+        except RateError:
+            if span is window:
+                raise
+            # the error lies outside the window, or the window names it
+            span = window
+            values = build(*span)
+        box = boxes[key] = (*span, values)
+        return values if span is window else _cut(box, axes, lo, hi)
+
+    def support(lo, hi) -> list:
+        """Each coordinate's k/N over its window, cut from one kept grid."""
+        nonlocal grid
+        top = max(hi) + 1
+        if top > len(grid):
+            if top > _BOX_POINTS:
+                return [(l + np.arange(h + 1 - l)) / N for l, h in zip(lo, hi)]
+            grid = np.arange(top if not len(grid) else min(_BOX_POINTS, top * 3 // 2)) / N
+        return [grid[l:h + 1] for l, h in zip(lo, hi)]
+
+    def sums(m, windows, ks=None) -> list:
+        ks = range(len(table.sources)) if ks is None else ks
+        probs = [w.probs for w in windows]
+        sizes = [len(p) for p in probs]
+        lo = [w.k_min for w in windows]
+        hi = [k + size - 1 for k, size in zip(lo, sizes)]
+        supports = support(lo, hi)
+        weighted = [p * x for p, x in zip(probs, supports)]
+        masses = [float(p.sum()) for p in probs]
+
+        def summed(key, axes, sources, block, bounded=False):
+            def build(b_lo, b_hi):
+                coords = list(m)
+                for a, (c, l, h) in enumerate(zip(axes, b_lo, b_hi)):
+                    x = grid[l:h + 1] if h < len(grid) else np.arange(l, h + 1) / N
+                    coords[c] = _along(x, a, len(axes))
+                return block(coords, tuple([h + 1 - l for l, h in zip(b_lo, b_hi)]))
+
+            q = boxed(key, axes, len(sources), lo, hi, build)
+            if q is None:
+                _check_cap(windows, [axes])
+                return _rectangle_sums(
+                    probs, weighted, supports, m, axes, sources, block, bounded
+                )
+            out = [0.0] * len(sources)
+            _contract(q, axes, sources, probs, weighted, out)
+            if not bounded:
+                return out
+            flat = q.reshape(len(sources), -1)
+            return list(zip(out, zip(flat.min(axis=1).tolist(), flat.max(axis=1).tolist())))
+
+        def average(uses, axes, block, sources):
+            return summed(uses, axes, sources, block, bounded=True)
+
+        rectangles = {k: table.axes[k] for k in ks if hi[table.sources[k]] > 0}
+        large = tuple(
+            k for k, axes in rectangles.items()
+            if math.prod([sizes[c] for c in axes]) > _WHOLE_POINTS
+        )
+        blocks = splits.get(large)
+        if blocks is None:
+            blocks = splits[large] = table.split_blocks(large)
+        totals = table.split_flows(N, blocks, average, masses)
+        whole: dict = {}
+        for k, axes in rectangles.items():
+            if k not in totals:
+                whole.setdefault(axes, []).append(k)
+        if large:  # only a rectangle past _WHOLE_POINTS can pass the cap
+            _check_cap(windows, whole)
+        for axes, group in whole.items():
+            group = tuple(group)
+            got = summed(
+                group, axes, [table.sources[k] for k in group],
+                lambda coords, shape: table.rates(N, coords, shape, group, occupied=True),
+            )
+            rest = rests.get(axes)
+            if rest is None:
+                rest = rests[axes] = [c for c in range(n) if c not in axes]
+            other = math.prod([masses[c] for c in rest])
+            for k, total in zip(group, got):
+                totals[k] = total * other
+        return [totals.get(k, 0.0) for k in ks]
+
+    return sums
 
 
 def _window_lattice_sum(table, N: float, m, windows, ks=None) -> list:
@@ -233,43 +406,10 @@ def _window_lattice_sum(table, N: float, m, windows, ks=None) -> list:
     as one group of checked rates; transitions with the same axes are
     evaluated together.  A transition whose source window is {0} has no
     intensity.  A RateError reports the lattice point on the axes and m
-    on the other coordinates.
+    on the other coordinates.  Each call starts with no box, so it
+    evaluates every block on its window alone.
     """
-    ks = range(len(table.sources)) if ks is None else ks
-    supports = [w.support() / N for w in windows]
-    probs = [w.probs for w in windows]
-    weighted = [p * x for p, x in zip(probs, supports)]
-    masses = [float(p.sum()) for p in probs]
-
-    def average(axes, block, sources):
-        _check_cap(windows, [axes])
-        return _rectangle_sums(
-            probs, weighted, supports, m, axes, sources, block, bounded=True
-        )
-
-    rectangles = {
-        k: tuple(sorted({table.sources[k], *table.reads[k]}))
-        for k in ks if windows[table.sources[k]].k_max > 0
-    }
-    large = [
-        k for k, axes in rectangles.items()
-        if math.prod(len(windows[c].probs) for c in axes) > _WHOLE_POINTS
-    ]
-    totals = table.split_flows(N, large, average, masses)
-    whole: dict = {}
-    for k, axes in rectangles.items():
-        if k not in totals:
-            whole.setdefault(axes, []).append(k)
-    _check_cap(windows, whole)
-    for axes, group in whole.items():
-        sums = _rectangle_sums(
-            probs, weighted, supports, m, axes, [table.sources[k] for k in group],
-            lambda coords, shape: table.rates(N, coords, shape, group, occupied=True),
-        )
-        other = math.prod(masses[c] for c in range(len(windows)) if c not in axes)
-        for k, total in zip(group, sums):
-            totals[k] = total * other
-    return [totals.get(k, 0.0) for k in ks]
+    return _lattice_sums(table, N)(m, windows, ks)
 
 
 def _clamped(x: float) -> float:
@@ -317,13 +457,19 @@ def mean_drift(model: ModelSpec, N: float, m, tau: float = 1e-10) -> np.ndarray:
 def mean_drift_field(
     model: ModelSpec, N: float, tau: float = 1e-10
 ) -> VectorField:
-    """The mean drift as a reusable vector field, N and tau checked once."""
+    """The mean drift as a reusable vector field, N and tau checked once.
+
+    The field keeps the block values its evaluations read, over boxes of
+    lattice points near the windows it has seen (see _lattice_sums);
+    they are freed with it.
+    """
     _check_population(N)
     budget = _window_budget(model, tau)
     table = model._rate_table
+    sums = _lattice_sums(table, N)
 
     def lists(m: list) -> list:
         _check_length(m, model.n_states)
-        return table.net(_window_lattice_sum(table, N, m, _windows(N, m, budget)))
+        return table.net(sums(m, _windows(N, m, budget)))
 
     return _field("mean-drift", N, lists)

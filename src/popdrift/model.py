@@ -234,6 +234,12 @@ class _RateTable:
         )
 
     @functools.cached_property
+    def axes(self) -> tuple:
+        """axes[k]: the sorted occupancies transition k's intensity reads,
+        its source and ``reads[k]``."""
+        return tuple(tuple(sorted({s, *r})) for s, r in zip(self.sources, self.reads))
+
+    @functools.cached_property
     def _generated(self):
         """(f, calls_numpy): f(N, m) lists every rate; built on first use."""
         return ex._kernel(self.nodes, self.params, self.state_index)
@@ -308,38 +314,50 @@ class _RateTable:
         kernel, _ = ex._kernel(products, self.params, index)
         return tuple(plan), tuple(axes for axes, _ in groups), kernel
 
-    def split_flows(self, N, ks, average, masses) -> dict:
-        """Poisson averages of the intensities of the transitions among ks
-        that ``plan`` splits, where the split is certified.
+    def split_blocks(self, ks) -> tuple:
+        """What ``split_flows`` evaluates for the transitions among ks that
+        ``plan`` splits: (split, blocks), where split lists them and each
+        block (axes, uses, sources) holds the (group, source) uses of their
+        groups over the same axes, each use once, in order, and the source
+        of each use.  It depends on the table alone, so a caller may keep it.
+        """
+        terms, group_axes, _ = self.plan
+        split = tuple(k for k in ks if terms[k] is not None)
+        blocks: dict = {}  # axes -> {(g, source): None}, in order
+        for k in split:
+            for _, uses, _ in terms[k]:
+                for g, s in uses:
+                    blocks.setdefault(group_axes[g], {})[g, s] = None
+        return split, tuple(
+            (axes, tuple(uses), [s for _, s in uses]) for axes, uses in blocks.items()
+        )
 
-        ``average(axes, block, sources)`` gives, for each row r of
-        ``block(coords, shape)``, the values of some groups at the lattice
-        points coords of the sub-rectangle of axes, its window-weighted
-        sum, times k/N along axis ``sources[r]`` when that is not None,
-        and its (min, max).  ``masses[c]`` is coordinate c's window mass.
-        Each group is evaluated once per call.  Where the source
-        occupancy is zero there is no intensity, so a source group value
-        that is not finite is set to 0, as ``check`` does with
+    def split_flows(self, N, blocks, average, masses) -> dict:
+        """Poisson averages of the intensities of the transitions that
+        ``split_blocks`` gave as blocks, where the split is certified.
+
+        ``average(uses, axes, block, sources)`` gives, for each row r of
+        ``block(coords, shape)``, the values of the groups ``uses`` at the
+        lattice points coords of the sub-rectangle of axes, its
+        window-weighted sum, times k/N along axis ``sources[r]`` when that
+        is not None, and its (min, max).  ``masses[c]`` is coordinate c's
+        window mass.  Each group is evaluated once per block.  Where the
+        source occupancy is zero there is no intensity, so a source group
+        value that is not finite is set to 0, as ``check`` does with
         ``occupied``.  A split is certified when every group value is
         finite, the interval lower bound of the term sum, from each
         group's (min, max), is not negative, so no lattice point would
         fail ``check``, and the terms cancel by at most _CANCELLATION.
         Returns {k: average} for the certified transitions.
         """
-        terms, group_axes, _ = self.plan
-        ks = [k for k in ks if terms[k] is not None]
-        blocks: dict = {}  # axes -> {(g, source): None}, in order
-        for k in ks:
-            for _, uses, _ in terms[k]:
-                for g, s in uses:
-                    blocks.setdefault(group_axes[g], {})[g, s] = None
+        terms = self.plan[0]
+        split, blocks = blocks
         stats = {}
-        for axes, uses in blocks.items():
-            uses = list(uses)
+        for axes, uses, sources in blocks:
             block = functools.partial(self._group_rows, N, uses)
-            stats.update(zip(uses, average(axes, block, [s for _, s in uses])))
+            stats.update(zip(uses, average(uses, axes, block, sources)))
         flows = {}
-        for k in ks:
+        for k in split:
             flow = _certified(terms[k], stats, masses)
             if flow is not None:
                 flows[k] = flow

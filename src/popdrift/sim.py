@@ -198,11 +198,12 @@ def simulate_slotted(model: ModelSpec, N: int, D: int, init, t_end: float, rng, 
     table = model._rate_table
     n = model.n_states
     n_slots = int(math.floor(t_end * D + 1e-9))
-    z = np.zeros((n, n), dtype=np.int64)
+    # plain lists, as in _jump_path
+    c = counts.tolist()
+    z = [[0] * n for _ in range(n)]
     pos = 0
     slot = 0
     while slot < n_slots:
-        c = counts.tolist()
         q = table.rates(N, [x / N for x in c], occupied=True)
         rows = []
         stay_all = 1.0
@@ -222,32 +223,29 @@ def simulate_slotted(model: ModelSpec, N: int, D: int, init, t_end: float, rng, 
         block_cap = max(1, min(_SLOT_BLOCK, int(0.5 / p_move) + 1))
         while slot < n_slots:
             block = min(block_cap, n_slots - slot)
-            draws = [
-                rng.multinomial(int(counts[i]), pvec, size=block)[:, :-1]
-                for i, _, pvec in rows
-            ]
-            any_move = np.zeros(block, dtype=bool)
-            for d in draws:
-                any_move |= d.any(axis=1)
-            hits = np.flatnonzero(any_move)
-            if hits.size == 0:
+            draws = [rng.multinomial(c[i], pvec, size=block) for i, _, pvec in rows]
+            # a slot moves an agent of source i unless all c[i] stayed
+            moved = draws[0][:, -1] != c[rows[0][0]]
+            for (i, _, _), d in zip(rows[1:], draws[1:]):
+                moved |= d[:, -1] != c[i]
+            first = int(moved.argmax())
+            if not moved[first]:
                 slot += block
                 continue
-            first = int(hits[0])
             slot += first + 1
             while stops[pos] < slot / D:
-                out[pos] = counts
+                out[pos] = c
                 pos += 1
             for (i, targets, _), d in zip(rows, draws):
                 for col, j in enumerate(targets):
                     k = int(d[first, col])
                     if k:
-                        counts[i] -= k
-                        counts[j] += k
-                        z[i, j] += k
+                        c[i] -= k
+                        c[j] += k
+                        z[i][j] += k
             break
-    out[pos:] = counts
-    return out, z
+    out[pos:] = c
+    return out, np.array(z, dtype=np.int64)
 
 
 def _replication_rngs(config: SimConfig):

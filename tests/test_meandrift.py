@@ -5,6 +5,7 @@ import pathlib
 import re
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from popdrift.meandrift import (
     poisson_weights,
 )
 from popdrift import meandrift as meandrift_module, model as model_module
+from popdrift.cli import main
 from popdrift.model import builtin_example, load_model, sample_simplex
 
 from oracle import rate_fns
@@ -547,6 +549,82 @@ def test_a_built_mean_drift_field_checks_N_and_tau_once(monkeypatch):
     for _ in range(10):
         field((0.5, 0.5))
     assert calls == []
+
+
+# 0.79 - m[b] is negative from k_b = 40 on.  At N = 50 the windows of b
+# end at 37, 38, 39 and 42 for m_b = 0.2, 0.21, 0.22 and 0.25, so the
+# box of the first window, grown past 38 by half its width, reaches 40
+MARGIN_DOC = "states = a, b\nrate a -> b : 0.79 - m[b]\nrate b -> a : 0.1\n"
+MARGIN_WALK = [(1 - mb, mb) for mb in (0.2, 0.21, 0.22)]
+
+
+def test_a_bad_point_in_a_box_margin_does_not_raise():
+    model = load_model(MARGIN_DOC)
+    ends = [poisson_weights(50 * mb, 1e-10 / 4).k_max for _, mb in MARGIN_WALK]
+    assert ends == [37, 38, 39]
+    assert 38 + (38 + 1) // 2 >= 40
+    field = mean_drift_field(model, 50)
+    for m in MARGIN_WALK:
+        assert field(m).tolist() == mean_drift(model, 50, m).tolist()
+
+
+def test_a_window_reaching_a_bad_point_seen_in_a_margin_raises_its_error():
+    model = load_model(MARGIN_DOC)
+    field = mean_drift_field(model, 50)
+    for m in MARGIN_WALK:
+        field(m)
+    with pytest.raises(RateError) as uncached:
+        mean_drift(model, 50, (0.75, 0.25))
+    with pytest.raises(RateError) as cached:
+        field((0.75, 0.25))
+    text = "rate a -> b at m=(0.1, 0.8): evaluated to -0.010000000000000009"
+    assert str(cached.value) == str(uncached.value) == text
+
+
+def test_the_benchmark_mean_drift_ode_evaluates_few_blocks(monkeypatch, capsys):
+    # along the N = 1000 trajectory nearly every block is read from a box
+    counts = {"blocks": 0, "windows": 0}
+
+    def spy(name, real):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(model_module, "_batched", spy("blocks", model_module._batched))
+    monkeypatch.setattr(meandrift_module, "poisson_weights",
+                        spy("windows", meandrift_module.poisson_weights))
+    assert main(["ode", "--variant", "meandrift", "--N", "1000", "--init", "1,0",
+                 "--t", "50", "--step", "0.5", "--tau", "1e-10"]) == 0
+    capsys.readouterr()
+    evaluations = counts["windows"] // 2
+    assert evaluations == 400
+    assert counts["blocks"] <= 0.05 * evaluations, counts
+
+
+def test_a_field_keeps_no_box_past_the_cap():
+    # the joint windows of a and b at N = 1000 hold about 65,000 points:
+    # each evaluation sums them in a block it does not keep
+    model = load_model("states = a, b\nrate a -> b : 0.1*exp(-m[a]*m[b])\n"
+                       "rate b -> a : 0.2\n")
+    walk = [(0.4 + 0.002 * i, 0.6 - 0.002 * i) for i in range(6)]
+    assert rectangle_points(1000, walk[0]) > 4 * meandrift_module._BOX_POINTS
+    mean_drift(model, 1000, walk[0])  # compiles the kernels
+    tracemalloc.start()
+    try:
+        mean_drift(model, 1000, walk[0])
+        _, once = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        field = mean_drift_field(model, 1000)
+        for m in walk:
+            field(m)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block is about 520 KB; a kept one would also raise the peak
+    assert end - start < 128 * 1024
+    assert peak - start < 1.25 * once
 
 
 def test_mean_drift_equals_its_field_kernel_bit_for_bit():

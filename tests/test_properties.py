@@ -8,6 +8,9 @@ the simplex, so slotted paths at D = 10 never need a finer slot.  The
 mean-drift lattice is also checked on models of two to four states
 whose rates read random subsets of the occupancies, and the rate
 table's evaluation paths on random rate trees at numpy's domain edges.
+A mean-drift field walked along nearby points, so that its kept block
+values are built, read, grown and outgrown, must equal the sum that
+keeps nothing, bit for bit.
 The projected exact transient is checked against dense and sparse
 matrix exponentials: its reported error must cover its distance to them.
 Given the model, it must equal the transient of the model's whole
@@ -40,7 +43,11 @@ from popdrift.exact import (  # noqa: E402
     transient,
 )
 from popdrift.meandrift import (  # noqa: E402
+    _window_budget,
+    _window_lattice_sum,
+    _windows,
     mean_drift,
+    mean_drift_field,
     poisson_mean_intensity,
     poisson_weights,
 )
@@ -536,3 +543,34 @@ def test_point_kernel_and_fused_drift_match_each_rate_alone(table, N, data):
         for wrong in (m[:-1], m + [0.0]):
             text = f"occupancy has {len(wrong)} entries, model has {n} states"
             assert outcome(lambda: table.drift(N, wrong)) == (ModelError, text)
+
+
+# a rate no split applies to: its joint windows pass the box cap from
+# about N = 200 on
+CACHE_MODELS = SHIPPED_MODELS + (
+    load_model("states = a, b\nrate a -> b : 0.1*exp(-m[a]*m[b])\nrate b -> a : 0.2\n"),
+)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.data(), st.one_of(st.sampled_from(CACHE_MODELS), sparse_models()),
+       st.integers(0, 33).map(lambda e: round(10 ** (e / 10))))  # N = 1 .. 1995
+def test_a_walked_mean_drift_field_equals_the_uncached_sum(data, model, N):
+    # steps of 1e-4 stay inside a box, larger ones grow it or leave it
+    n, table = model.n_states, model._rate_table
+    field = mean_drift_field(model, N)._lists
+    budget = _window_budget(model, 1e-10)
+    m = data.draw(occupancies(n)).tolist()
+    for _ in range(data.draw(st.integers(2, 10), label="steps")):
+        i, j = data.draw(st.permutations(range(n)), label="move")[:2]
+        size = data.draw(st.sampled_from([1e-4, 1e-3, 1e-2, 0.2]), label="size")
+        step = min(size, m[i])
+        m[i] -= step
+        m[j] += step
+        want = outcome(lambda: table.net(
+            _window_lattice_sum(table, N, m, _windows(N, m, budget))))
+        got = outcome(lambda: field(list(m)))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert [bits(x) for x in got] == [bits(x) for x in want]
