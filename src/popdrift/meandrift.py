@@ -312,6 +312,7 @@ def _lattice_sums(table, N: float):
             # the error lies outside the window, or the window names it
             span = window
             values = build(*span)
+        values.setflags(write=False)  # every read is a view of it
         box = boxes[key] = (*span, values)
         return values if span is window else _cut(box, axes, lo, hi)
 
