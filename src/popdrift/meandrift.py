@@ -262,6 +262,20 @@ def _grown(box, lo, hi):
     return out_lo, out_hi
 
 
+def _whole_groups(table, ks) -> list:
+    """The transitions ks grouped by their axes, in order of first
+    appearance: (axes, group, the group's sources, the other coordinates)."""
+    groups: dict = {}
+    for k in ks:
+        groups.setdefault(table.axes[k], []).append(k)
+    n = len(table.state_names)
+    return [
+        (axes, tuple(group), [table.sources[k] for k in group],
+         [c for c in range(n) if c not in axes])
+        for axes, group in groups.items()
+    ]
+
+
 def _lattice_sums(table, N: float):
     """_window_lattice_sum at population N, keeping block values between calls.
 
@@ -276,19 +290,18 @@ def _lattice_sums(table, N: float):
     box, evaluated as the uncached sum evaluates it, so an error names
     the same point.  A window of more than _BOX_POINTS points keeps no
     box: its block is summed in chunks as the uncached sum does.  What
-    depends on N and the table alone, the split blocks of a set of
-    transitions, the coordinates off each sub-rectangle and the k/N
-    supports up to _BOX_POINTS, is built once.
+    depends on N and the table alone, the split blocks and the whole
+    groups of a set of transitions and the k/N supports up to
+    _BOX_POINTS, is built once.
     """
-    n = len(table.state_names)
     # a group of whole transitions or a block's split uses
     # -> (lo, hi, values over the box, rows first)
     boxes: dict = {}
     splits: dict = {}  # transitions -> table.split_blocks(transitions)
-    rests: dict = {}  # axes -> the other coordinates
+    wholes: dict = {}  # transitions -> _whole_groups(table, transitions)
     grid = np.empty(0)  # k/N for k = 0, 1, ...
 
-    def boxed(key, axes, rows, lo, hi, build):
+    def boxed(key, axes, lo, hi, build):
         """Block key's values on the windows lo[c]..hi[c] of its axes,
         from its box; None when no box is kept for them."""
         box = boxes.get(key)
@@ -334,7 +347,7 @@ def _lattice_sums(table, N: float):
         hi = [k + size - 1 for k, size in zip(lo, sizes)]
         supports = support(lo, hi)
         weighted = [p * x for p, x in zip(probs, supports)]
-        masses = [float(p.sum()) for p in probs]
+        masses = [float(np.add.reduce(p)) for p in probs]  # p.sum(), without its wrapper
 
         def summed(key, axes, sources, block, bounded=False):
             def build(b_lo, b_hi):
@@ -344,7 +357,7 @@ def _lattice_sums(table, N: float):
                     coords[c] = _along(x, a, len(axes))
                 return block(coords, tuple([h + 1 - l for l, h in zip(b_lo, b_hi)]))
 
-            q = boxed(key, axes, len(sources), lo, hi, build)
+            q = boxed(key, axes, lo, hi, build)
             if q is None:
                 _check_cap(windows, [axes])
                 return _rectangle_sums(
@@ -355,7 +368,8 @@ def _lattice_sums(table, N: float):
             if not bounded:
                 return out
             flat = q.reshape(len(sources), -1)
-            return list(zip(out, zip(flat.min(axis=1).tolist(), flat.max(axis=1).tolist())))
+            lows, highs = np.minimum.reduce(flat, axis=1), np.maximum.reduce(flat, axis=1)
+            return list(zip(out, zip(lows.tolist(), highs.tolist())))
 
         def average(uses, axes, block, sources):
             return summed(uses, axes, sources, block, bounded=True)
@@ -369,21 +383,17 @@ def _lattice_sums(table, N: float):
         if blocks is None:
             blocks = splits[large] = table.split_blocks(large)
         totals = table.split_flows(N, blocks, average, masses)
-        whole: dict = {}
-        for k, axes in rectangles.items():
-            if k not in totals:
-                whole.setdefault(axes, []).append(k)
+        summed_whole = tuple(k for k in rectangles if k not in totals)
+        groups = wholes.get(summed_whole)
+        if groups is None:
+            groups = wholes[summed_whole] = _whole_groups(table, summed_whole)
         if large:  # only a rectangle past _WHOLE_POINTS can pass the cap
-            _check_cap(windows, whole)
-        for axes, group in whole.items():
-            group = tuple(group)
+            _check_cap(windows, [axes for axes, *_ in groups])
+        for axes, group, sources, rest in groups:
             got = summed(
-                group, axes, [table.sources[k] for k in group],
+                group, axes, sources,
                 lambda coords, shape: table.rates(N, coords, shape, group, occupied=True),
             )
-            rest = rests.get(axes)
-            if rest is None:
-                rest = rests[axes] = [c for c in range(n) if c not in axes]
             other = math.prod([masses[c] for c in rest])
             for k, total in zip(group, got):
                 totals[k] = total * other
