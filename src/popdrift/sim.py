@@ -225,8 +225,8 @@ def simulate_slotted(model: ModelSpec, N: int, D: int, init, t_end: float, rng, 
             block = min(block_cap, n_slots - slot)
             draws = [rng.multinomial(c[i], pvec, size=block) for i, _, pvec in rows]
             # a slot moves an agent of source i unless all c[i] stayed
-            moved = draws[0][:, -1] != c[rows[0][0]]
-            for (i, _, _), d in zip(rows[1:], draws[1:]):
+            moved = np.zeros(block, dtype=bool)
+            for (i, _, _), d in zip(rows, draws):
                 moved |= d[:, -1] != c[i]
             first = int(moved.argmax())
             if not moved[first]:

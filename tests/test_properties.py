@@ -556,14 +556,16 @@ CACHE_MODELS = SHIPPED_MODELS + (
 @given(st.data(), st.one_of(st.sampled_from(CACHE_MODELS), sparse_models()),
        st.integers(0, 33).map(lambda e: round(10 ** (e / 10))))  # N = 1 .. 1995
 def test_a_walked_mean_drift_field_equals_the_uncached_sum(data, model, N):
-    # steps of 1e-4 stay inside a box, larger ones grow it or leave it
+    # steps of 1e-4 stay inside a box, larger ones grow it or leave it,
+    # and a step of 1 empties a state, which drops the transitions out
+    # of it from their groups
     n, table = model.n_states, model._rate_table
     field = mean_drift_field(model, N)._lists
     budget = _window_budget(model, 1e-10)
     m = data.draw(occupancies(n)).tolist()
     for _ in range(data.draw(st.integers(2, 10), label="steps")):
         i, j = data.draw(st.permutations(range(n)), label="move")[:2]
-        size = data.draw(st.sampled_from([1e-4, 1e-3, 1e-2, 0.2]), label="size")
+        size = data.draw(st.sampled_from([1e-4, 1e-3, 1e-2, 0.2, 1.0]), label="size")
         step = min(size, m[i])
         m[i] -= step
         m[j] += step
