@@ -6,6 +6,11 @@ the drift ODE, its Poisson-averaged mean-drift refinement, the limit
 dynamics, the exact transient distribution of the lumped count chain,
 and replicated stochastic simulations, so the approximations can be
 compared against the exact law at matching population sizes.
+
+The package attribute ``drift`` is the function ``drift.drift``, which
+shadows the submodule of the same name: ``from popdrift import drift``
+and ``import popdrift.drift as module`` both give the function.  Reach
+the module with ``importlib.import_module("popdrift.drift")``.
 """
 
 from .drift import VectorField, drift, drift_field, intensity, limit_drift, limit_field

@@ -18,18 +18,20 @@ over the grammar
 Expressions get values only through compiled source, and one
 compiler writes it: ``_kernel`` folds subtrees that read neither ``N``
 nor ``m`` to float literals, writes occupancies as ``m[index]``, and
-the source reads nothing but those, ``N`` and the names of
-``_KERNEL_GLOBALS``, so no model name reaches it.  It makes one
-straight-line function per table of expressions that computes a
-repeated subtree once and, written in plain operators and numpy
-ufuncs, serves a point of plain floats and arrays of points alike; its
-drift form also checks the rates and sums the net flows in the same
-call.  ``compile_fn`` is its one-expression case.  Values follow
-numpy semantics: ``pow(0, 0)`` is 1, and a division by zero, ``ln`` of
-zero or of a negative number, or ``pow`` outside its domain gives inf
-or nan instead of raising.  Nothing here refuses a value; the model's
-rate table checks each rate and refuses exactly those that are
-negative or non-finite.
+the source reads nothing but those, ``N``, the counts ``c`` of its
+jump-law form and the names of ``_KERNEL_GLOBALS``, so no model name
+reaches it.  It makes one straight-line function per table of
+expressions that computes a repeated subtree once and, written in
+plain operators and numpy ufuncs, serves a point of plain floats and
+arrays of points alike; its drift form also checks the rates and sums
+the net flows in the same call, and its jump-law form checks them and
+sums the jump chain's intensities at a count vector.  ``compile_fn``
+is its one-expression case.  Values follow numpy semantics:
+``pow(0, 0)`` is 1, and a division by zero, ``ln`` of zero or of a
+negative number, or ``pow`` outside its domain gives inf or nan
+instead of raising.  Nothing here refuses a value; the model's rate
+table checks each rate and refuses exactly those that are negative or
+non-finite.
 
 An expression nests at most 100 levels (``_MAX_DEPTH``): a number,
 name or occupancy term is one level, and each operator, function
@@ -401,6 +403,7 @@ _KERNEL_GLOBALS = {
     "max": np.maximum,
     "inf": math.inf,
     "nan": math.nan,
+    "fsum": math.fsum,
 }
 
 
@@ -550,12 +553,12 @@ def _source_leaf(state_index: Mapping[str, int]) -> Callable[[Expr], Optional[st
     return leaf
 
 
-def _define(body: Sequence[str], result: str) -> Callable:
-    """The function ``f(N, m)`` that runs the statements body and returns
+def _define(body: Sequence[str], result: str, args: str = "N, m") -> Callable:
+    """The function ``f(args)`` that runs the statements body and returns
     result, with only the names of _KERNEL_GLOBALS in scope."""
     lines = "".join(f"    {line}\n" for line in body)
     namespace = dict(_KERNEL_GLOBALS)
-    exec(f"def f(N, m):\n{lines}    return {result}\n", namespace)
+    exec(f"def f({args}):\n{lines}    return {result}\n", namespace)
     # popped, so that f and the namespace it reads are no reference cycle
     return namespace.pop("f")
 
@@ -584,7 +587,8 @@ def _kernel(
     params: Mapping[str, float],
     state_index: Mapping[str, int],
     moves: Optional[tuple[Sequence[int], Sequence[int]]] = None,
-) -> tuple[Callable[[float, Sequence], Optional[list]], bool]:
+    jump: bool = False,
+) -> tuple[Callable[[float, Sequence], Optional[Sequence]], bool]:
     """Compile a table of expressions to one straight-line ``f(N, m)``.
 
     Each expression is folded, its constant subtrees evaluated once
@@ -596,10 +600,14 @@ def _kernel(
     and q_k is the rate of a move from sources[k] to targets[k]; f
     returns None if some q_k is not in [0, inf), and otherwise the net
     flow per state: from 0.0, for each k in order, m[sources[k]]*q_k
-    subtracted at the source and added at the target.  Values follow
-    numpy semantics, as the module docstring says.  Also returns
-    whether the body calls a numpy function; one that does not computes
-    plain floats with plain floats.
+    subtracted at the source and added at the target.  With ``jump``
+    as well, f is ``f(N, c)`` on a count vector c, evaluates the rates
+    at m = c/N, returns None as before, and otherwise the jump law
+    (fsum(w), running sums of w), w_k = c[sources[k]]*q_k, the running
+    sums added left to right as ``itertools.accumulate`` adds them.
+    Values follow numpy semantics, as the module docstring says.  Also
+    returns whether the body calls a numpy function; one that does not
+    computes plain floats with plain floats.
     """
     leaf = _source_leaf(state_index)
     with np.errstate(all="ignore"):
@@ -641,6 +649,14 @@ def _kernel(
     if rates:
         valid = " and ".join(f"0.0 <= {q} < inf" for q in rates)
         body += [f"if not ({valid}):", "    return None"]
+    if jump:
+        weights = [f"w{k}" for k in range(len(rates))]
+        body += [f"{w} = c[{i}]*{q}" for w, q, i in zip(weights, rates, moves[0])]
+        sums = weights[:1] + [f"a{k}" for k in range(1, len(rates))]
+        body += [f"{a} = {b} + {w}" for a, b, w in zip(sums[1:], sums, weights[1:])]
+        occupancy = "".join(f"c[{i}] / N, " for i in range(len(state_index)))
+        result = f"fsum([{', '.join(weights)}]), ({''.join(f'{a}, ' for a in sums)})"
+        return _define([f"m = ({occupancy})", *body], result, "N, c"), calls_numpy
     net = [f"d{i}" for i in range(len(state_index))]
     body += [f"{d} = 0.0" for d in net]
     for q, i, j in zip(rates, *moves):

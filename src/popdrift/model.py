@@ -25,6 +25,7 @@ import numbers
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import accumulate
 from typing import Mapping, Optional
 
 import numpy as np
@@ -154,8 +155,9 @@ class _RateTable:
     that evaluates transitions takes them checked from ``rates``, on all
     transitions or on the positions ``ks``; only ``validate`` reads
     ``kernel``'s values unchecked.  At one point or over arrays, every
-    rate comes from one generated straight-line call, and ``drift`` is
-    that call with the check's common case and the net flow fused in.
+    rate comes from one generated straight-line call, and ``drift`` and
+    ``jump_law`` are that call with the check's common case and their
+    sums fused in.
     The mean drift takes the averages of the rates that ``plan`` splits
     from ``split_flows``, which certifies them in place of ``check``.
     Compiled forms are built on first use.  ``entries[k]`` = (source,
@@ -254,6 +256,13 @@ class _RateTable:
         """``drift`` at one point where every rate is in [0, inf), else None."""
         moves = (self.sources, self.targets)
         return _at_point(*ex._kernel(self.nodes, self.params, self.state_index, moves))
+
+    @functools.cached_property
+    def _fused_jump(self):
+        """``jump_law`` at counts where every rate is in [0, inf), else None."""
+        moves = (self.sources, self.targets)
+        return _at_point(*ex._kernel(self.nodes, self.params, self.state_index, moves,
+                                     jump=True))
 
     @functools.cached_property
     def entries(self) -> tuple:
@@ -396,6 +405,21 @@ class _RateTable:
             # check refuses the first bad rate or excuses it at an empty source
             out = self.net(self.intensities(self.rates(N, m, occupied=True), m))
         return out
+
+    def jump_law(self, N, c) -> tuple:
+        """The jump chain's law at the count vector c: (total, cum).
+
+        The intensities c_s * q_k at m = c/N, in table order, give total,
+        their math.fsum, and cum, their running sums as
+        ``itertools.accumulate`` adds them.  One generated call computes
+        both where every rate is in [0, inf); otherwise ``rates``
+        refuses the first bad rate or excuses it at an empty source.
+        """
+        law = self._fused_jump(N, c)
+        if law is None:
+            weights = self.intensities(self.rates(N, [x / N for x in c], occupied=True), c)
+            law = math.fsum(weights), tuple(accumulate(weights))
+        return law
 
     def slot_row(self, rates, i: int, D: int):
         """Per-agent move probabilities out of state i in a slot of width 1/D.

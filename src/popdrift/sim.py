@@ -14,9 +14,8 @@ dynamics.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -114,12 +113,12 @@ def _start(model: ModelSpec, N: int, init, t_end: float, at):
 class _JumpLaw:
     """A model's checked jump law at population N, memoized by count vector.
 
-    law(c) for a count tuple c returns (total, cum): the math.fsum of
-    the transition intensities at c and their running sums in table
-    order, each computed as one unmemoized event would compute it.  A
-    count vector whose rates fail the check raises RateError and is
-    never stored.  The memo starts over once it holds _MEMO_CAP
-    vectors, so a path that wanders over many vectors keeps it bounded.
+    law(c) for a count tuple c returns ``_RateTable.jump_law``'s (total,
+    cum): the math.fsum of the transition intensities at c and their
+    running sums in table order.  A count vector whose rates fail the
+    check raises RateError and is never stored.  The memo starts over
+    once it holds _MEMO_CAP vectors, so a path that wanders over many
+    vectors keeps it bounded.
     """
 
     def __init__(self, model: ModelSpec, N: int):
@@ -128,14 +127,14 @@ class _JumpLaw:
         self.memo = {}
 
     def __call__(self, c: tuple):
-        law = self.memo.get(c)
-        if law is None:
-            table, N = self.model._rate_table, self.N
-            q = table.rates(N, [x / N for x in c], occupied=True)
-            weights = table.intensities(q, c)
-            if len(self.memo) >= _MEMO_CAP:
-                self.memo.clear()
-            law = self.memo[c] = (math.fsum(weights), tuple(accumulate(weights)))
+        return self.memo.get(c) or self.miss(c)
+
+    def miss(self, c: tuple):
+        """c's law, computed and stored."""
+        law = self.model._rate_table.jump_law(self.N, c)
+        if len(self.memo) >= _MEMO_CAP:
+            self.memo.clear()
+        self.memo[c] = law
         return law
 
 
@@ -155,31 +154,42 @@ def _jump_path(law: _JumpLaw, init, t_end: float, rng, at):
     """simulate_ctmc on a jump law that other paths of its model and N may share."""
     counts, stops, out = _start(law.model, law.N, init, t_end, at)
     table = law.model._rate_table
-    n = law.model.n_states
-    last = len(table.sources) - 1
-    # plain lists: this runs once per event
+    moves = list(zip(table.sources, table.targets))
+    every = len(moves)
+    # plain lists and bound methods: this runs once per event
+    get, miss = law.memo.get, law.miss
+    exponential, random = rng.exponential, rng.random
     c = counts.tolist()
-    z = [[0] * n for _ in range(n)]
+    picks = [0] * every
     pos = 0
+    stop = stops[0]
     t = 0.0
     while True:
-        total, cum = law(tuple(c))
+        key = tuple(c)
+        total, cum = get(key) or miss(key)
         if total <= 0.0:
             break
-        t += rng.exponential(1.0 / total)
+        t += exponential(1.0 / total)
         if t > t_end:
             break
         # the first k with u < cum[k], as a scan of the running sums finds it
-        pick = min(bisect_right(cum, rng.random() * total), last)
-        while stops[pos] < t:
+        pick = bisect_right(cum, random() * total)
+        if pick == every:
+            # u reached the rounded sum: the last transition at which it rose
+            pick = bisect_left(cum, cum[-1])
+        while stop < t:
             out[pos] = c
             pos += 1
-        i, j = table.sources[pick], table.targets[pick]
+            stop = stops[pos]
+        picks[pick] += 1
+        i, j = moves[pick]
         c[i] -= 1
         c[j] += 1
-        z[i][j] += 1
     out[pos:] = c
-    return out, np.array(z, dtype=np.int64)
+    z = np.zeros((law.model.n_states,) * 2, dtype=np.int64)
+    for (i, j), count in zip(moves, picks):
+        z[i, j] = count
+    return out, z
 
 
 def simulate_slotted(model: ModelSpec, N: int, D: int, init, t_end: float, rng, at):

@@ -29,7 +29,7 @@ from popdrift.model import (
     slot_probability,
     validate,
 )
-from popdrift.sim import simulate_ctmc, simulate_slotted
+from popdrift.sim import SimConfig, ensemble, simulate_ctmc, simulate_slotted
 from popdrift import expr as ex
 
 from oracle import rates_at
@@ -295,14 +295,30 @@ def test_package_exports_each_submodule_function():
 SIRS_PATH = pathlib.Path(__file__).parents[1] / "perfbench" / "models" / "sir.pop"
 
 
-def test_loading_a_model_builds_no_point_kernel():
+def test_loading_a_model_builds_no_point_kernel(monkeypatch):
     # the kernels are built on first use, as the mean-drift plan is
     model = builtin_example()
-    lazy = {"kernel", "_fused_drift", "plan"}
+    lazy = {"kernel", "_fused_drift", "_fused_jump", "plan"}
     for table in (model._rate_table, model._limit_table):
         assert not lazy & set(vars(table))
     drift(model, 50, (0.45, 0.55))
     assert lazy & set(vars(model._rate_table)) == {"_fused_drift"}
+    # the first jump-chain ensemble defines the jump kernel, once for all
+    # of its paths, and no other
+    defined = []
+    define = ex._define
+
+    def counted(*args):
+        defined.append(args)
+        return define(*args)
+
+    monkeypatch.setattr(ex, "_define", counted)
+    config = SimConfig(N=40, init=(40, 0), t_end=50.0, reps=20, seed=3)
+    for _ in range(2):
+        ensemble(model, config)
+        assert lazy & set(vars(model._rate_table)) == {"_fused_drift", "_fused_jump"}
+        assert [args[2:] for args in defined] == [("N, c",)]
+    assert not lazy & set(vars(model._limit_table))
 
 
 CONTENTION_PATH = SIRS_PATH.with_name("contention.pop")

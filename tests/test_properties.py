@@ -19,6 +19,7 @@ generator bit for bit.
 
 import math
 import pathlib
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -543,6 +544,37 @@ def test_point_kernel_and_fused_drift_match_each_rate_alone(table, N, data):
         for wrong in (m[:-1], m + [0.0]):
             text = f"occupancy has {len(wrong)} entries, model has {n} states"
             assert outcome(lambda: table.drift(N, wrong)) == (ModelError, text)
+
+
+def law_bits(law):
+    total, cum = law
+    return bits(total), [bits(x) for x in cum]
+
+
+@SETTINGS
+@given(st.one_of(domain_edge_tables(), domain_edge_tables(divides_by_zero=False)),
+       st.integers(1, 12), st.data())
+def test_generated_jump_law_matches_checked_rates_summed(table, N, data):
+    # count vectors with empty states, where the check excuses a bad rate
+    n = len(table.state_names)
+    for _ in range(data.draw(st.integers(1, 4), label="vectors")):
+        cuts = sorted(data.draw(st.lists(st.integers(0, N), min_size=n - 1,
+                                         max_size=n - 1), label="cuts"))
+        c = tuple(b - a for a, b in zip([0, *cuts], [*cuts, N]))
+
+        def reference():
+            weights = table.intensities(
+                table.rates(N, [x / N for x in c], occupied=True), c)
+            return math.fsum(weights), tuple(accumulate(weights))
+
+        want, got = outcome(reference), outcome(lambda: table.jump_law(N, c))
+        if isinstance(want, tuple) and want[0] is RateError:
+            assert got == want
+            assert table._fused_jump(N, c) is None
+            continue
+        fused = table._fused_jump(N, c)
+        assert law_bits(got) == law_bits(want)
+        assert fused is None or law_bits(fused) == law_bits(want)
 
 
 # a rate no split applies to: its joint windows pass the box cap from

@@ -4,6 +4,7 @@ import importlib
 import math
 import pathlib
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -442,6 +443,8 @@ def reference_ctmc(model, N, init, t_end, rng, at):
 
     Rates, their check, the intensities and their fsum are rebuilt at
     every event, and a linear scan of the running sums picks the jump.
+    A u that reaches their rounded end takes the first transition whose
+    running sum equals it, the last one at which the sum rose.
     """
     counts = np.array(init, dtype=np.int64)
     at = np.asarray(at, dtype=float)
@@ -466,12 +469,15 @@ def reference_ctmc(model, N, init, t_end, rng, at):
             break
         u = rng.random() * total
         acc = 0.0
-        pick = len(weights) - 1
+        pick = None
         for k, w in enumerate(weights):
             acc += w
             if u < acc:
                 pick = k
                 break
+        if pick is None:
+            running = list(accumulate(weights))
+            pick = running.index(running[-1])
         while stops[pos] < t:
             out[pos] = counts
             pos += 1
@@ -515,6 +521,35 @@ def test_ctmc_matches_per_event_reference(monkeypatch, case, cap):
             assert np.any(want[0][:, 0] == 0)
     assert events > 100
     assert len(shared.memo) <= cap
+
+
+class EdgeDraws:
+    """A generator stub: every holding time is 0.6, every u is 1 - 2**-53."""
+
+    def exponential(self, scale):
+        return 0.6
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+def test_a_pick_past_the_rounded_sum_never_leaves_an_empty_state():
+    # at (1, 1, 0) the weights are (1, 2**-53, 2**-53, 0): every running
+    # sum rounds to 1, their fsum is 1 + 2**-52, and u*total rounds to 1,
+    # past every running sum.  The last transition, c -> a, has an empty
+    # source; the pick goes to a -> b, the last at which the sum rose.
+    tiny = 2.0**-53
+    model = load_model(
+        f"states = a, b, c\nrate a -> b : 1\nrate a -> c : {tiny!r}\n"
+        f"rate b -> a : {tiny!r}\nrate c -> a : 1\n"
+    )
+    total, cum = sim._JumpLaw(model, 2)((1, 1, 0))
+    assert (total, cum) == (1.0 + 2.0**-52, (1.0,) * 4)
+    assert EdgeDraws().random() * total == cum[-1]
+    want = ([[1, 1, 0], [0, 2, 0]], [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    for path in (simulate_ctmc, reference_ctmc):
+        counts, z = path(model, 2, (1, 1, 0), 1.0, EdgeDraws(), (0.0, 1.0))
+        assert (counts.tolist(), z.tolist()) == want
 
 
 class WatchedMemo(dict):
