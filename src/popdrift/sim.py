@@ -4,7 +4,10 @@ Two path generators: an event-driven jump chain with exponential
 holding times, and a slotted variant where every agent moves
 independently within global slots of width 1/D using the slot-start
 occupancy.  Each records its path only at the sorted times it is
-given, so memory does not grow with the number of events.  On top of
+given, so memory does not grow with the number of events.  Each reads
+its law at a count vector from a memo keyed by that vector (_JumpLaw,
+_SlotLaw), which the paths of one ensemble share and which evicts its
+oldest vector once it holds _MEMO_CAP of them.  On top of
 those, replicated ensembles with deterministic per-replication random
 streams, sup-distance statistics against a reference trajectory, a
 Poisson marginal diagnostic and a finite-difference check of the mean
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,7 +38,7 @@ _SLOT_BLOCK = 1024
 _DEFAULT_GRID_POINTS = 1000
 _FIT_TAU = 1e-15  # Poisson mass poisson_marginal_fit's window may leave out
 _SIGMA_LIMIT = 4.0  # GeneratorCheck.ok: every |discrepancy| within 4 stderrs
-_MEMO_CAP = 1024  # count vectors a _JumpLaw holds before it starts over
+_MEMO_CAP = 1024  # count vectors a law memo holds; the oldest goes first
 
 
 def _sample_times(ts, t_end: float) -> np.ndarray:
@@ -110,21 +114,36 @@ def _start(model: ModelSpec, N: int, init, t_end: float, at):
     return counts, at.tolist() + [math.inf], rows
 
 
+def _remember(memo: dict, order: deque, c: tuple, law):
+    """Store law as c's in memo, which does not hold c, and return it.
+
+    order holds memo's keys, oldest first.  At _MEMO_CAP vectors the
+    oldest goes, so a path that wanders keeps the memo bounded.  A
+    deque beside a plain dict, because an OrderedDict's links take about
+    55 kB more at 1024 vectors and finding a dict's first key scans the
+    slots its deletions left.
+    """
+    if len(memo) >= _MEMO_CAP:
+        del memo[order.popleft()]
+    memo[c] = law
+    order.append(c)
+    return law
+
+
 class _JumpLaw:
     """A model's checked jump law at population N, memoized by count vector.
 
     law(c) for a count tuple c returns ``_RateTable.jump_law``'s (total,
     cum): the math.fsum of the transition intensities at c and their
     running sums in table order.  A count vector whose rates fail the
-    check raises RateError and is never stored.  The memo starts over
-    once it holds _MEMO_CAP vectors, so a path that wanders over many
-    vectors keeps it bounded.
+    check raises RateError and is never stored.
     """
 
     def __init__(self, model: ModelSpec, N: int):
         self.model = model
         self.N = N
         self.memo = {}
+        self.order = deque()
 
     def __call__(self, c: tuple):
         return self.memo.get(c) or self.miss(c)
@@ -132,10 +151,53 @@ class _JumpLaw:
     def miss(self, c: tuple):
         """c's law, computed and stored."""
         law = self.model._rate_table.jump_law(self.N, c)
-        if len(self.memo) >= _MEMO_CAP:
-            self.memo.clear()
-        self.memo[c] = law
-        return law
+        return _remember(self.memo, self.order, c, law)
+
+
+class _SlotLaw:
+    """A model's checked slot law at population N and resolution D,
+    memoized by count vector.
+
+    law(c) for a count tuple c returns (rows, p_move, block_cap).  rows
+    holds (i, c[i], targets, pvec) for each source i that can move:
+    pvec is the read-only multinomial law of one agent of i over the
+    transitions out of i, to ``targets`` in table order, then staying.
+    p_move is the chance that some agent moves in a slot, and block_cap
+    the number of slots sampled at once.  A count vector whose rates
+    fail the check raises RateError, one whose slot is too coarse
+    raises SlotResolutionError, and neither is stored.
+    """
+
+    def __init__(self, model: ModelSpec, N: int, D: int):
+        self.model = model
+        self.N = N
+        self.D = D
+        self.memo = {}
+        self.order = deque()
+
+    def __call__(self, c: tuple):
+        return self.memo.get(c) or self.miss(c)
+
+    def miss(self, c: tuple):
+        """c's law, computed and stored."""
+        table = self.model._rate_table
+        q = table.rates(self.N, [x / self.N for x in c], occupied=True)
+        rows = []
+        stay_all = 1.0
+        for i, ks in enumerate(table.out):
+            if c[i] == 0:
+                continue
+            probs, total = table.slot_row(q[ks.start:ks.stop], i, self.D)
+            if total <= 0.0:
+                continue
+            pvec = np.array(probs + [max(0.0, 1.0 - total)])
+            pvec.flags.writeable = False
+            rows.append((i, c[i], [table.targets[k] for k in ks], pvec))
+            stay_all *= (1.0 - total) ** c[i]
+        p_move = 1.0 - stay_all
+        # block size tracks the expected gap between moving slots
+        block_cap = max(1, min(_SLOT_BLOCK, int(0.5 / p_move) + 1)) if p_move > 0.0 else 0
+        return _remember(self.memo, self.order, c, (rows, p_move, block_cap))
 
 
 def simulate_ctmc(model: ModelSpec, N: int, init, t_end: float, rng, at):
@@ -204,51 +266,52 @@ def simulate_slotted(model: ModelSpec, N: int, D: int, init, t_end: float, rng, 
     effect at its end, so a time on that boundary reads them.
     """
     _check_resolution(D)
-    counts, stops, out = _start(model, N, init, t_end, at)
-    table = model._rate_table
-    n = model.n_states
+    return _slot_path(_SlotLaw(model, N, D), init, t_end, rng, at)
+
+
+def _slot_path(law: _SlotLaw, init, t_end: float, rng, at):
+    """simulate_slotted on a slot law that other paths of its model, N
+    and D may share."""
+    counts, stops, out = _start(law.model, law.N, init, t_end, at)
+    D = law.D
+    n = law.model.n_states
     n_slots = int(math.floor(t_end * D + 1e-9))
-    # plain lists, as in _jump_path
+    # plain lists and bound methods, as in _jump_path
+    get, miss = law.memo.get, law.miss
+    multinomial = rng.multinomial
     c = counts.tolist()
     z = [[0] * n for _ in range(n)]
     pos = 0
     slot = 0
     while slot < n_slots:
-        q = table.rates(N, [x / N for x in c], occupied=True)
-        rows = []
-        stay_all = 1.0
-        for i, ks in enumerate(table.out):
-            if c[i] == 0:
-                continue
-            probs, total = table.slot_row(q[ks.start:ks.stop], i, D)
-            if total <= 0.0:
-                continue
-            pvec = np.array(probs + [max(0.0, 1.0 - total)])
-            rows.append((i, [table.targets[k] for k in ks], pvec))
-            stay_all *= (1.0 - total) ** c[i]
-        p_move = 1.0 - stay_all
+        key = tuple(c)
+        rows, p_move, block_cap = get(key) or miss(key)
         if p_move <= 0.0:
             break
-        # block size tracks the expected gap between moving slots
-        block_cap = max(1, min(_SLOT_BLOCK, int(0.5 / p_move) + 1))
         while slot < n_slots:
             block = min(block_cap, n_slots - slot)
-            draws = [rng.multinomial(c[i], pvec, size=block) for i, _, pvec in rows]
-            # a slot moves an agent of source i unless all c[i] stayed
-            moved = np.zeros(block, dtype=bool)
-            for (i, _, _), d in zip(rows, draws):
-                moved |= d[:, -1] != c[i]
-            first = int(moved.argmax())
-            if not moved[first]:
+            draws = [multinomial(ci, pvec, size=block) for _, ci, _, pvec in rows]
+            # the first slot in which some source kept fewer than its c[i]
+            # agents; blocks are short where slots move often, and there
+            # plain lists beat a numpy scan's per-call cost
+            first = block
+            for (_, ci, _, _), d in zip(rows, draws):
+                stay = d[:, -1].tolist()
+                if stay.count(ci) < block:
+                    for s in range(first):
+                        if stay[s] != ci:
+                            first = s
+                            break
+            if first == block:
                 slot += block
                 continue
             slot += first + 1
             while stops[pos] < slot / D:
                 out[pos] = c
                 pos += 1
-            for (i, targets, _), d in zip(rows, draws):
-                for col, j in enumerate(targets):
-                    k = int(d[first, col])
+            for (i, _, targets, _), d in zip(rows, draws):
+                # zip stops before the stay column
+                for j, k in zip(targets, d[first].tolist()):
                     if k:
                         c[i] -= k
                         c[j] += k
@@ -265,12 +328,11 @@ def _replication_rngs(config: SimConfig):
 
 
 def _sampler(model: ModelSpec, config: SimConfig):
-    """path(rng, at) in config's mode; jump-chain paths share one jump law."""
+    """path(rng, at) in config's mode; all paths share one jump or slot law."""
     check_counts(config.init, config.N, model.n_states)
     if config.mode == "slotted":
-        return lambda rng, at: simulate_slotted(
-            model, config.N, config.resolution, config.init, config.t_end, rng, at
-        )
+        law = _SlotLaw(model, config.N, config.resolution)
+        return lambda rng, at: _slot_path(law, config.init, config.t_end, rng, at)
     law = _JumpLaw(model, config.N)
     return lambda rng, at: _jump_path(law, config.init, config.t_end, rng, at)
 

@@ -622,6 +622,183 @@ def test_ensemble_and_generator_check_build_one_jump_law_each(monkeypatch):
     assert built == [10, 10]
 
 
+# ------------------------------------------------- memoized slot law
+
+
+def reference_slotted(model, N, D, init, t_end, rng, at):
+    """The slotted path as it ran before its law was memoized.
+
+    Rates, their check and the slot rows are rebuilt at every moving
+    slot, and a scan over the block's slots finds the first one in
+    which an agent left its source.
+    """
+    counts = np.array(init, dtype=np.int64)
+    at = np.asarray(at, dtype=float)
+    stops = at.tolist() + [math.inf]
+    out = np.empty((at.size, model.n_states), dtype=np.int64)
+    table = model._rate_table
+    n = model.n_states
+    z = np.zeros((n, n), dtype=np.int64)
+    n_slots = int(math.floor(t_end * D + 1e-9))
+    pos = 0
+    slot = 0
+    while slot < n_slots:
+        c = counts.tolist()
+        m = [x / N for x in c]
+        q = rates_at(table, N, m)
+        table.check(q, m, occupied=True)
+        rows = []
+        stay_all = 1.0
+        for i, ks in enumerate(table.out):
+            if c[i] == 0:
+                continue
+            probs, total = table.slot_row(q[ks.start:ks.stop], i, D)
+            if total <= 0.0:
+                continue
+            pvec = np.array(probs + [max(0.0, 1.0 - total)])
+            rows.append((i, [table.targets[k] for k in ks], pvec))
+            stay_all *= (1.0 - total) ** c[i]
+        p_move = 1.0 - stay_all
+        if p_move <= 0.0:
+            break
+        block_cap = max(1, min(sim._SLOT_BLOCK, int(0.5 / p_move) + 1))
+        while slot < n_slots:
+            block = min(block_cap, n_slots - slot)
+            draws = [rng.multinomial(c[i], pvec, size=block) for i, _, pvec in rows]
+            first = next(
+                (s for s in range(block)
+                 if any(d[s, -1] != c[i] for (i, _, _), d in zip(rows, draws))),
+                None,
+            )
+            if first is None:
+                slot += block
+                continue
+            slot += first + 1
+            while stops[pos] < slot / D:
+                out[pos] = counts
+                pos += 1
+            for (i, targets, _), d in zip(rows, draws):
+                for col, j in enumerate(targets):
+                    k = d[first, col]
+                    counts[i] -= k
+                    counts[j] += k
+                    z[i, j] += k
+            break
+    out[pos:] = counts
+    return out, z
+
+
+SLOTTED_CASES = {
+    "bundled": (builtin_example, 40, 10, (40, 0), 400.0),
+    "sirs": (lambda: load_model(SIR_MODEL.read_text()), 200, 20, (180, 20, 0), 10.0),
+    "excused": (lambda: load_model(EXCUSED_DOC), 6, 10, (6, 0), 20.0),
+}
+
+
+@pytest.mark.parametrize("cap", [sim._MEMO_CAP, 2])
+@pytest.mark.parametrize("case", sorted(SLOTTED_CASES))
+def test_slotted_matches_per_slot_reference(monkeypatch, case, cap):
+    # a cap of 2 makes the memo evict a vector every few moving slots
+    monkeypatch.setattr(sim, "_MEMO_CAP", cap)
+    make, N, D, init, t_end = SLOTTED_CASES[case]
+    model = make()
+    at = np.linspace(0.0, t_end, 41)
+    shared = sim._SlotLaw(model, N, D)
+    jumps = 0
+    for seed in range(4):
+        want = reference_slotted(model, N, D, init, t_end, np.random.default_rng(seed), at)
+        alone = simulate_slotted(model, N, D, init, t_end, np.random.default_rng(seed), at)
+        after = sim._slot_path(shared, init, t_end, np.random.default_rng(seed), at)
+        for got in (alone, after):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+        jumps += int(want[1].sum())
+        if case == "excused":
+            assert np.any(want[0][:, 0] == 0)
+    assert jumps > 100
+    assert 0 < len(shared.memo) <= cap
+
+
+# b -> a's slot probability at D=5 passes 1 once b holds more than 40%
+COARSE_DOC = "states = a, b\nrate a -> b : 1\nrate b -> a : 1 + 10*m[b]\n"
+REFUSALS = {
+    "coarse": (COARSE_DOC, 5, SlotResolutionError),
+    "negative": (RANGE_DOC, 10, RateError),
+}
+
+
+@pytest.mark.parametrize("cap", [sim._MEMO_CAP, 2])
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_slot_law_refuses_as_the_reference_does_and_never_stores_a_refusal(
+    monkeypatch, case, cap
+):
+    monkeypatch.setattr(sim, "_MEMO_CAP", cap)
+    doc, D, error = REFUSALS[case]
+    model = load_model(doc)
+    at = (0.0, 1.0, 2.0)
+    shared = sim._SlotLaw(model, 6, D)
+    refused = 0
+    for seed in range(12):
+        try:
+            want = reference_slotted(model, 6, D, (6, 0), 2.0, np.random.default_rng(seed), at)
+        except error as exc:
+            refused += 1
+            with pytest.raises(error) as info:
+                sim._slot_path(shared, (6, 0), 2.0, np.random.default_rng(seed), at)
+            assert str(info.value) == str(exc)
+        else:
+            got = sim._slot_path(shared, (6, 0), 2.0, np.random.default_rng(seed), at)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+        # both refusals start where b holds half the agents
+        assert all(key[1] < 3 for key in shared.memo)
+        assert 0 < len(shared.memo) <= cap
+    assert 2 <= refused < 12
+    with pytest.raises(error):
+        shared((3, 3))
+    assert (3, 3) not in shared.memo
+
+
+def test_kept_slot_rows_are_read_only():
+    law = sim._SlotLaw(builtin_example(), 10, 10)
+    rows, p_move, block_cap = law((6, 4))
+    assert [(i, ci, targets) for i, ci, targets, _ in rows] == [(0, 6, [1]), (1, 4, [0])]
+    assert 0.0 < p_move < 1.0 and 1 <= block_cap <= sim._SLOT_BLOCK
+    for *_, pvec in rows:
+        assert not pvec.flags.writeable
+        assert pvec.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda model: sim._JumpLaw(model, 6),
+    lambda model: sim._SlotLaw(model, 6, 10),
+], ids=["jump", "slot"])
+def test_a_full_law_memo_evicts_its_oldest_vector(monkeypatch, make):
+    monkeypatch.setattr(sim, "_MEMO_CAP", 2)
+    law = make(load_model(RANGE_DOC))
+    for key in [(6, 0), (5, 1), (6, 0), (4, 2)]:
+        law(key)
+    # a hit does not renew a vector: (6, 0) was stored first
+    assert list(law.memo) == [(5, 1), (4, 2)]
+
+
+def test_slotted_ensemble_and_generator_check_build_one_slot_law_each(monkeypatch):
+    built = []
+
+    class CountedLaw(sim._SlotLaw):
+        def __init__(self, model, N, D):
+            built.append((N, D))
+            super().__init__(model, N, D)
+
+    monkeypatch.setattr(sim, "_SlotLaw", CountedLaw)
+    config = SimConfig(
+        N=10, init=(10, 0), t_end=5.0, reps=100, seed=1, mode="slotted", resolution=10
+    )
+    ensemble(builtin_example(), config)
+    generator_check(builtin_example(), config, (1.0, 2.0))
+    assert built == [(10, 10), (10, 10)]
+
+
 def test_generator_check_builds_one_drift_field(monkeypatch):
     # every replication's midpoint drift comes from one field; the
     # package's name popdrift.drift is the function, hence import_module
@@ -675,6 +852,7 @@ def test_ensemble_refuses_a_bad_config_before_any_replication(case, mode, monkey
         raise AssertionError("a replication ran")
 
     monkeypatch.setattr(sim, "_jump_path", path)
+    monkeypatch.setattr(sim, "_slot_path", path)
     monkeypatch.setattr(sim, "simulate_slotted", path)
     changes, words = BAD_CONFIGS[case]
     fields = dict(N=5, init=(5, 0), t_end=1.0, reps=1000, mode=mode, resolution=10)
