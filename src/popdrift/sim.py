@@ -6,8 +6,8 @@ independently within global slots of width 1/D using the slot-start
 occupancy.  Each records its path only at the sorted times it is
 given, so memory does not grow with the number of events.  Each reads
 its law at a count vector from a memo keyed by that vector (_JumpLaw,
-_SlotLaw), which the paths of one ensemble share and which evicts its
-oldest vector once it holds _MEMO_CAP of them.  On top of
+_SlotLaw), which the paths of one ensemble share and which starts
+over once it holds _MEMO_CAP of them.  On top of
 those, replicated ensembles with deterministic per-replication random
 streams, sup-distance statistics against a reference trajectory, a
 Poisson marginal diagnostic and a finite-difference check of the mean
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,10 +34,11 @@ __all__ = ["SimConfig", "SimStats", "GeneratorCheck", "simulate_ctmc",
 
 _CHUNK_REPS = 64
 _SLOT_BLOCK = 1024
+_LIST_SCAN = 64  # longest block whose first moving slot is found in lists
 _DEFAULT_GRID_POINTS = 1000
 _FIT_TAU = 1e-15  # Poisson mass poisson_marginal_fit's window may leave out
 _SIGMA_LIMIT = 4.0  # GeneratorCheck.ok: every |discrepancy| within 4 stderrs
-_MEMO_CAP = 1024  # count vectors a law memo holds; the oldest goes first
+_MEMO_CAP = 1024  # count vectors a law memo holds before it starts over
 
 
 def _sample_times(ts, t_end: float) -> np.ndarray:
@@ -114,72 +114,60 @@ def _start(model: ModelSpec, N: int, init, t_end: float, at):
     return counts, at.tolist() + [math.inf], rows
 
 
-def _remember(memo: dict, order: deque, c: tuple, law):
-    """Store law as c's in memo, which does not hold c, and return it.
+class _LawMemo:
+    """A model's checked law at population N, memoized by count vector.
 
-    order holds memo's keys, oldest first.  At _MEMO_CAP vectors the
-    oldest goes, so a path that wanders keeps the memo bounded.  A
-    deque beside a plain dict, because an OrderedDict's links take about
-    55 kB more at 1024 vectors and finding a dict's first key scans the
-    slots its deletions left.
-    """
-    if len(memo) >= _MEMO_CAP:
-        del memo[order.popleft()]
-    memo[c] = law
-    order.append(c)
-    return law
-
-
-class _JumpLaw:
-    """A model's checked jump law at population N, memoized by count vector.
-
-    law(c) for a count tuple c returns ``_RateTable.jump_law``'s (total,
-    cum): the math.fsum of the transition intensities at c and their
-    running sums in table order.  A count vector whose rates fail the
-    check raises RateError and is never stored.
+    law(c) for a count tuple c returns the law a subclass's build(c)
+    makes.  A count vector whose law build refuses is never stored.
+    The memo starts over once it holds _MEMO_CAP vectors, so a path
+    that wanders over many vectors keeps it bounded.
     """
 
     def __init__(self, model: ModelSpec, N: int):
         self.model = model
         self.N = N
         self.memo = {}
-        self.order = deque()
 
     def __call__(self, c: tuple):
         return self.memo.get(c) or self.miss(c)
 
     def miss(self, c: tuple):
-        """c's law, computed and stored."""
-        law = self.model._rate_table.jump_law(self.N, c)
-        return _remember(self.memo, self.order, c, law)
+        """c's law, built and stored."""
+        law = self.build(c)
+        if len(self.memo) >= _MEMO_CAP:
+            self.memo.clear()
+        self.memo[c] = law
+        return law
 
 
-class _SlotLaw:
-    """A model's checked slot law at population N and resolution D,
-    memoized by count vector.
+class _JumpLaw(_LawMemo):
+    """The jump law: ``_RateTable.jump_law``'s (total, cum), the
+    math.fsum of the transition intensities at c and their running sums
+    in table order.  A count vector whose rates fail the check raises
+    RateError.
+    """
 
-    law(c) for a count tuple c returns (rows, p_move, block_cap).  rows
-    holds (i, c[i], targets, pvec) for each source i that can move:
-    pvec is the read-only multinomial law of one agent of i over the
-    transitions out of i, to ``targets`` in table order, then staying.
-    p_move is the chance that some agent moves in a slot, and block_cap
-    the number of slots sampled at once.  A count vector whose rates
-    fail the check raises RateError, one whose slot is too coarse
-    raises SlotResolutionError, and neither is stored.
+    def build(self, c: tuple):
+        return self.model._rate_table.jump_law(self.N, c)
+
+
+class _SlotLaw(_LawMemo):
+    """The slot law at resolution D: (rows, p_move, block_cap).
+
+    rows holds (i, c[i], targets, pvec) for each source i that can
+    move: pvec is the read-only multinomial law of one agent of i over
+    the transitions out of i, to ``targets`` in table order, then
+    staying.  p_move is the chance that some agent moves in a slot, and
+    block_cap the number of slots sampled at once.  A count vector whose
+    rates fail the check raises RateError, one whose slot is too coarse
+    raises SlotResolutionError.
     """
 
     def __init__(self, model: ModelSpec, N: int, D: int):
-        self.model = model
-        self.N = N
+        super().__init__(model, N)
         self.D = D
-        self.memo = {}
-        self.order = deque()
 
-    def __call__(self, c: tuple):
-        return self.memo.get(c) or self.miss(c)
-
-    def miss(self, c: tuple):
-        """c's law, computed and stored."""
+    def build(self, c: tuple):
         table = self.model._rate_table
         q = table.rates(self.N, [x / self.N for x in c], occupied=True)
         rows = []
@@ -197,7 +185,7 @@ class _SlotLaw:
         p_move = 1.0 - stay_all
         # block size tracks the expected gap between moving slots
         block_cap = max(1, min(_SLOT_BLOCK, int(0.5 / p_move) + 1)) if p_move > 0.0 else 0
-        return _remember(self.memo, self.order, c, (rows, p_move, block_cap))
+        return rows, p_move, block_cap
 
 
 def simulate_ctmc(model: ModelSpec, N: int, init, t_end: float, rng, at):
@@ -292,16 +280,22 @@ def _slot_path(law: _SlotLaw, init, t_end: float, rng, at):
             block = min(block_cap, n_slots - slot)
             draws = [multinomial(ci, pvec, size=block) for _, ci, _, pvec in rows]
             # the first slot in which some source kept fewer than its c[i]
-            # agents; blocks are short where slots move often, and there
-            # plain lists beat a numpy scan's per-call cost
+            # agents.  On short blocks plain lists beat numpy's per-call
+            # cost; on long ones one numpy pass beats a list of every slot.
             first = block
             for (_, ci, _, _), d in zip(rows, draws):
-                stay = d[:, -1].tolist()
-                if stay.count(ci) < block:
-                    for s in range(first):
-                        if stay[s] != ci:
-                            first = s
-                            break
+                if block > _LIST_SCAN:
+                    gone = d[:, -1] != ci
+                    s = int(gone.argmax())
+                    if gone[s] and s < first:
+                        first = s
+                else:
+                    stay = d[:, -1].tolist()
+                    if stay.count(ci) < block:
+                        for s in range(first):
+                            if stay[s] != ci:
+                                first = s
+                                break
             if first == block:
                 slot += block
                 continue

@@ -692,13 +692,15 @@ SLOTTED_CASES = {
     "bundled": (builtin_example, 40, 10, (40, 0), 400.0),
     "sirs": (lambda: load_model(SIR_MODEL.read_text()), 200, 20, (180, 20, 0), 10.0),
     "excused": (lambda: load_model(EXCUSED_DOC), 6, 10, (6, 0), 20.0),
+    # about 250 slots per block, past the list scan
+    "long_blocks": (lambda: load_model(FAST_DOC), 4, 4000, (4, 0), 10.0),
 }
 
 
 @pytest.mark.parametrize("cap", [sim._MEMO_CAP, 2])
 @pytest.mark.parametrize("case", sorted(SLOTTED_CASES))
 def test_slotted_matches_per_slot_reference(monkeypatch, case, cap):
-    # a cap of 2 makes the memo evict a vector every few moving slots
+    # a cap of 2 makes the memo start over every few moving slots
     monkeypatch.setattr(sim, "_MEMO_CAP", cap)
     make, N, D, init, t_end = SLOTTED_CASES[case]
     model = make()
@@ -715,6 +717,8 @@ def test_slotted_matches_per_slot_reference(monkeypatch, case, cap):
         jumps += int(want[1].sum())
         if case == "excused":
             assert np.any(want[0][:, 0] == 0)
+        if case == "long_blocks":
+            assert all(block > sim._LIST_SCAN for _, _, block in shared.memo.values())
     assert jumps > 100
     assert 0 < len(shared.memo) <= cap
 
@@ -773,13 +777,35 @@ def test_kept_slot_rows_are_read_only():
     lambda model: sim._JumpLaw(model, 6),
     lambda model: sim._SlotLaw(model, 6, 10),
 ], ids=["jump", "slot"])
-def test_a_full_law_memo_evicts_its_oldest_vector(monkeypatch, make):
+def test_a_full_law_memo_starts_over(monkeypatch, make):
     monkeypatch.setattr(sim, "_MEMO_CAP", 2)
     law = make(load_model(RANGE_DOC))
     for key in [(6, 0), (5, 1), (6, 0), (4, 2)]:
         law(key)
-    # a hit does not renew a vector: (6, 0) was stored first
-    assert list(law.memo) == [(5, 1), (4, 2)]
+    assert list(law.memo) == [(4, 2)]
+
+
+def test_slotted_path_memory_stays_bounded_past_the_memo_cap():
+    # a SIRS slotted path at N=500 over t=200 visits about 2,300 count
+    # vectors; a kept slot law takes about 0.9 kB, so the memo at its cap
+    # holds about 0.95 MB and one that never started over about 2.1 MB
+    model = load_model(SIR_MODEL.read_text())
+    at = np.linspace(0.0, 200.0, 101)
+    watched = sim._SlotLaw(model, 500, 20)
+    watched.memo = memo = WatchedMemo()
+    sim._slot_path(watched, (450, 50, 0), 200.0, np.random.default_rng(0), at)
+    assert len(memo.seen) > 2 * sim._MEMO_CAP
+    assert memo.peak <= sim._MEMO_CAP
+    # the same path on a plain memo, traced once one-time allocations are made
+    law = sim._SlotLaw(model, 500, 20)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        sim._slot_path(law, (450, 50, 0), 200.0, rng, at)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_slotted_ensemble_and_generator_check_build_one_slot_law_each(monkeypatch):
