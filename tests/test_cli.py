@@ -828,6 +828,33 @@ GOLDEN_MEAN_DRIFT = {
         "0b2d0b810dad440c138b441de6a72f1e60677401af975c09989defa19dc93193",
     ),
 }
+# sha256 of the stdout of drift and limit ODEs: the benchmark's bundled
+# drift ODE, and contention's drift and its limit, which contention
+# declares no rates for, so it runs the numeric limit
+GOLDEN_DRIFT = {
+    "ode_drift_n50": (
+        ("ode", "--variant", "drift", "--N", "50", "--init", "1,0", "--t", "500"),
+        "869d26c5ae08e4ce25d591c45fa9ec218dff37615d2331217ca41c3484a0be80",
+    ),
+    "ode_drift_contention_n200": (
+        ("ode", "--model", CONTENTION_MODEL, "--variant", "drift", "--N", "200",
+         "--init", "1,0,0", "--t", "20"),
+        "39885d97573db6fd3a147d64739c72826a5b2bf647a7e9f620f2f8a4fd167863",
+    ),
+    "ode_limit_contention": (
+        ("ode", "--model", CONTENTION_MODEL, "--variant", "limit",
+         "--init", "1,0,0", "--t", "20"),
+        "ed039bf4d65ef675f81ed8d78cdf87bf4d46244d4762cfa05733b316b5e107c2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DRIFT))
+def test_drift_ode_output_matches_its_digest(capsys, name):
+    argv, digest = GOLDEN_DRIFT[name]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MEAN_DRIFT))
