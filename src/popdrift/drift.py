@@ -43,8 +43,9 @@ class VectorField:
     kind: str
     N: Optional[float]
     fn: Callable[[np.ndarray], np.ndarray] = field(compare=False)
-    # the built-in fields' fn on lists of floats, to the same bits;
-    # integrate steps on lists and adapts fn when this is None
+    # the built-in fields' fn on lists of floats, to the same bits, run
+    # under np.errstate(all="ignore") that its caller holds; integrate
+    # holds it over its steps, and adapts fn when this is None
     _lists: Optional[Callable[[list], list]] = field(
         default=None, compare=False, repr=False
     )
@@ -82,11 +83,11 @@ def limit_drift(model: ModelSpec, m, mode: str = "declared") -> np.ndarray:
     return limit_field(model, mode)(m)
 
 
-def _numeric_limit(model: ModelSpec, m: list) -> list:
+def _numeric_limit(model: ModelSpec, m: list, held: bool = False) -> list:
     table = model._rate_table
     prev: Optional[list] = None
     for k in range(7, 21):
-        cur = table.drift(float(2**k), m)
+        cur = table.drift(float(2**k), m, held)
         # a nan difference fails the test, as in a max norm
         if prev is not None and all(abs(a - b) < 1e-9 for a, b in zip(cur, prev)):
             return cur
@@ -97,10 +98,12 @@ def _numeric_limit(model: ModelSpec, m: list) -> list:
     )
 
 
-def _field(kind: str, N: Optional[float], lists) -> VectorField:
-    """A built-in field: its list kernel, and fn, that kernel on a flat ndarray."""
+def _field(kind: str, N: Optional[float], lists, point=None) -> VectorField:
+    """A built-in field: its list kernel, which leaves numpy's error state
+    to its caller, and fn, point (default: lists) on a flat ndarray."""
+    point = point or lists
     return VectorField(
-        kind=kind, N=N, fn=lambda m: np.array(lists(_flat_occupancy(m).tolist())),
+        kind=kind, N=N, fn=lambda m: np.array(point(_flat_occupancy(m).tolist())),
         _lists=lists,
     )
 
@@ -108,15 +111,17 @@ def _field(kind: str, N: Optional[float], lists) -> VectorField:
 def drift_field(model: ModelSpec, N: float) -> VectorField:
     """The finite-N drift as a reusable vector field."""
     _check_population(N)
-    return _field("drift", N, functools.partial(model._rate_table.drift, N))
+    drift = model._rate_table.drift
+    return _field("drift", N, lambda m: drift(N, m, True), functools.partial(drift, N))
 
 
 def limit_field(model: ModelSpec, mode: str = "declared") -> VectorField:
     """The population-limit drift as a reusable vector field."""
     if mode == "declared":
-        lists = functools.partial(model._limit().drift, math.nan)
-    elif mode == "numeric":
-        lists = functools.partial(_numeric_limit, model)
-    else:
-        raise ModelError(f"unknown limit mode {mode!r}")
-    return _field("limit", None, lists)
+        drift = model._limit().drift
+        return _field("limit", None, lambda m: drift(math.nan, m, True),
+                      functools.partial(drift, math.nan))
+    if mode == "numeric":
+        return _field("limit", None, lambda m: _numeric_limit(model, m, True),
+                      functools.partial(_numeric_limit, model))
+    raise ModelError(f"unknown limit mode {mode!r}")

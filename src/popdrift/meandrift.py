@@ -252,9 +252,14 @@ def _cut(box, axes, lo, hi):
 
 def _grown(box, lo, hi):
     """The union of a kept box (lo, hi, values) with the window lo..hi,
-    widened by half its width past each side the window crossed."""
+    widened by half its width past each side the window crossed.  The
+    box's counts more than half the window's width past the window, on
+    a side it did not cross, are dropped first: a window that travels
+    has left them."""
     out_lo, out_hi = [], []
     for b_lo, b_hi, w_lo, w_hi in zip(box[0], box[1], lo, hi):
+        keep = (w_hi - w_lo + 1) // 2
+        b_lo, b_hi = max(b_lo, w_lo - keep), min(b_hi, w_hi + keep)
         u_lo, u_hi = min(b_lo, w_lo), max(b_hi, w_hi)
         margin = (u_hi - u_lo + 1) // 2
         out_lo.append(max(0, u_lo - margin) if w_lo < b_lo else u_lo)

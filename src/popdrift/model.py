@@ -69,16 +69,24 @@ def _batched(kernel, ks, N, m, shape):
 
 
 def _at_point(kernel, calls_numpy: bool):
-    """kernel(N, m) at one point of plain floats, under numpy semantics.
+    """kernel(N, m) at one point of plain floats, under numpy semantics,
+    as (guarded, held).
 
-    numpy's error state is set around a kernel that calls numpy, and
-    otherwise only around the retry: plain float arithmetic warns of
+    guarded sets numpy's error state around a kernel that calls numpy,
+    and otherwise only around the retry: plain float arithmetic warns of
     nothing, but raises ZeroDivisionError on x/0 where numpy scalars
-    give inf or nan.
+    give inf or nan.  held sets nothing; its caller holds
+    ``np.errstate(all="ignore")`` over many points.
     """
 
     def retry(N, m):
         return kernel(np.float64(N), [np.float64(x) for x in m])
+
+    def held(N, m):
+        try:
+            return kernel(N, m)
+        except ZeroDivisionError:
+            return retry(N, m)
 
     def plain(N, m):
         try:
@@ -94,7 +102,7 @@ def _at_point(kernel, calls_numpy: bool):
             except ZeroDivisionError:
                 return retry(N, m)
 
-    return guarded if calls_numpy else plain
+    return guarded if calls_numpy else plain, held
 
 
 def _read_groups(factors, source) -> tuple:
@@ -179,20 +187,22 @@ class _RateTable:
                   for i in range(len(state_index) + 1)]
         self.out = tuple(map(range, starts, starts[1:]))
 
-    def rates(self, N, m, shape=None, ks=None, occupied: bool = False):
+    def rates(self, N, m, shape=None, ks=None, occupied: bool = False,
+              held: bool = False):
         """Rates of the transitions ks (default: all) at occupancy m, once
         ``check`` has refused or excused them.
 
         With ``shape`` None, m is one point, a list of plain floats,
-        and the result is a list of floats, picked from ``kernel``'s.
-        Otherwise m holds floats or arrays that broadcast to ``shape``
-        and the result is an array of shape (len(ks), *shape).
+        and the result is a list of floats, picked from ``kernel``'s;
+        with ``held``, from its form that leaves numpy's error state to
+        the caller.  Otherwise m holds floats or arrays that broadcast
+        to ``shape`` and the result is an array of shape (len(ks), *shape).
         """
         if shape is not None:
             ks = range(len(self.sources)) if ks is None else ks
             q = _batched(self._generated[0], ks, N, m, shape)
         else:
-            q = self.kernel(N, m)
+            q = self._point[held](N, m)
             q = q if ks is None else [q[k] for k in ks]
         self.check(q, m, occupied, ks)
         return q
@@ -247,13 +257,19 @@ class _RateTable:
         return ex._kernel(self.nodes, self.params, self.state_index)
 
     @functools.cached_property
+    def _point(self):
+        """``_at_point``'s (guarded, held) forms of ``_generated``."""
+        return _at_point(*self._generated)
+
+    @property
     def kernel(self):
         """Every rate at one point, as a list."""
-        return _at_point(*self._generated)
+        return self._point[0]
 
     @functools.cached_property
     def _fused_drift(self):
-        """``drift`` at one point where every rate is in [0, inf), else None."""
+        """(guarded, held): ``drift`` at one point where every rate is in
+        [0, inf), else None."""
         moves = (self.sources, self.targets)
         return _at_point(*ex._kernel(self.nodes, self.params, self.state_index, moves))
 
@@ -262,7 +278,7 @@ class _RateTable:
         """``jump_law`` at counts where every rate is in [0, inf), else None."""
         moves = (self.sources, self.targets)
         return _at_point(*ex._kernel(self.nodes, self.params, self.state_index, moves,
-                                     jump=True))
+                                     jump=True))[0]
 
     @functools.cached_property
     def entries(self) -> tuple:
@@ -397,13 +413,18 @@ class _RateTable:
             out[j] += flow
         return out
 
-    def drift(self, N, m: list) -> list:
-        """The drift at occupancy m, a list of floats, one per state."""
+    def drift(self, N, m: list, held: bool = False) -> list:
+        """The drift at occupancy m, a list of floats, one per state.
+
+        With ``held``, the caller holds ``np.errstate(all="ignore")`` and
+        no kernel sets it again.
+        """
         _check_length(m, len(self.state_names))
-        out = self._fused_drift(N, m)
+        out = self._fused_drift[held](N, m)
         if out is None:
             # check refuses the first bad rate or excuses it at an empty source
-            out = self.net(self.intensities(self.rates(N, m, occupied=True), m))
+            q = self.rates(N, m, occupied=True, held=held)
+            out = self.net(self.intensities(q, m))
         return out
 
     def jump_law(self, N, c) -> tuple:

@@ -12,6 +12,7 @@ aborts with a diagnostic.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
@@ -139,6 +140,9 @@ def integrate(
     sample times are given, every step boundary is recorded.  The state
     is stepped as a list of floats, with numpy's order of operations, so
     trajectories equal those of the same RK4 scheme on arrays bit for bit.
+    A built-in field is stepped under ``np.errstate(all="ignore")``,
+    entered once for the whole integration; a field given as a bare fn
+    runs under the caller's error state, so its numpy warnings surface.
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ModelError(f"t_end must be finite and positive, got {t_end}")
@@ -152,7 +156,9 @@ def integrate(
         )
     bounds, record = _step_boundaries(t_end, h, sample_times)
     bounds, record = bounds.tolist(), record.tolist()
-    f = field._lists or _on_lists(field, len(y))
+    f = field._lists
+    held = np.errstate(all="ignore") if f else contextlib.nullcontext()
+    f = f or _on_lists(field, len(y))
     slack = 1e-12 * max(1.0, t_end)
     times: list[float] = []
     states: list[list] = []
@@ -163,31 +169,32 @@ def integrate(
             states.append(y)
 
     keep(0.0)
-    for t0, t1 in zip(bounds, bounds[1:]):
-        dt = t1 - t0
-        k1 = f(y)
-        k2 = f(_stage(y, 0.5 * dt, k1))
-        k3 = f(_stage(y, 0.5 * dt, k2))
-        k4 = f(_stage(y, dt, k3))
-        c = dt / 6.0
-        y = [a + c * (((p + 2.0 * q) + 2.0 * r) + s)
-             for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
-        if not all(map(math.isfinite, y)):
-            raise NumericsError(
-                f"integration produced a non-finite state at t={t1}"
-            )
-        low = min(y)
-        if low < -1e-9:
-            raise NumericsError(
-                f"integration left the simplex at t={t1}: component {low}"
-            )
-        if low <= 0.0:  # as np.clip, also -0.0 becomes 0.0
-            y = [x if x > 0.0 else 0.0 for x in y]
-        total = _sum(y)
-        if total == 0.0:
-            raise NumericsError(f"integration emptied the simplex at t={t1}")
-        y = [x / total for x in y]
-        keep(t1)
+    with held:
+        for t0, t1 in zip(bounds, bounds[1:]):
+            dt = t1 - t0
+            k1 = f(y)
+            k2 = f(_stage(y, 0.5 * dt, k1))
+            k3 = f(_stage(y, 0.5 * dt, k2))
+            k4 = f(_stage(y, dt, k3))
+            c = dt / 6.0
+            y = [a + c * (((p + 2.0 * q) + 2.0 * r) + s)
+                 for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+            if not all(map(math.isfinite, y)):
+                raise NumericsError(
+                    f"integration produced a non-finite state at t={t1}"
+                )
+            low = min(y)
+            if low < -1e-9:
+                raise NumericsError(
+                    f"integration left the simplex at t={t1}: component {low}"
+                )
+            if low <= 0.0:  # as np.clip, also -0.0 becomes 0.0
+                y = [x if x > 0.0 else 0.0 for x in y]
+            total = _sum(y)
+            if total == 0.0:
+                raise NumericsError(f"integration emptied the simplex at t={t1}")
+            y = [x / total for x in y]
+            keep(t1)
     return Trajectory(
         times=np.array(times),
         states=np.array(states),

@@ -581,6 +581,20 @@ def test_a_window_reaching_a_bad_point_seen_in_a_margin_raises_its_error():
     assert str(cached.value) == str(uncached.value) == text
 
 
+def test_a_grown_box_drops_the_counts_a_travelling_window_has_left():
+    grown = meandrift_module._grown
+    # the benchmark's N = 1000 ODE: the window 148..356 crosses the top of
+    # the box 0..354 and has left the counts below 148 - 104, then one at
+    # 571..935 crosses the bottom of 573..1205 and has left those above
+    # 935 + 182; the rest is widened by half its width as before
+    assert grown(([0], [354], None), [148], [356]) == ([44], [512])
+    assert grown(([573], [1205], None), [571], [935]) == ([298], [1117])
+    # a window that spreads in place keeps the whole box
+    assert grown(([10], [20], None), [5], [25]) == ([0], [35])
+    # an axis the window did not cross keeps half its width past it
+    assert grown(([0, 0], [100, 300], None), [90, 10], [110, 30]) == ([80, 0], [125, 40])
+
+
 def test_the_benchmark_mean_drift_ode_evaluates_few_blocks(monkeypatch, capsys):
     # along the N = 1000 trajectory nearly every block is read from a box
     counts = {"blocks": 0, "windows": 0}

@@ -298,7 +298,7 @@ SIRS_PATH = pathlib.Path(__file__).parents[1] / "perfbench" / "models" / "sir.po
 def test_loading_a_model_builds_no_point_kernel(monkeypatch):
     # the kernels are built on first use, as the mean-drift plan is
     model = builtin_example()
-    lazy = {"kernel", "_fused_drift", "_fused_jump", "plan"}
+    lazy = {"_point", "_fused_drift", "_fused_jump", "plan"}
     for table in (model._rate_table, model._limit_table):
         assert not lazy & set(vars(table))
     drift(model, 50, (0.45, 0.55))

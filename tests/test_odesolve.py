@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -318,3 +319,51 @@ def test_trajectory_sample_refuses_what_sample_times_refuse(times):
     traj = solve(builtin_example(), "drift", 10, (1.0, 0.0), 1.0)
     with pytest.raises(ModelError, match="sample times must be"):
         traj.sample(times)
+
+
+def test_a_built_in_field_integration_holds_numpy_error_state_once():
+    # the drift, the numeric limit (fourteen drift points per value on
+    # contention) and a rate retried on numpy scalars at an empty source
+    # enter np.errstate once per integration, not once per field value
+    real = np.errstate
+    entered = []
+
+    def counted(**kwargs):
+        entered.append(kwargs)
+        return real(**kwargs)
+
+    contention = load_model((MODELS_DIR / "contention.pop").read_text())
+    retried = load_model("states = a, b\nrate a -> b : m[b]/m[a]\nrate b -> a : 1\n")
+    cases = [
+        (builtin_example(), "drift", 50, (1.0, 0.0)),
+        (contention, "limit", None, (1.0, 0.0, 0.0)),
+        (retried, "drift", 10, (0.0, 1.0)),
+    ]
+    for model, variant, N, phi0 in cases:
+        solve(model, variant, N, phi0, 1.0)  # builds the kernels
+        with mock.patch.object(np, "errstate", counted):
+            held = solve(model, variant, N, phi0, 10.0, step=0.1)
+        assert len(held.times) == 101
+        assert entered == [{"all": "ignore"}]
+        entered.clear()
+        # the same field stepped through its fn, guarded per point
+        field = (limit_field(model, "numeric") if variant == "limit"
+                 else drift_field(model, N))
+        bare = VectorField(kind=field.kind, N=field.N, fn=field.fn)
+        assert integrate(bare, phi0, 10.0, step=0.1).states.tobytes() == held.states.tobytes()
+
+
+def test_a_field_given_as_fn_runs_under_the_callers_error_state():
+    def diverging(m):
+        return np.array([1.0, -1.0]) / np.zeros(2)
+
+    field = VectorField(kind="drift", N=1, fn=diverging)
+    # warnings are errors in this suite: the fn's warning is not silenced
+    with pytest.raises(RuntimeWarning, match="divide by zero"):
+        integrate(field, (0.5, 0.5), 1.0)
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError, match="divide by zero"):
+            integrate(field, (0.5, 0.5), 1.0)
+    with np.errstate(divide="ignore"):
+        with pytest.raises(NumericsError, match="non-finite state"):
+            integrate(field, (0.5, 0.5), 1.0)

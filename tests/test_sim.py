@@ -832,9 +832,9 @@ def test_generator_check_builds_one_drift_field(monkeypatch):
     built = []
     real = drift_module._field
 
-    def counted(kind, N, lists):
+    def counted(kind, N, *kernels):
         built.append(kind)
-        return real(kind, N, lists)
+        return real(kind, N, *kernels)
 
     monkeypatch.setattr(drift_module, "_field", counted)
     config = SimConfig(N=10, init=(10, 0), t_end=5.0, reps=50, seed=1)
