@@ -113,12 +113,17 @@ def _check_horizon(t) -> None:
         raise ModelError(f"horizon t must be finite, got {t}")
 
 
+def _check_count(option: str, value) -> None:
+    # a count that sizes an array is refused before anything is allocated
+    if value > STEP_CAP:
+        raise ModelError(f"--{option} must be at most {STEP_CAP}, got {value}")
+
+
 def _check_points(points) -> None:
     # ode also steps to each sample time, which the RK4 step cap does not count
     if points < 1:
         raise ModelError(f"--points must be at least 1, got {points}")
-    if points > STEP_CAP:
-        raise ModelError(f"--points must be at most {STEP_CAP}, got {points}")
+    _check_count("points", points)
 
 
 def _emit(lines, out: Optional[str]) -> None:
@@ -502,6 +507,8 @@ def main(argv=None) -> int:
             raise ModelError("jobs must be at least 1")
         if getattr(args, "seed", 0) < 0:
             raise ModelError(f"seed must be non-negative, got {args.seed}")
+        for option in ("samples", "reps"):
+            _check_count(option, getattr(args, option, 0))
         lines, code = args.func(args)
         _emit(lines, args.out)
     except (ModelError, ExprError) as exc:

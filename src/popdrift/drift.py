@@ -85,6 +85,10 @@ def limit_drift(model: ModelSpec, m, mode: str = "declared") -> np.ndarray:
 
 def _numeric_limit(model: ModelSpec, m: list, held: bool = False) -> list:
     table = model._rate_table
+    if not held and table._fused_drift[2]:
+        # numpy's error state once per value, not once per drift point
+        with np.errstate(all="ignore"):
+            return _numeric_limit(model, m, True)
     prev: Optional[list] = None
     for k in range(7, 21):
         cur = table.drift(float(2**k), m, held)

@@ -21,6 +21,7 @@ contributes its window mass as a factor.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -186,40 +187,6 @@ def _contract(q, axes, sources, probs, weighted, sums, cut=slice(None)) -> None:
         sums[r] += float(part)
 
 
-def _rectangle_sums(probs, weighted, supports, m, axes, sources, block,
-                    bounded=False):
-    """Window-weighted sums of a block of rows over the sub-rectangle of axes.
-
-    ``block(coords, shape)`` gives the rows' values, an array
-    (len(sources), *shape), at the lattice points coords, which hold m on
-    the other coordinates; ``_contract`` weighs them.  The rows are
-    evaluated in chunks along the first axis, each holding at most
-    _CHUNK values, and the chunk sums are added in order, so the float
-    result can change in its last bits with the chunk size.  Returns
-    each row's sum or, when ``bounded``, each row's (sum, (min, max)).
-    """
-    shape = [len(probs[c]) for c in axes]
-    step = max(1, min(shape[0], _CHUNK // (math.prod(shape[1:]) * len(sources))))
-    sums = [0.0] * len(sources)
-    lows, highs = np.inf, -np.inf
-    for start in range(0, shape[0], step):
-        cut = slice(start, start + step)
-        coords = list(m)
-        for a, c in enumerate(axes):
-            along = cut if a == 0 else slice(None)
-            coords[c] = _along(supports[c][along], a, len(axes))
-        q = block(coords, (len(coords[axes[0]]), *shape[1:]))
-        if bounded:
-            flat = q.reshape(len(sources), -1)
-            # np.minimum and np.maximum keep a nan
-            lows = np.minimum(lows, flat.min(axis=1))
-            highs = np.maximum(highs, flat.max(axis=1))
-        _contract(q, axes, sources, probs, weighted, sums, cut)
-    if bounded:
-        return list(zip(sums, zip(lows.tolist(), highs.tolist())))
-    return sums
-
-
 def _along(x, a: int, dims: int):
     """The vector x along axis a of dims axes, by trailing unit axes."""
     return x.reshape((-1,) + (1,) * (dims - 1 - a))
@@ -282,28 +249,40 @@ def _whole_groups(table, ks) -> list:
 
 
 def _lattice_sums(table, N: float):
-    """_window_lattice_sum at population N, keeping block values between calls.
+    """Poisson averages of the intensities (k_s/N) * Q_{s,t}(k/N) at
+    population N: ``sums(m, windows, ks=None)`` gives one per transition
+    in ks (default: all of the table).
 
-    Each block of rows it sums, the checked rates of a group of whole
-    transitions or the group values ``table.split_flows`` asks for,
-    depends only on N and the lattice point on its axes.  Its values are
-    kept over a box of integer counts, one range per axis, and windows
-    inside the box are read as a slice of it.  The first box of a block
-    is its first window.  A window outside the box grows it to their
-    union, widened by _grown; when that holds more than _BOX_POINTS
-    points, or its rates raise RateError, the window alone is the new
-    box, evaluated as the uncached sum evaluates it, so an error names
-    the same point.  A window of more than _BOX_POINTS points keeps no
-    box: its block is summed in chunks as the uncached sum does.  What
-    depends on N and the table alone, the split blocks and the whole
-    groups of a set of transitions and the k/N supports up to
-    _BOX_POINTS, is built once.
+    The coordinates are independent, so a product of factors that read
+    disjoint coordinates averages to the product of their averages, and
+    a coordinate no factor reads sums to its window mass.  Transition k
+    has the sub-rectangle of its axes, its source and ``table.reads[k]``.
+    Where that holds more than _WHOLE_POINTS points, ``table.split_flows``
+    averages the rates that split into such products group by group,
+    each group over its own axes' windows.  Every other transition whose
+    source window is not {0} is summed over its sub-rectangle as checked
+    rates, those with the same axes together.  A RateError names the
+    lattice point on the axes and m on the other coordinates.
+
+    ``build`` alone evaluates a block of rows, the checked rates of a
+    group of whole transitions or the group values ``split_flows`` asks
+    for.  A block depends only on N and the lattice point on its axes,
+    so its values are kept over a box of integer counts, one range per
+    axis, and a window inside the box is read as a slice of it.  A window
+    outside the box grows it, by _grown; past _BOX_POINTS points, or
+    where its rates raise RateError, the window alone is the new box, so
+    an error names the point a field with no box would name.  A window
+    past _BOX_POINTS points keeps no box: it is built in chunks of at
+    most _CHUNK values along its first axis, and the chunk sums are added
+    in order, so the last bits can change with the chunk size.  The split
+    blocks and whole groups of a set of transitions and the k/N supports
+    up to _BOX_POINTS are built once.
     """
     # a group of whole transitions or a block's split uses
     # -> (lo, hi, values over the box, rows first)
     boxes: dict = {}
-    splits: dict = {}  # transitions -> table.split_blocks(transitions)
-    wholes: dict = {}  # transitions -> _whole_groups(table, transitions)
+    split_blocks = functools.cache(table.split_blocks)
+    whole_groups = functools.cache(functools.partial(_whole_groups, table))
     grid = np.empty(0)  # k/N for k = 0, 1, ...
 
     def boxed(key, axes, lo, hi, build):
@@ -350,48 +329,49 @@ def _lattice_sums(table, N: float):
         sizes = [len(p) for p in probs]
         lo = [w.k_min for w in windows]
         hi = [k + size - 1 for k, size in zip(lo, sizes)]
-        supports = support(lo, hi)
-        weighted = [p * x for p, x in zip(probs, supports)]
+        weighted = [p * x for p, x in zip(probs, support(lo, hi))]
         masses = [float(np.add.reduce(p)) for p in probs]  # p.sum(), without its wrapper
 
         def summed(key, axes, sources, block, bounded=False):
+            """Each row's window-weighted sum of block key, with ``bounded``
+            as (sum, (min, max)); ``block(coords, shape)`` gives the rows'
+            values at the lattice points coords of the axes' windows."""
             def build(b_lo, b_hi):
-                coords = list(m)
-                for a, (c, l, h) in enumerate(zip(axes, b_lo, b_hi)):
-                    x = grid[l:h + 1] if h < len(grid) else np.arange(l, h + 1) / N
+                coords, xs = list(m), support(b_lo, b_hi)
+                for a, (c, x) in enumerate(zip(axes, xs)):
                     coords[c] = _along(x, a, len(axes))
-                return block(coords, tuple([h + 1 - l for l, h in zip(b_lo, b_hi)]))
+                return block(coords, tuple(map(len, xs)))
 
             q = boxed(key, axes, lo, hi, build)
+            chunks = [(q, slice(None))]
             if q is None:
                 _check_cap(windows, [axes])
-                return _rectangle_sums(
-                    probs, weighted, supports, m, axes, sources, block, bounded
+                w_lo, w_hi = [lo[c] for c in axes], [hi[c] for c in axes]
+                rows = _CHUNK // (_points(w_lo[1:], w_hi[1:]) * len(sources))
+                step = max(1, min(sizes[axes[0]], rows))
+                chunks = (
+                    (build([k, *w_lo[1:]], [min(k + step - 1, w_hi[0]), *w_hi[1:]]),
+                     slice(k - w_lo[0], k - w_lo[0] + step))
+                    for k in range(w_lo[0], w_hi[0] + 1, step)
                 )
-            out = [0.0] * len(sources)
-            _contract(q, axes, sources, probs, weighted, out)
-            if not bounded:
-                return out
-            flat = q.reshape(len(sources), -1)
-            lows, highs = np.minimum.reduce(flat, axis=1), np.maximum.reduce(flat, axis=1)
-            return list(zip(out, zip(lows.tolist(), highs.tolist())))
-
-        def average(uses, axes, block, sources):
-            return summed(uses, axes, sources, block, bounded=True)
+            out, lows, highs = [0.0] * len(sources), None, None
+            for q, cut in chunks:
+                _contract(q, axes, sources, probs, weighted, out, cut)
+                if bounded:
+                    flat = q.reshape(len(sources), -1)
+                    low, high = np.minimum.reduce(flat, axis=1), np.maximum.reduce(flat, axis=1)
+                    if lows is not None:  # np.minimum and np.maximum keep a nan
+                        low, high = np.minimum(lows, low), np.maximum(highs, high)
+                    lows, highs = low, high
+            return list(zip(out, zip(lows.tolist(), highs.tolist()))) if bounded else out
 
         rectangles = {k: table.axes[k] for k in ks if hi[table.sources[k]] > 0}
         large = tuple(
             k for k, axes in rectangles.items()
             if math.prod([sizes[c] for c in axes]) > _WHOLE_POINTS
         )
-        blocks = splits.get(large)
-        if blocks is None:
-            blocks = splits[large] = table.split_blocks(large)
-        totals = table.split_flows(N, blocks, average, masses)
-        summed_whole = tuple(k for k in rectangles if k not in totals)
-        groups = wholes.get(summed_whole)
-        if groups is None:
-            groups = wholes[summed_whole] = _whole_groups(table, summed_whole)
+        totals = table.split_flows(N, split_blocks(large), summed, masses)
+        groups = whole_groups(tuple(k for k in rectangles if k not in totals))
         if large:  # only a rectangle past _WHOLE_POINTS can pass the cap
             _check_cap(windows, [axes for axes, *_ in groups])
         for axes, group, sources, rest in groups:
@@ -405,27 +385,6 @@ def _lattice_sums(table, N: float):
         return [totals.get(k, 0.0) for k in ks]
 
     return sums
-
-
-def _window_lattice_sum(table, N: float, m, windows, ks=None) -> list:
-    """Poisson averages of the intensities (k_s/N) * Q_{s,t}(k/N).
-
-    Returns one sum per transition in ks (default: all of the table).
-    The coordinates are independent, so a product of factors that read
-    disjoint coordinates averages to the product of their averages, and
-    a coordinate no factor reads sums to its window mass ``probs.sum()``.
-    Each transition has the sub-rectangle of its axes, its source and
-    ``table.reads[k]``.  Where that holds more than _WHOLE_POINTS points,
-    ``table.split_flows`` gives the transitions whose rates split into
-    such products, their groups averaged here each over its own axes'
-    windows.  Every other transition is summed over its sub-rectangle,
-    as one group of checked rates; transitions with the same axes are
-    evaluated together.  A transition whose source window is {0} has no
-    intensity.  A RateError reports the lattice point on the axes and m
-    on the other coordinates.  Each call starts with no box, so it
-    evaluates every block on its window alone.
-    """
-    return _lattice_sums(table, N)(m, windows, ks)
 
 
 def _clamped(x: float) -> float:
@@ -462,7 +421,7 @@ def poisson_mean_intensity(
         at=lambda m, budget: (m, _windows(N, m, budget)))
     if k is None:
         return 0.0
-    return _window_lattice_sum(model._rate_table, N, m, windows, ks=(k,))[0]
+    return _lattice_sums(model._rate_table, N)(m, windows, (k,))[0]
 
 
 def mean_drift(model: ModelSpec, N: float, m, tau: float = 1e-10) -> np.ndarray:

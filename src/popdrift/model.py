@@ -268,10 +268,11 @@ class _RateTable:
 
     @functools.cached_property
     def _fused_drift(self):
-        """(guarded, held): ``drift`` at one point where every rate is in
-        [0, inf), else None."""
+        """(guarded, held, calls_numpy): ``drift`` at one point where every
+        rate is in [0, inf), else None, and whether it calls numpy."""
         moves = (self.sources, self.targets)
-        return _at_point(*ex._kernel(self.nodes, self.params, self.state_index, moves))
+        kernel, calls_numpy = ex._kernel(self.nodes, self.params, self.state_index, moves)
+        return (*_at_point(kernel, calls_numpy), calls_numpy)
 
     @functools.cached_property
     def _fused_jump(self):
@@ -357,18 +358,19 @@ class _RateTable:
             (axes, tuple(uses), [s for _, s in uses]) for axes, uses in blocks.items()
         )
 
-    def split_flows(self, N, blocks, average, masses) -> dict:
+    def split_flows(self, N, blocks, read, masses) -> dict:
         """Poisson averages of the intensities of the transitions that
         ``split_blocks`` gave as blocks, where the split is certified.
 
-        ``average(uses, axes, block, sources)`` gives, for each row r of
-        ``block(coords, shape)``, the values of the groups ``uses`` at the
-        lattice points coords of the sub-rectangle of axes, its
-        window-weighted sum, times k/N along axis ``sources[r]`` when that
-        is not None, and its (min, max).  ``masses[c]`` is coordinate c's
-        window mass.  Each group is evaluated once per block.  Where the
-        source occupancy is zero there is no intensity, so a source group
-        value that is not finite is set to 0, as ``check`` does with
+        ``read(uses, axes, sources, block, bounded=True)`` is the mean
+        drift's block reader: for each row r of ``block(coords, shape)``,
+        the values of the groups ``uses`` at the lattice points coords of
+        the sub-rectangle of axes, it gives the row's window-weighted
+        sum, times k/N along axis ``sources[r]`` when that is not None,
+        and its (min, max).  ``masses[c]`` is coordinate c's window mass.
+        Each group is evaluated once per block.  Where the source
+        occupancy is zero there is no intensity, so a source group value
+        that is not finite is set to 0, as ``check`` does with
         ``occupied``.  A split is certified when every group value is
         finite, the interval lower bound of the term sum, from each
         group's (min, max), is not negative, so no lattice point would
@@ -380,7 +382,7 @@ class _RateTable:
         stats = {}
         for axes, uses, sources in blocks:
             block = functools.partial(self._group_rows, N, uses)
-            stats.update(zip(uses, average(uses, axes, block, sources)))
+            stats.update(zip(uses, read(uses, axes, sources, block, bounded=True)))
         flows = {}
         for k in split:
             flow = _certified(terms[k], stats, masses)

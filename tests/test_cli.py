@@ -288,6 +288,27 @@ def test_points_above_the_step_cap_exits_2_at_once(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("validate",), "--samples"),
+        (("simulate", "--N", "10", "--init", "1,0", "--t", "1"), "--reps"),
+        (("compare", "--Ns", "2", "--t", "1", "--init", "1,0"), "--reps"),
+        (("chaos", "--Ns", "2", "--t", "1", "--init", "1,0"), "--reps"),
+    ],
+    ids=["validate", "simulate", "compare", "chaos"],
+)
+@pytest.mark.parametrize("value", [STEP_CAP + 1, 10**14])
+def test_counts_above_the_step_cap_exit_2_at_once(capsys, argv, option, value):
+    # refused before the samples or the replications' arrays are allocated
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, option, str(value))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert err == f"error: model: {option} must be at most {STEP_CAP}, got {value}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("step", ["1e-300", "1e-8"])
 def test_ode_step_beyond_the_step_cap_exits_3_at_once(capsys, step):
     # refused before the step grid is built: 1e-8 over t=5 would be 4 GB

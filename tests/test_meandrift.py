@@ -24,6 +24,7 @@ from popdrift.meandrift import (
 from popdrift import meandrift as meandrift_module, model as model_module
 from popdrift.cli import main
 from popdrift.model import builtin_example, load_model, sample_simplex
+from popdrift.odesolve import solve
 
 from oracle import rate_fns
 
@@ -396,9 +397,14 @@ def test_bundled_mean_drift_asks_for_no_block_over_more_than_one_axis(monkeypatc
     assert all(sum(n > 1 for n in shape) <= 1 for _, shape in shapes), shapes
 
 
+def window_sizes(N, m):
+    """Each coordinate's window length at the default tau."""
+    return [len(poisson_weights(N * x, 1e-10 / (2 * len(m))).probs) for x in m]
+
+
 def rectangle_points(N, m):
     """Lattice points of the joint rectangle of all coordinates."""
-    return math.prod(len(poisson_weights(N * x, 1e-10 / (2 * len(m))).probs) for x in m)
+    return math.prod(window_sizes(N, m))
 
 
 def spy_split_flows(monkeypatch):
@@ -639,6 +645,113 @@ def test_a_field_keeps_no_box_past_the_cap():
     # one block is about 520 KB; a kept one would also raise the peak
     assert end - start < 128 * 1024
     assert peak - start < 1.25 * once
+
+
+def spy_block_shapes(monkeypatch):
+    """The shapes of the lattice blocks _batched evaluates, in call order."""
+    shapes = []
+    batched = model_module._batched
+
+    def record(kernel, ks, N, m, shape):
+        shapes.append(shape)
+        return batched(kernel, ks, N, m, shape)
+
+    monkeypatch.setattr(model_module, "_batched", record)
+    return shapes
+
+
+def test_a_block_read_in_chunks_keeps_its_sum_to_a_few_ulps(monkeypatch):
+    # the block past the box cap of test_a_field_keeps_no_box_past_the_cap,
+    # built in chunks along a: the chunk sums are added in order
+    model = load_model("states = a, b\nrate a -> b : 0.1*exp(-m[a]*m[b])\n"
+                       "rate b -> a : 0.2\n")
+    m = (0.4, 0.6)
+    whole = poisson_mean_intensity(model, 1000, m, "a", "b")
+    sizes = window_sizes(1000, m)
+    monkeypatch.setattr(meandrift_module, "_CHUNK", math.prod(sizes) // 5)
+    shapes = spy_block_shapes(monkeypatch)
+    chunked = poisson_mean_intensity(model, 1000, m, "a", "b")
+    assert len(shapes) >= 4 and sum(shape[0] for shape in shapes) == sizes[0]
+    assert all(shape[1:] == tuple(sizes[1:]) for shape in shapes)
+    assert abs(chunked - whole) <= 4 * math.ulp(whole)
+
+
+def test_a_rate_error_in_a_late_chunk_names_the_point_one_chunk_names(monkeypatch):
+    # 0.55 - m[a] + 0.1*exp(-m[a]*m[b]) turns negative only from k_a = 617,
+    # near the top of a's window 358..656 at N = 1000
+    model = load_model("states = a, b\nrate a -> b : 0.1*exp(-m[a]*m[b]) + 0.55 - m[a]\n"
+                       "rate b -> a : 0.2\n")
+    m = (0.5, 0.5)
+    with pytest.raises(RateError) as one_chunk:
+        mean_drift(model, 1000, m)
+    monkeypatch.setattr(meandrift_module, "_CHUNK", math.prod(window_sizes(1000, m)) // 6)
+    shapes = spy_block_shapes(monkeypatch)
+    with pytest.raises(RateError) as chunked:
+        mean_drift(model, 1000, m)
+    # the chunks before the failing one held no bad point
+    assert len(shapes) >= 4
+    text = "rate a -> b at m=(0.617, 0.65): evaluated to -3.834206280683983e-05"
+    assert str(chunked.value) == str(one_chunk.value) == text
+
+
+def test_a_split_block_read_in_chunks_keeps_its_bounds(monkeypatch):
+    # backoff -> idle splits at N = 1000, and its pow(1-c/2, N*m[send])
+    # group falls along send's window: the bounds the certificate reads
+    # are the first chunk's max and the last chunk's min
+    model = load_model((MODELS_DIR / "contention.pop").read_text())
+    reads = []
+    split_flows = model_module._RateTable.split_flows
+
+    def record(self, N, blocks, read, masses):
+        def recorded(*args, **kwargs):
+            reads.append(read(*args, **kwargs))
+            return reads[-1]
+        return split_flows(self, N, blocks, recorded, masses)
+
+    monkeypatch.setattr(model_module._RateTable, "split_flows", record)
+    monkeypatch.setattr(meandrift_module, "_BOX_POINTS", 0)
+    mean_drift(model, 1000, (0.4, 0.3, 0.3))
+    one_chunk = reads[:]
+    reads.clear()
+    monkeypatch.setattr(meandrift_module, "_CHUNK", 20)
+    shapes = spy_block_shapes(monkeypatch)
+    mean_drift(model, 1000, (0.4, 0.3, 0.3))
+    assert len(shapes) >= 4 * len(one_chunk) > 0
+    assert [[bounds for _, bounds in block] for block in reads] == [
+        [bounds for _, bounds in block] for block in one_chunk]
+    for block, whole in zip(reads, one_chunk):
+        for (got, _), (want, _) in zip(block, whole):
+            assert abs(got - want) <= 4 * math.ulp(want)
+
+
+@pytest.mark.parametrize("doc, N, init", [
+    (None, 50, (1.0, 0.0)),
+    (None, 1000, (1.0, 0.0)),
+    ("contention.pop", 200, (1.0, 0.0, 0.0)),
+    ("sir.pop", 100, (0.9, 0.1, 0.0)),
+])
+def test_a_field_that_keeps_no_box_equals_the_default_field_bit_for_bit(
+        monkeypatch, doc, N, init):
+    model = builtin_example() if doc is None else load_model((MODELS_DIR / doc).read_text())
+    path = solve(model, "meandrift", N, np.asarray(init), 5.0, step=0.5).states
+    field = mean_drift_field(model, N)
+    want = [field(m).tolist() for m in path]
+    monkeypatch.setattr(meandrift_module, "_BOX_POINTS", 0)
+    field = mean_drift_field(model, N)
+    assert [field(m).tolist() for m in path] == want
+
+
+def test_a_capped_rectangle_is_refused_before_a_later_groups_rates_are_checked():
+    # a -> b is negative all over a's window, but the joint windows of b
+    # and c hold more points than the cap: the cap is checked for every
+    # whole group before any of them is summed
+    model = load_model("states = a, b, c\nrate a -> b : m[a] - 0.6\n"
+                       "rate b -> c : exp(-m[b]*m[c])\n")
+    with pytest.raises(NumericsError, match=re.escape(
+        "mean intensity enumeration needs 181333156 lattice points "
+        f"(cap {LATTICE_POINT_CAP}); use a larger tail tolerance"
+    )):
+        mean_drift(model, 4e6, (0.5, 0.25, 0.25))
 
 
 def test_mean_drift_equals_its_field_kernel_bit_for_bit():

@@ -403,6 +403,31 @@ def test_kernels_without_numpy_calls_never_set_numpy_error_state():
         entered.clear()
 
 
+def test_a_numeric_limit_value_sets_numpy_error_state_at_most_once():
+    # the numeric limit evaluates the drift at up to 14 populations; it
+    # holds the error state over all of them when the drift calls numpy
+    real = np.errstate
+    entered = []
+
+    def counted(**kwargs):
+        entered.append(kwargs)
+        return real(**kwargs)
+
+    contention = load_model(CONTENTION_PATH.read_text())
+    sirs = load_model(SIRS_PATH.read_text())
+    cases = [
+        (contention, [(0.3, 0.3, 0.4), (1.0, 0.0, 0.0), (0.1, 0.8, 0.1)], 1),
+        (sirs, [(0.5, 0.2, 0.3), (1.0, 0.0, 0.0), (0.0, 0.5, 0.5)], 0),
+    ]
+    for model, points, per_value in cases:
+        limit_drift(model, points[0], "numeric")  # builds the kernel
+        with mock.patch.object(np, "errstate", counted):
+            for m in points:
+                limit_drift(model, m, "numeric")
+        assert len(entered) == per_value * len(points)
+        entered.clear()
+
+
 def test_compiled_source_has_one_exec_site():
     # every compiled form goes through expr._define, whose namespace holds
     # only _KERNEL_GLOBALS

@@ -44,8 +44,8 @@ from popdrift.exact import (  # noqa: E402
     transient,
 )
 from popdrift.meandrift import (  # noqa: E402
+    _lattice_sums,
     _window_budget,
-    _window_lattice_sum,
     _windows,
     mean_drift,
     mean_drift_field,
@@ -602,7 +602,7 @@ def test_a_walked_mean_drift_field_equals_the_uncached_sum(data, model, N):
         m[i] -= step
         m[j] += step
         want = outcome(lambda: table.net(
-            _window_lattice_sum(table, N, m, _windows(N, m, budget))))
+            _lattice_sums(table, N)(m, _windows(N, m, budget))))
         got = outcome(lambda: field(list(m)))
         if isinstance(want, tuple):
             assert got == want
