@@ -36,6 +36,7 @@ from .meandrift import _window_budget, mean_drift
 from .model import (
     ModelSpec,
     _check_population as _check_positive_finite,
+    _check_seed,
     builtin_example,
     check_occupancy,
     largest_remainder_counts,
@@ -92,9 +93,11 @@ def _read_text(path: str) -> str:
 
 
 def _load(args) -> ModelSpec:
-    if args.model is None:
-        return builtin_example()
-    return load_model(_read_text(args.model))
+    """The command's model, with the command's --init checked against it."""
+    model = builtin_example() if args.model is None else load_model(_read_text(args.model))
+    if hasattr(args, "init"):
+        args.init = check_occupancy(args.init, model.n_states)
+    return model
 
 
 # the column reported by compare and chaos; every model has at least two states
@@ -209,14 +212,13 @@ def _cmd_ode(args):
     model = _load(args)
     if args.variant != "limit" and args.N is not None:
         _check_population(args.N)
-    _check_horizon(args.t)
     _check_points(args.points)
     times = np.linspace(0.0, args.t, args.points)
     traj = solve(
         model,
         args.variant,
         args.N,
-        np.asarray(args.init),
+        args.init,
         args.t,
         sample_times=times,
         step=args.step,
@@ -233,7 +235,7 @@ def _cmd_ode(args):
 def _exact_transient(args, model: ModelSpec, N: int):
     """State space and law at args.t from the rounded args.init."""
     space = enumerate_states(model.n_states, N)
-    counts = largest_remainder_counts(np.asarray(args.init), N)
+    counts = largest_remainder_counts(args.init, N)
     dist = transient(model, point_mass(space, counts), args.t, tol=args.tol)
     return space, dist
 
@@ -259,7 +261,7 @@ def _cmd_exact(args):
 
 def _sim_config(args, N: int, seed: int, sample_times, hist=()):
     mode, resolution = args.mode
-    counts = largest_remainder_counts(np.asarray(args.init), N)
+    counts = largest_remainder_counts(args.init, N)
     return SimConfig(
         N=N,
         init=tuple(int(c) for c in counts),
@@ -316,7 +318,6 @@ def _cmd_simulate(args):
 
 def _compare_row(model, N, args, seed) -> dict:
     """The row's cells by column; a cell that fails leaves a warning line."""
-    init = np.asarray(args.init)
     second = _SECOND_STATE
     cells = {}
 
@@ -330,7 +331,7 @@ def _compare_row(model, N, args, seed) -> dict:
     for variant in ("drift", "meandrift"):
         with cell(f"phi2_{variant}"):
             cells[f"phi2_{variant}"] = solve(
-                model, variant, N, init, args.t, step=args.step, tau=args.tau
+                model, variant, N, args.init, args.t, step=args.step, tau=args.tau
             ).final[second]
     with cell("phi2_exact"):
         _, dist = _exact_transient(args, model, N)
@@ -347,7 +348,6 @@ def _cmd_compare(args):
     model = _load(args)
     for N in args.Ns:
         _check_population(N)
-    _check_horizon(args.t)
     _window_budget(model, args.tau)  # refused once, not in every mean-drift cell
     columns = ["phi2_drift", "phi2_meandrift", "phi2_exact"]
     if args.reps > 0:
@@ -368,12 +368,10 @@ def _cmd_chaos(args):
         _check_population(N)
     second = model.index_of(args.state) if args.state else _SECOND_STATE
     state_name = model.state_names[second]
-    init = np.asarray(args.init)
     lines = [f"N,lambda,tv_{state_name}"]
     for k, N in enumerate(args.Ns):
-        lam = N * solve(model, "drift", N, init, args.t, step=args.step).final[
-            second
-        ]
+        traj = solve(model, "drift", N, args.init, args.t, step=args.step)
+        lam = N * traj.final[second]
         config = _sim_config(
             args, N, args.seed + k, (0.0, args.t), hist=((args.t, second),)
         )
@@ -505,8 +503,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ModelError("jobs must be at least 1")
-        if getattr(args, "seed", 0) < 0:
-            raise ModelError(f"seed must be non-negative, got {args.seed}")
+        _check_seed(getattr(args, "seed", 0))
+        _check_horizon(getattr(args, "t", 0.0))
         for option in ("samples", "reps"):
             _check_count(option, getattr(args, option, 0))
         lines, code = args.func(args)

@@ -253,7 +253,7 @@ def generator(model: ModelSpec, space: LumpedStateSpace) -> sparse.csr_matrix:
 def _projected_kernel(rows, active: np.ndarray, lam: float):
     """Transposed kernel I + G_SS/lam on the active states, plus sinks.
 
-    rows is a row source or a CSR generator.  Rows and columns are the
+    rows is a row source, _Rows or _MatrixRows.  Rows and columns are the
     active states in order, then every state outside them that an
     active row reaches; those sinks keep what flows into them (identity
     rows), so the kernel conserves mass.  Returns the CSR kernel and
@@ -261,8 +261,6 @@ def _projected_kernel(rows, active: np.ndarray, lam: float):
     """
     from scipy import sparse
 
-    if not isinstance(rows, (_Rows, _MatrixRows)):
-        rows = _MatrixRows(rows)
     pos, cols, data = rows.entries(active)
     n_active = len(active)
     local = np.full(len(rows.exit_rates), -1, dtype=np.int64)
@@ -350,9 +348,7 @@ def transient(
     if isinstance(gen, ModelSpec):
         rows = _Rows(gen, init.space)
     elif gen.shape != (size, size):
-        raise ModelError(
-            f"generator shape {gen.shape} does not match {size} states"
-        )
+        raise ModelError(f"generator shape {gen.shape} does not match {size} states")
     else:
         rows = _MatrixRows(gen)
     pi = init.probs.copy()

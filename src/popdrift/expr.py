@@ -291,16 +291,14 @@ def parse(text: str) -> Expr:
 
 def free_vars(e: Expr) -> tuple[str, ...]:
     """Names the expression reads, sorted: identifiers and ``m[state]`` keys."""
-    found: set[str] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
+    def names(node: Expr, inner: list) -> frozenset:
         if isinstance(node, Name):
-            found.add(node.ident)
-        elif isinstance(node, Occ):
-            found.add(f"m[{node.state}]")
-        stack.extend(a for a, _ in _operands(node))
-    return tuple(sorted(found))
+            return frozenset((node.ident,))
+        if isinstance(node, Occ):
+            return frozenset((f"m[{node.state}]",))
+        return frozenset().union(*inner)
+
+    return tuple(sorted(_bottom_up(e, names)))
 
 
 _PREC_ADD = 1
@@ -364,13 +362,26 @@ def depth(e: Expr) -> int:
     So a tree built in code is within ``_MAX_DEPTH`` exactly when its
     text would parse.  Walks without recursion, so any tree is safe.
     """
-    deepest = 0
-    stack = [(e, 1)]
+    def levels(node: Expr, inner: list) -> int:
+        wraps = (wrapped for _, wrapped in _operands(node))
+        return 1 + max((d + w for d, w in zip(inner, wraps)), default=0)
+
+    return _bottom_up(e, levels)
+
+
+def _bottom_up(e: Expr, visit: Callable[[Expr, list], object]):
+    """visit(node, its operands' results) at every node of e, operands
+    first and left to right, as a recursion would; returns the root's."""
+    preorder, stack = [], [e]  # each node before its operands, taken right to left
     while stack:
-        node, level = stack.pop()
-        deepest = max(deepest, level)
-        stack.extend((a, level + 1 + wrapped) for a, wrapped in _operands(node))
-    return deepest
+        node = stack.pop()
+        preorder.append((node, _operands(node)))
+        stack.extend(a for a, _ in preorder[-1][1])
+    results: list = []
+    for node, kids in reversed(preorder):  # each node after its operands, left to right
+        start = len(results) - len(kids)
+        results[start:] = [visit(node, results[start:])]
+    return results[0]
 
 
 def _text_leaf(e: Expr) -> Optional[str]:
@@ -417,25 +428,24 @@ def _fold(e: Expr, params: Mapping[str, float]) -> Expr:
     computes, except that x/0 gives inf or nan where two float literals
     would raise ZeroDivisionError.  Unbound names raise ExprEvalError.
     """
-    if isinstance(e, Name) and e.ident != "N":
-        try:
-            return Num(float(params[e.ident]))
-        except KeyError:
-            raise ExprEvalError(f"unbound identifier {e.ident!r}") from None
-    if isinstance(e, (Num, Name, Occ)):
-        return e
-    if isinstance(e, Neg):
-        operand = _fold(e.operand, params)
-        return Num(-operand.value) if isinstance(operand, Num) else Neg(operand)
-    if isinstance(e, BinOp):
-        args = (_fold(e.left, params), _fold(e.right, params))
-        fn = _NUMPY_OPS[e.op]
-    else:
-        args = tuple(_fold(a, params) for a in e.args)
-        fn = _KERNEL_GLOBALS[e.func]
-    if not all(isinstance(a, Num) for a in args):
-        return BinOp(e.op, *args) if isinstance(e, BinOp) else Call(e.func, args)
-    return Num(float(fn(*(a.value for a in args))))
+    def fold(node: Expr, args: list) -> Expr:
+        if isinstance(node, Name) and node.ident != "N":
+            if node.ident not in params:
+                raise ExprEvalError(f"unbound identifier {node.ident!r}")
+            return Num(float(params[node.ident]))
+        if isinstance(node, (Num, Name, Occ)):
+            return node
+        if not all(isinstance(a, Num) for a in args):
+            if isinstance(node, Call):
+                return Call(node.func, tuple(args))
+            return BinOp(node.op, *args) if isinstance(node, BinOp) else Neg(*args)
+        if isinstance(node, Neg):
+            return Num(-args[0].value)
+        fn = _KERNEL_GLOBALS[node.func] if isinstance(node, Call) else _NUMPY_OPS[node.op]
+        return Num(float(fn(*(a.value for a in args))))
+
+    with np.errstate(all="ignore"):
+        return _bottom_up(e, fold)
 
 
 # most terms _product_terms writes a rate as; past it the rate stays whole
@@ -454,26 +464,14 @@ def _product_terms(e: Expr, params: Mapping[str, float]):
     and a ``/`` whose denominator reads N or an occupancy multiplies each
     term of its numerator by the factor 1/denominator.  The terms equal e
     up to rounding, under numpy semantics.  None when some subtree needs
-    more than _MAX_TERMS terms.  Walks the folded tree with a stack, as
-    ``free_vars`` does.
+    more than _MAX_TERMS terms.
     """
-    with np.errstate(all="ignore"):
-        root = _fold(e, params)
-    done: dict[int, tuple] = {}  # id(node) -> (occupancies it reads, terms)
-    stack = [(root, False)]
-    while stack:
-        node, ready = stack.pop()
-        kids = [a for a, _ in _operands(node)]
-        if not ready:
-            stack.append((node, True))
-            stack.extend((a, False) for a in kids)
-            continue
-        parts = [done[id(a)] for a in kids]
+    def expand(node: Expr, parts: list):
         reads = frozenset().union(*(r for r, _ in parts))
         if isinstance(node, Occ):
             reads = frozenset((node.state,))
         scaled = isinstance(node, BinOp) and node.op in "*/" and any(
-            isinstance(a, Num) for a in kids
+            isinstance(a, Num) for a, _ in _operands(node)
         )
         if isinstance(node, Num):
             terms = [(node.value, ())]
@@ -483,8 +481,9 @@ def _product_terms(e: Expr, params: Mapping[str, float]):
             terms = parts[0][1] and [(-c, fs) for c, fs in parts[0][1]]
         else:
             terms = _combine(node, parts[0], parts[1])
-        done[id(node)] = (reads, terms)
-    return done[id(root)][1]
+        return reads, terms
+
+    return _bottom_up(_fold(e, params), expand)[1]
 
 
 def _combine(node: BinOp, left, right):
@@ -610,8 +609,7 @@ def _kernel(
     computes plain floats with plain floats.
     """
     leaf = _source_leaf(state_index)
-    with np.errstate(all="ignore"):
-        roots = [_fold(e, params) for e in exprs]
+    roots = [_fold(e, params) for e in exprs]
     # times each subtree's text is computed, not counting the insides of
     # a repeat, which is computed once
     uses: dict[str, int] = {}

@@ -500,11 +500,13 @@ class ModelSpec:
                 raise ModelError(f"invalid parameter name {pname!r}", entry)
             value = self.params[pname]
             try:
-                float(value)
+                number = float(value)
             except (TypeError, ValueError):
+                number = math.nan
+            if math.isnan(number):
                 raise ModelError(
                     f"param {pname!r} needs a numeric value, got {value!r}", entry
-                ) from None
+                )
         index = {s: i for i, s in enumerate(names)}
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_rate_table", self._compile_table(self.rates, "rate"))
@@ -596,6 +598,11 @@ class ModelSpec:
 def _check_population(N) -> None:
     if not 0 < N < math.inf:
         raise ModelError(f"population size N must be positive and finite, got {N}")
+
+
+def _check_seed(seed) -> None:
+    if seed < 0:
+        raise ModelError(f"seed must be non-negative, got {seed}")
 
 
 def _check_integer(name: str, value) -> None:
@@ -764,8 +771,7 @@ def validate(
     _check_integer("seed", seed)
     if sample_count < 2:
         raise ModelError("sample_count must be at least 2")
-    if seed < 0:
-        raise ModelError(f"seed must be non-negative, got {seed}")
+    _check_seed(seed)
     table = model._rate_table
     points = sample_simplex(model.n_states, sample_count, seed)
     failures: list[str] = []

@@ -26,7 +26,7 @@ import numpy as np
 from .drift import drift_field
 from .errors import ModelError, NumericsError
 from .meandrift import poisson_weights
-from .model import ModelSpec, _check_integer, _check_resolution, check_counts
+from .model import ModelSpec, _check_integer, _check_resolution, _check_seed, check_counts
 from .odesolve import Trajectory, _time_vector
 
 __all__ = ["SimConfig", "SimStats", "GeneratorCheck", "simulate_ctmc",
@@ -86,8 +86,7 @@ class SimConfig:
         _check_horizon(self.t_end)
         if self.reps < 1:
             raise ModelError("replication count must be at least 1")
-        if self.seed < 0:
-            raise ModelError(f"seed must be non-negative, got {self.seed}")
+        _check_seed(self.seed)
         if self.mode not in ("ctmc", "slotted"):
             raise ModelError(f"unknown simulation mode {self.mode!r}")
         if self.mode == "slotted":
@@ -317,8 +316,9 @@ def _slot_path(law: _SlotLaw, init, t_end: float, rng, at):
 
 def _replication_rngs(config: SimConfig):
     """Replication r's generator, r = 0 .. reps-1: the r-th spawn of the seed."""
-    for stream in np.random.SeedSequence(config.seed).spawn(config.reps):
-        yield np.random.default_rng(stream)
+    root = np.random.SeedSequence(config.seed)
+    for _ in range(config.reps):  # spawned one at a time, as reps may be 10^7
+        yield np.random.default_rng(root.spawn(1)[0])
 
 
 def _sampler(model: ModelSpec, config: SimConfig):

@@ -211,13 +211,19 @@ def test_compare_refuses_tau_before_any_cell(capsys, tau):
         ("compare", "--Ns", "1,2", "--init", "1,0", "--t", "nan"),
         ("ode", "--variant", "drift", "--N", "5", "--init", "1,0", "--t", "inf"),
         ("ode", "--variant", "limit", "--init", "1,0", "--t", "nan"),
+        ("simulate", "--N", "5", "--init", "1,0", "--t", "inf"),
+        ("simulate", "--N", "5", "--init", "1,0", "--t", "nan"),
+        ("chaos", "--Ns", "5", "--init", "1,0", "--reps", "2", "--t", "inf"),
     ],
-    ids=["exact-nan", "exact-inf", "compare-nan", "ode-drift-inf", "ode-limit-nan"],
+    ids=["exact-nan", "exact-inf", "compare-nan", "ode-drift-inf", "ode-limit-nan",
+         "simulate-inf", "simulate-nan", "chaos-inf"],
 )
 def test_non_finite_horizon_exits_2(capsys, argv):
+    # refused before any array is built on the horizon: simulate's sample
+    # grid over [0, inf] made numpy warn, an error in this suite
     code, out, err = run(capsys, *argv)
     assert code == 2
-    assert err.startswith("error: model:") and "finite" in err
+    assert err == f"error: model: horizon t must be finite, got {argv[-1]}\n"
     assert out == ""
 
 
@@ -250,6 +256,34 @@ def test_meandrift_past_the_window_cap_exits_3_at_once(capsys):
 )
 def test_occupancy_argument_is_checked(capsys, command, m, message):
     code, out, err = run(capsys, command, "--N", "10", "--m", m)
+    assert code == 2
+    assert err == f"error: model: {message}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ode", "--variant", "drift", "--N", "5", "--t", "1"),
+        ("exact", "--N", "5", "--t", "1"),
+        ("simulate", "--N", "5", "--t", "1", "--reps", "2"),
+        ("compare", "--Ns", "5,10", "--t", "1", "--reps", "2"),
+        ("chaos", "--Ns", "5", "--t", "1", "--reps", "2"),
+    ],
+    ids=["ode", "exact", "simulate", "compare", "chaos"],
+)
+@pytest.mark.parametrize(
+    "init, message",
+    [
+        ("0.5,0.5,0", "occupancy has 3 entries, model has 2 states"),
+        ("0.7,0.7", "occupancy must sum to 1, got 1.4"),
+    ],
+    ids=["length", "sum"],
+)
+def test_malformed_init_exits_2_before_any_output(capsys, argv, init, message):
+    # --init is checked once against the model, in --m's words; compare
+    # used to print a row of empty cells per N and exit 0
+    code, out, err = run(capsys, *argv, "--init", init)
     assert code == 2
     assert err == f"error: model: {message}\n"
     assert out == ""

@@ -179,7 +179,7 @@ def test_projected_kernel_is_identity_plus_active_rows_over_lam():
     exit_rates = -gen.diagonal()
     active = np.flatnonzero(exit_rates <= np.median(exit_rates))
     lam = float(exit_rates[active].max())
-    kernel_t, sinks = exact._projected_kernel(gen, active, lam)
+    kernel_t, sinks = exact._projected_kernel(exact._MatrixRows(gen), active, lam)
     dense = gen.toarray()
     # the sinks are every state outside the active set an active row reaches
     outside = np.setdiff1d(np.arange(gen.shape[0]), active)
@@ -199,7 +199,7 @@ def test_direct_products_equal_scipy_matmul_bit_for_bit():
     exit_rates = -gen.diagonal()
     active = np.flatnonzero(exit_rates <= np.median(exit_rates))
     lam = float(exit_rates[active].max())
-    kernel_t, _ = exact._projected_kernel(gen, active, lam)
+    kernel_t, _ = exact._projected_kernel(exact._MatrixRows(gen), active, lam)
     v = np.random.default_rng(3).random(kernel_t.shape[0])
     w = poisson_weights(60.0, 1e-12)
     assert w.k_min > 0

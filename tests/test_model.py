@@ -188,7 +188,7 @@ def test_modelspec_refuses_trees_the_parser_never_makes(kind, node, problem):
     assert err.value.entry == (kind, ("a", "b"))
 
 
-@pytest.mark.parametrize("value", ["x", None, (0.5,)])
+@pytest.mark.parametrize("value", ["x", None, (0.5,), math.nan, "nan"])
 def test_modelspec_refuses_a_parameter_that_is_not_a_number(value):
     # loading folds no parameter any more, so the first drift would fail
     # with a bare ValueError or TypeError
@@ -238,9 +238,9 @@ def test_no_module_imports_scipy_at_import_time():
 
 def test_each_shared_rule_has_one_owner():
     # replication streams, the Poisson-rate and tolerance checks, "variant
-    # needs N", the sample-time vector check, the sampler horizon check and
-    # the refusal of an undeclared limit are each written once; the
-    # CLI takes the finiteness of N from the library's population check
+    # needs N", the sample-time vector check, the sampler horizon check,
+    # the refusal of an undeclared limit and that of a negative seed are
+    # each written once; the CLI takes the finiteness of N from the library's population check
     from popdrift import cli, model as model_module
 
     source = "".join(
@@ -250,7 +250,7 @@ def test_each_shared_rule_has_one_owner():
     for phrase in ("SeedSequence(", "Poisson rate must be finite", "needs N",
                    "tail tolerance must be", "sample times must be finite",
                    "t_end must be finite and non-negative",
-                   "declares no limit rates"):
+                   "declares no limit rates", "seed must be non-negative"):
         assert source.count(phrase) == 1, phrase
     assert cli._check_positive_finite is model_module._check_population
     assert "_check_positive_finite(N)" in inspect.getsource(cli._check_population)
@@ -549,6 +549,15 @@ def test_slot_probability_overflow_advises_larger_d():
         slot_probability(model, 4, (0.5, 0.5), "a", "b", D=2)
     # fine at D large enough
     assert slot_probability(model, 4, (0.5, 0.5), "a", "b", D=4) == pytest.approx(0.75)
+
+
+def test_a_nan_parameter_is_refused_at_load_and_inf_is_kept():
+    # a NaN parameter used to load, and every evaluation then named a rate
+    doc = "states = a, b\nparam p = {}\nrate a -> b : p*m[a]\n"
+    with pytest.raises(ModelError) as err:
+        load_model(doc.format("nan"))
+    assert str(err.value) == "line 2: param 'p' needs a numeric value, got nan"
+    assert load_model(doc.format("inf")).params == {"p": math.inf}
 
 
 def test_load_errors_carry_line_numbers():
