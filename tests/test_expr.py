@@ -10,6 +10,7 @@ import pytest
 from popdrift.expr import (
     _MAX_DEPTH,
     _MAX_TERMS,
+    _fold,
     _product_terms,
     BinOp,
     Call,
@@ -169,6 +170,20 @@ def test_free_vars_walks_a_deep_code_built_tree():
     for k in range(5000):
         node = BinOp("-", Name(f"p{k % 3}"), node)
     assert free_vars(node) == ("m[a]", "p0", "p1", "p2")
+
+
+def test_folding_walks_a_deep_code_built_tree_left_to_right():
+    # the leftmost unbound name is the one named, as a recursive fold named it
+    with pytest.raises(ExprEvalError, match="unbound identifier 'q'"):
+        compile_fn(parse("(m[a] + q)*r - s"), {}, {"a": 0})
+    node = Occ("a")
+    for k in range(5000):
+        node = BinOp("-", Neg(Name("p")) if k % 2 else Num(1.0), node)
+    folded = _fold(node, {"p": 2.0})
+    assert folded.left == Num(-2.0) and folded.right.left == Num(1.0)
+    assert depth(folded) == depth(node) == 2 * 5000
+    [(c, [(factor, reads)])] = _product_terms(node, {"p": 2.0})
+    assert c == 1.0 and reads == {"a"} and depth(factor) == depth(node)
 
 
 def _random_expr(rng: random.Random, depth: int):
