@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ModelError, NumericsError
-from .model import ModelSpec, _check_population, _flat_occupancy
+from .model import ModelSpec, _check_length, _check_population, _flat_occupancy
 
 __all__ = [
     "VectorField",
@@ -45,8 +45,18 @@ class VectorField:
     fn: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     # the built-in fields' fn on lists of floats, to the same bits, run
     # under np.errstate(all="ignore") that its caller holds; integrate
-    # holds it over its steps, and adapts fn when this is None
+    # holds it over its steps, and adapts fn when this is None.  It is
+    # the only path of the mean drift and the numeric limit, and the
+    # fallback of a step that _step does not take
     _lists: Optional[Callable[[list], list]] = field(
+        default=None, compare=False, repr=False
+    )
+    # the drift's and the declared limit's fast path: _step(y) checks
+    # that the point y has one entry per state and returns step(y, dt),
+    # the rate table's generated RK4 step (built on first use), which
+    # gives the same bits as four _lists calls, or None, or raises
+    # ZeroDivisionError where integrate recomputes the step on _lists
+    _step: Optional[Callable[[list], Callable[[list, float], Optional[list]]]] = field(
         default=None, compare=False, repr=False
     )
 
@@ -102,29 +112,39 @@ def _numeric_limit(model: ModelSpec, m: list, held: bool = False) -> list:
     )
 
 
-def _field(kind: str, N: Optional[float], lists, point=None) -> VectorField:
+def _field(kind: str, N: Optional[float], lists, point=None, step=None) -> VectorField:
     """A built-in field: its list kernel, which leaves numpy's error state
-    to its caller, and fn, point (default: lists) on a flat ndarray."""
+    to its caller, fn, point (default: lists) on a flat ndarray, and the
+    maker of its RK4 step form, if it has one (see ``VectorField``)."""
     point = point or lists
     return VectorField(
         kind=kind, N=N, fn=lambda m: np.array(point(_flat_occupancy(m).tolist())),
-        _lists=lists,
+        _lists=lists, _step=step,
     )
+
+
+def _drift_of(kind: str, N: Optional[float], table, at: float) -> VectorField:
+    """The field of table's drift at population ``at``, with its step form."""
+    drift = table.drift
+
+    def step(y: list):
+        _check_length(y, len(table.state_names))
+        return functools.partial(table._fused_step, at)
+
+    return _field(kind, N, lambda m: drift(at, m, True), functools.partial(drift, at),
+                  step)
 
 
 def drift_field(model: ModelSpec, N: float) -> VectorField:
     """The finite-N drift as a reusable vector field."""
     _check_population(N)
-    drift = model._rate_table.drift
-    return _field("drift", N, lambda m: drift(N, m, True), functools.partial(drift, N))
+    return _drift_of("drift", N, model._rate_table, N)
 
 
 def limit_field(model: ModelSpec, mode: str = "declared") -> VectorField:
     """The population-limit drift as a reusable vector field."""
     if mode == "declared":
-        drift = model._limit().drift
-        return _field("limit", None, lambda m: drift(math.nan, m, True),
-                      functools.partial(drift, math.nan))
+        return _drift_of("limit", None, model._limit(), math.nan)
     if mode == "numeric":
         return _field("limit", None, lambda m: _numeric_limit(model, m, True),
                       functools.partial(_numeric_limit, model))

@@ -17,16 +17,20 @@ over the grammar
 
 Expressions get values only through compiled source, and one
 compiler writes it: ``_kernel`` folds subtrees that read neither ``N``
-nor ``m`` to float literals, writes occupancies as ``m[index]``, and
-the source reads nothing but those, ``N``, the counts ``c`` of its
-jump-law form and the names of ``_KERNEL_GLOBALS``, so no model name
-reaches it.  It makes one straight-line function per table of
-expressions that computes a repeated subtree once and, written in
-plain operators and numpy ufuncs, serves a point of plain floats and
-arrays of points alike; its drift form also checks the rates and sums
-the net flows in the same call, and its jump-law form checks them and
-sums the jump chain's intensities at a count vector.  ``compile_fn``
-is its one-expression case.  Values follow numpy semantics:
+nor ``m`` to float literals, writes occupancies as ``m[index]`` (as
+the locals ``m0, m1, ...`` in its RK4 step form), and the source reads
+nothing but those, ``N``, the counts ``c`` of its
+jump-law form, the point ``y`` and step ``dt`` of its RK4 step form
+and the names of ``_KERNEL_GLOBALS``, so no model name reaches it.  It
+makes one straight-line function per table of expressions that
+computes a repeated subtree once and, written in plain operators and
+numpy ufuncs, serves a point of plain floats and arrays of points
+alike; its drift form also checks the rates and sums the net flows in
+the same call, its jump-law form checks them and sums the jump chain's
+intensities at a count vector, and its RK4 step form runs the drift
+form's body at the four stage points of one step of the drift ODE and
+returns the point the step reaches.  ``compile_fn`` is its
+one-expression case.  Values follow numpy semantics:
 ``pow(0, 0)`` is 1, and a division by zero, ``ln`` of zero or of a
 negative number, or ``pow`` outside its domain gives inf or nan
 instead of raising.  Nothing here refuses a value; the model's rate
@@ -415,6 +419,7 @@ _KERNEL_GLOBALS = {
     "inf": math.inf,
     "nan": math.nan,
     "fsum": math.fsum,
+    "float": float,
 }
 
 
@@ -532,15 +537,16 @@ def _malformed(e) -> Optional[str]:
     return None
 
 
-def _source_leaf(state_index: Mapping[str, int]) -> Callable[[Expr], Optional[str]]:
+def _source_leaf(state_index: Mapping[str, int],
+                 occupancy: str = "m[{}]") -> Callable[[Expr], Optional[str]]:
     """The leaf renderer of compiled source, for folded trees: float
-    literals, ``N`` and ``m[index]``.  An unknown state raises
-    ExprEvalError."""
+    literals, ``N`` and occupancies, state index i written as
+    ``occupancy.format(i)``.  An unknown state raises ExprEvalError."""
 
     def leaf(node: Expr) -> Optional[str]:
         if isinstance(node, Occ):
             try:
-                return f"m[{state_index[node.state]}]"
+                return occupancy.format(state_index[node.state])
             except KeyError:
                 raise ExprEvalError(
                     f"unknown state in occupancy term m[{node.state}]"
@@ -586,29 +592,46 @@ def _kernel(
     params: Mapping[str, float],
     state_index: Mapping[str, int],
     moves: Optional[tuple[Sequence[int], Sequence[int]]] = None,
-    jump: bool = False,
-) -> tuple[Callable[[float, Sequence], Optional[Sequence]], bool]:
-    """Compile a table of expressions to one straight-line ``f(N, m)``.
+    form: str = "drift",
+) -> tuple[Callable[..., Optional[Sequence]], bool]:
+    """Compile a table of expressions to one straight-line function.
 
     Each expression is folded, its constant subtrees evaluated once
     here, and rendered into one function body in which a subtree that
     occurs more than once, within one expression or across them, is
-    computed once into a local.  Without ``moves``, ``m`` holds floats
-    or arrays and f returns the list of the values, q_k in table order.
-    With ``moves`` = (sources, targets), ``m`` is one point of floats
-    and q_k is the rate of a move from sources[k] to targets[k]; f
-    returns None if some q_k is not in [0, inf), and otherwise the net
-    flow per state: from 0.0, for each k in order, m[sources[k]]*q_k
-    subtracted at the source and added at the target.  With ``jump``
-    as well, f is ``f(N, c)`` on a count vector c, evaluates the rates
-    at m = c/N, returns None as before, and otherwise the jump law
-    (fsum(w), running sums of w), w_k = c[sources[k]]*q_k, the running
-    sums added left to right as ``itertools.accumulate`` adds them.
+    computed once into a local.  Without ``moves``, f is ``f(N, m)``,
+    ``m`` holds floats or arrays and f returns the list of the values,
+    q_k in table order.  With ``moves`` = (sources, targets), q_k is the
+    rate of a move from sources[k] to targets[k], and ``form`` picks
+    one of three tails:
+
+    - ``"drift"``: f(N, m) at one point m of floats returns None if
+      some q_k is not in [0, inf), and otherwise the net flow per
+      state: from 0.0, for each k in order, m[sources[k]]*q_k
+      subtracted at the source and added at the target.
+    - ``"jump"``: f(N, c) on a count vector c evaluates the rates at
+      m = c/N, returns None as before, and otherwise the jump law
+      (fsum(w), running sums of w), w_k = c[sources[k]]*q_k, the
+      running sums added left to right as ``itertools.accumulate``
+      adds them.
+    - ``"step"``: f(N, y, dt) is one classical RK4 step of length dt
+      from the point y, a list of floats of which it reads the first
+      len(state_index): the drift tail's body run at four stage points,
+      each stage point y + h*k built and clipped as
+      ``odesolve._stage`` does, and the list y + (dt/6)*(((k1 + 2*k2)
+      + 2*k3) + k4).  It returns None if some stage's q_k is not in
+      [0, inf).  Each numpy call's value is made a plain float where it
+      is called, which is exact, so the rest of the step computes
+      plain floats; an x/0 among them raises ZeroDivisionError where
+      numpy scalars would give inf or nan.
+
     Values follow numpy semantics, as the module docstring says.  Also
     returns whether the body calls a numpy function; one that does not
     computes plain floats with plain floats.
     """
-    leaf = _source_leaf(state_index)
+    step = form == "step"
+    occupancy = "m{}" if step else "m[{}]"
+    leaf = _source_leaf(state_index, occupancy)
     roots = [_fold(e, params) for e in exprs]
     # times each subtree's text is computed, not counting the insides of
     # a repeat, which is computed once
@@ -627,36 +650,61 @@ def _kernel(
     body: list[str] = []
     names: dict[str, str] = {}  # text of a repeated subtree -> its local
 
-    def shared(node: Expr) -> Optional[str]:
+    def own(node: Expr) -> str:
+        text = _compose(node, shared)
+        return f"float({text})" if step and isinstance(node, Call) else text
+
+    def shared(node: Expr) -> str:
         text = leaf(node)
         if text is not None:
             return text
         key = _render(node, leaf)
         if uses[key] < 2:
-            return None
+            return own(node)
         if key not in names:
             names[key] = f"t{len(names)}"
-            body.append(f"{names[key]} = {_compose(node, shared)}")
+            body.append(f"{names[key]} = {own(node)}")
         return names[key]
 
     rates = [f"q{k}" for k in range(len(roots))]
-    body += [f"{q} = {_render(root, shared)}" for q, root in zip(rates, roots)]
-    del shared  # it refers to itself; freed now, it leaves no reference cycle
+    body += [f"{q} = {shared(root)}" for q, root in zip(rates, roots)]
+    del own, shared  # they refer to each other; freed now, they leave no cycle
     if moves is None:
         return _define(body, f"[{', '.join(rates)}]"), calls_numpy
     if rates:
         valid = " and ".join(f"0.0 <= {q} < inf" for q in rates)
         body += [f"if not ({valid}):", "    return None"]
-    if jump:
+    if form == "jump":
         weights = [f"w{k}" for k in range(len(rates))]
         body += [f"{w} = c[{i}]*{q}" for w, q, i in zip(weights, rates, moves[0])]
         sums = weights[:1] + [f"a{k}" for k in range(1, len(rates))]
         body += [f"{a} = {b} + {w}" for a, b, w in zip(sums[1:], sums, weights[1:])]
-        occupancy = "".join(f"c[{i}] / N, " for i in range(len(state_index)))
+        occupancies = "".join(f"c[{i}] / N, " for i in range(len(state_index)))
         result = f"fsum([{', '.join(weights)}]), ({''.join(f'{a}, ' for a in sums)})"
-        return _define([f"m = ({occupancy})", *body], result, "N, c"), calls_numpy
-    net = [f"d{i}" for i in range(len(state_index))]
-    body += [f"{d} = 0.0" for d in net]
-    for q, i, j in zip(rates, *moves):
-        body += [f"f = m[{i}]*{q}", f"d{i} -= f", f"d{j} += f"]
-    return _define(body, f"[{', '.join(net)}]"), calls_numpy
+        return _define([f"m = ({occupancies})", *body], result, "N, c"), calls_numpy
+
+    states = range(len(state_index))
+
+    def flows(d: str) -> list[str]:
+        """body, then the net flows summed into the locals d0, d1, ..."""
+        lines = body + [f"{d}{i} = 0.0" for i in states]
+        for q, i, j in zip(rates, *moves):
+            lines += [f"f = {occupancy.format(i)}*{q}", f"{d}{i} -= f", f"{d}{j} += f"]
+        return lines
+
+    if not step:
+        return _define(flows("d"), f"[{', '.join(f'd{i}' for i in states)}]"), calls_numpy
+    ms = [occupancy.format(i) for i in states]
+    lines = [f"y{i} = {m} = y[{i}]" for i, m in zip(states, ms)] + flows("k1_")
+    lines.append("h = 0.5*dt")
+    for s, h in ((2, "h"), (3, "h"), (4, "dt")):
+        lines += [f"{m} = y{i} + {h}*k{s - 1}_{i}" for i, m in zip(states, ms)]
+        # the clip of odesolve._stage: some component below 0, none nan
+        lines += [f"if ({' or '.join(f'{m} < 0.0' for m in ms)}) and "
+                  f"{' and '.join(f'{m} == {m}' for m in ms)}:"]
+        lines += [f"    {m} = {m} if {m} > 0.0 else 0.0" for m in ms]
+        lines += flows(f"k{s}_")
+    lines.append("c = dt / 6.0")
+    result = ", ".join(
+        f"y{i} + c*(((k1_{i} + 2.0*k2_{i}) + 2.0*k3_{i}) + k4_{i})" for i in states)
+    return _define(lines, f"[{result}]", "N, y, dt"), calls_numpy

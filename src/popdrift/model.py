@@ -165,7 +165,8 @@ class _RateTable:
     ``kernel``'s values unchecked.  At one point or over arrays, every
     rate comes from one generated straight-line call, and ``drift`` and
     ``jump_law`` are that call with the check's common case and their
-    sums fused in.
+    sums fused in; ``_fused_step`` runs the fused drift at the four stage
+    points of one RK4 step of the drift ODE.
     The mean drift takes the averages of the rates that ``plan`` splits
     from ``split_flows``, which certifies them in place of ``check``.
     Compiled forms are built on first use.  ``entries[k]`` = (source,
@@ -279,7 +280,16 @@ class _RateTable:
         """``jump_law`` at counts where every rate is in [0, inf), else None."""
         moves = (self.sources, self.targets)
         return _at_point(*ex._kernel(self.nodes, self.params, self.state_index, moves,
-                                     jump=True))[0]
+                                     "jump"))[0]
+
+    @functools.cached_property
+    def _fused_step(self):
+        """step(N, y, dt): one RK4 step of the drift ODE from the point y,
+        or None where some stage's rate is not in [0, inf); see
+        ``expr._kernel``'s step form.  Its caller holds numpy's error
+        state and catches ZeroDivisionError."""
+        moves = (self.sources, self.targets)
+        return ex._kernel(self.nodes, self.params, self.state_index, moves, "step")[0]
 
     @functools.cached_property
     def entries(self) -> tuple:

@@ -114,6 +114,17 @@ def _stage(y: list, h: float, k: list) -> list:
     return point
 
 
+def _rk4(f, y: list, dt: float) -> list:
+    """One classical RK4 step of length dt from y, f on lists of floats."""
+    k1 = f(y)
+    k2 = f(_stage(y, 0.5 * dt, k1))
+    k3 = f(_stage(y, 0.5 * dt, k2))
+    k4 = f(_stage(y, dt, k3))
+    c = dt / 6.0
+    return [a + c * (((p + 2.0 * q) + 2.0 * r) + s)
+            for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+
+
 def _on_lists(field: VectorField, n: int):
     """field on lists of floats: its fn gets an ndarray and must return n values."""
     def lists(y: list) -> list:
@@ -143,6 +154,13 @@ def integrate(
     A built-in field is stepped under ``np.errstate(all="ignore")``,
     entered once for the whole integration; a field given as a bare fn
     runs under the caller's error state, so its numpy warnings surface.
+    The drift and the declared limit take each step in one call of
+    their rate table's generated RK4 step, once phi0's length is checked
+    against the model; where it returns None, because some stage's rate
+    must be refused or excused at an empty source, or raises
+    ZeroDivisionError on plain floats, that step is taken again from its
+    start on the field's list kernel, which numpy scalars back.  The
+    other fields take every step on the list kernel.
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ModelError(f"t_end must be finite and positive, got {t_end}")
@@ -159,6 +177,7 @@ def integrate(
     f = field._lists
     held = np.errstate(all="ignore") if f else contextlib.nullcontext()
     f = f or _on_lists(field, len(y))
+    step = field._step and field._step(y)
     slack = 1e-12 * max(1.0, t_end)
     times: list[float] = []
     states: list[list] = []
@@ -172,13 +191,11 @@ def integrate(
     with held:
         for t0, t1 in zip(bounds, bounds[1:]):
             dt = t1 - t0
-            k1 = f(y)
-            k2 = f(_stage(y, 0.5 * dt, k1))
-            k3 = f(_stage(y, 0.5 * dt, k2))
-            k4 = f(_stage(y, dt, k3))
-            c = dt / 6.0
-            y = [a + c * (((p + 2.0 * q) + 2.0 * r) + s)
-                 for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+            try:
+                z = step(y, dt) if step else None
+            except ZeroDivisionError:
+                z = None
+            y = _rk4(f, y, dt) if z is None else z
             if not all(map(math.isfinite, y)):
                 raise NumericsError(
                     f"integration produced a non-finite state at t={t1}"

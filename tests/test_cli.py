@@ -884,12 +884,27 @@ GOLDEN_MEAN_DRIFT = {
     ),
 }
 # sha256 of the stdout of drift and limit ODEs: the benchmark's bundled
-# drift ODE, and contention's drift and its limit, which contention
-# declares no rates for, so it runs the numeric limit
+# drift ODE, its declared limit ODE and the simulate reference ODE, a
+# SIRS drift ODE, whose kernel calls no numpy, and contention's drift
+# and its limit, which contention declares no rates for, so it runs
+# the numeric limit
 GOLDEN_DRIFT = {
     "ode_drift_n50": (
         ("ode", "--variant", "drift", "--N", "50", "--init", "1,0", "--t", "500"),
         "869d26c5ae08e4ce25d591c45fa9ec218dff37615d2331217ca41c3484a0be80",
+    ),
+    "ode_limit": (
+        ("ode", "--variant", "limit", "--init", "1,0", "--t", "500"),
+        "d95073aa02ff41ef0ed9b7279e03b8d81130a978f6838ecfb30a517295fbc9a2",
+    ),
+    "ode_drift_ref_n160": (
+        ("ode", "--variant", "drift", "--N", "160", "--init", "1,0", "--t", "200"),
+        "62eb877df741fb0228f2516b4a284d0c5f73a0de72216ce7491eb42e62c5c802",
+    ),
+    "ode_drift_sirs_n100": (
+        ("ode", "--model", SIR_MODEL, "--variant", "drift", "--N", "100",
+         "--init", "0.9,0.1,0", "--t", "50"),
+        "28a1e9be2ab19bd621df48b49e6479bf7e82360292da15aa1ad11a5d16899485",
     ),
     "ode_drift_contention_n200": (
         ("ode", "--model", CONTENTION_MODEL, "--variant", "drift", "--N", "200",

@@ -29,6 +29,7 @@ from popdrift.model import (
     slot_probability,
     validate,
 )
+from popdrift.odesolve import solve
 from popdrift.sim import SimConfig, ensemble, simulate_ctmc, simulate_slotted
 from popdrift import expr as ex
 
@@ -296,9 +297,10 @@ SIRS_PATH = pathlib.Path(__file__).parents[1] / "perfbench" / "models" / "sir.po
 
 
 def test_loading_a_model_builds_no_point_kernel(monkeypatch):
-    # the kernels are built on first use, as the mean-drift plan is
+    # the kernels are built on first use, as the mean-drift plan is; a
+    # drift at one point builds no RK4 step form
     model = builtin_example()
-    lazy = {"_point", "_fused_drift", "_fused_jump", "plan"}
+    lazy = {"_point", "_fused_drift", "_fused_jump", "_fused_step", "plan"}
     for table in (model._rate_table, model._limit_table):
         assert not lazy & set(vars(table))
     drift(model, 50, (0.45, 0.55))
@@ -328,13 +330,14 @@ def test_only_the_table_kernels_are_compiled(monkeypatch):
     # loading compiles nothing; the drift, the mean drift at N=50 (summed
     # whole) and N=1000 (split into groups) and the generator define only
     # the table kernel, the fused drift and the plan kernel, and never
-    # the per-rate compile_fn closures
+    # the per-rate compile_fn closures; two drift ODEs define the RK4
+    # step form once
     defined = []
     define = ex._define
 
-    def counted(body, result):
-        defined.append(result)
-        return define(body, result)
+    def counted(body, result, *args):
+        defined.append(args)
+        return define(body, result, *args)
 
     def refused(*args):
         raise AssertionError("compile_fn called")
@@ -352,6 +355,11 @@ def test_only_the_table_kernels_are_compiled(monkeypatch):
         compiled = {"_generated", "_fused_drift", "plan"}
         assert compiled <= set(vars(model._rate_table))
     assert len(defined) == 3 * len(models)
+    for model in models:
+        phi0 = [1.0] + [0.0] * (model.n_states - 1)
+        for _ in range(2):
+            solve(model, "drift", 50, phi0, 1.0)
+    assert defined[3 * len(models):] == [("N, y, dt",)] * len(models)
 
 
 def test_a_bundled_drift_point_calls_pow_twice():

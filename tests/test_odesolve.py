@@ -265,6 +265,12 @@ def _stage_clip():
     return VectorField(kind="drift", N=1, fn=fn), (0.05, 0.95)
 
 
+def _stage_clip_table():
+    # the same field from a rate table, stepped by its generated step form
+    model = load_model("states = a, b\nrate a -> b : 60\nrate b -> a : 2\n")
+    return drift_field(model, 1), (0.05, 0.95)
+
+
 ODE_CASES = {
     "bundled drift N=50": lambda: (drift_field(builtin_example(), 50), (1.0, 0.0)),
     "bundled declared limit": lambda: (limit_field(builtin_example()), (1.0, 0.0)),
@@ -289,6 +295,20 @@ ODE_CASES = {
     ),
     "nine states": _nine_states,
     "stage point clipped": _stage_clip,
+    "stage point clipped, rate table": _stage_clip_table,
+    # on plain floats m[b]/m[a] raises ZeroDivisionError at the empty
+    # source, and the step is taken again on numpy scalars
+    "empty source divides by zero": lambda: (
+        drift_field(load_model("states = a, b\nrate a -> b : m[b]/m[a]\n"
+                               "rate b -> a : 1\n"), 10),
+        (0.0, 1.0),
+    ),
+    # the rate is inf at the empty source, where the check excuses it
+    "empty source rate excused": lambda: (
+        drift_field(load_model("states = a, b\nrate a -> b : m[b]*pow(m[a], -0.5)\n"
+                               "rate b -> a : 1\n"), 10),
+        (0.0, 1.0),
+    ),
 }
 
 
@@ -301,11 +321,71 @@ def test_integrate_matches_the_numpy_reference(case, sample_times):
     assert got.times.tobytes() == want.times.tobytes()
     assert got.states.tobytes() == want.states.tobytes()
     assert (got.kind, got.N, got.step) == (want.kind, want.N, want.step)
-    if case == "stage point clipped":
+    if case.startswith("stage point clipped"):
         seen = []
         spy = VectorField(field.kind, field.N, lambda m: seen.append(m[0]) or field(m))
         reference_integrate(spy, phi0, 2.0, step=0.05, sample_times=sample_times)
         assert 0.0 in seen
+
+
+def _spied(field):
+    """field with its list kernel and its step form counted."""
+    calls = {"lists": 0, "step": 0}
+
+    def lists(m):
+        calls["lists"] += 1
+        return field._lists(m)
+
+    def start(y):
+        step = field._step(y)
+
+        def counted(y, dt):
+            calls["step"] += 1
+            return step(y, dt)
+
+        return counted
+
+    return VectorField(field.kind, field.N, field.fn, lists, start), calls
+
+
+def test_the_drift_and_declared_limit_take_the_step_form_on_every_step():
+    model = builtin_example()
+    for field in (drift_field(model, 50), limit_field(model)):
+        spy, calls = _spied(field)
+        traj = integrate(spy, (1.0, 0.0), 10.0, step=0.1)
+        assert len(traj.times) == 101
+        assert calls == {"lists": 0, "step": 100}
+        assert traj.states.tobytes() == integrate(field, (1.0, 0.0), 10.0,
+                                                  step=0.1).states.tobytes()
+    # at the empty source only the first step falls back, on the list kernel
+    for case in ("empty source divides by zero", "empty source rate excused"):
+        spy, calls = _spied(ODE_CASES[case]()[0])
+        integrate(spy, (0.0, 1.0), 10.0, step=0.1)
+        assert calls == {"lists": 4, "step": 100}
+
+
+def test_a_field_given_as_fn_never_takes_the_step_form():
+    model = builtin_example()
+    field = drift_field(model, 50)
+    evals = []
+    bare = VectorField(field.kind, field.N, lambda m: evals.append(1) or field(m))
+    traj = integrate(bare, (1.0, 0.0), 10.0, step=0.1)
+    assert len(evals) == 4 * 100
+    assert "_fused_step" not in vars(model._rate_table)
+    assert traj.states.tobytes() == integrate(field, (1.0, 0.0), 10.0,
+                                              step=0.1).states.tobytes()
+
+
+@pytest.mark.parametrize("phi0", [(0.2, 0.3, 0.5), (1.0,)])
+def test_the_step_form_fields_refuse_a_point_of_another_length(phi0):
+    model = builtin_example()
+    text = f"occupancy has {len(phi0)} entries, model has 2 states"
+    for field in (drift_field(model, 50), limit_field(model)):
+        with pytest.raises(ModelError, match=text):
+            integrate(field, phi0, 1.0)
+    for variant in ("drift", "limit"):
+        with pytest.raises(ModelError, match=text):
+            solve(model, variant, 50, phi0, 1.0)
 
 
 def test_integrate_refuses_a_field_value_of_another_length():

@@ -7,7 +7,8 @@ drawn too.  Every pool rate is finite, non-negative and at most 1.5 on
 the simplex, so slotted paths at D = 10 never need a finer slot.  The
 mean-drift lattice is also checked on models of two to four states
 whose rates read random subsets of the occupancies, and the rate
-table's evaluation paths on random rate trees at numpy's domain edges.
+table's evaluation paths on random rate trees at numpy's domain edges,
+its generated RK4 step among them.
 A mean-drift field walked along nearby points, so that its kept block
 values are built, read, grown and outgrown, must equal the sum that
 keeps nothing, bit for bit.
@@ -33,6 +34,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from popdrift import exact  # noqa: E402
+from popdrift import expr as ex  # noqa: E402
 from popdrift.drift import drift  # noqa: E402
 from popdrift.errors import ModelError, RateError  # noqa: E402
 from popdrift.expr import BinOp, Call, Neg, Num, Occ  # noqa: E402
@@ -53,6 +55,7 @@ from popdrift.meandrift import (  # noqa: E402
     poisson_weights,
 )
 from popdrift.model import ModelSpec, _batched, builtin_example, load_model  # noqa: E402
+from popdrift.odesolve import _stage  # noqa: E402
 from popdrift.sim import simulate_ctmc, simulate_slotted  # noqa: E402
 
 from oracle import rate_fns, rates_at  # noqa: E402
@@ -544,6 +547,58 @@ def test_point_kernel_and_fused_drift_match_each_rate_alone(table, N, data):
         for wrong in (m[:-1], m + [0.0]):
             text = f"occupancy has {len(wrong)} entries, model has {n} states"
             assert outcome(lambda: table.drift(N, wrong)) == (ModelError, text)
+
+
+def plain_valued_drift(table):
+    """The table's generated drift form, each numpy call's value made a
+    plain float, as the step form makes it: there an x/0 that follows a
+    numpy call raises ZeroDivisionError where numpy scalars give inf."""
+    plain = {name: (lambda fn: lambda *a: float(fn(*a)))(ex._KERNEL_GLOBALS[name])
+             for name in ex.FUNCTIONS}
+    with mock.patch.dict(ex._KERNEL_GLOBALS, plain):
+        return ex._kernel(table.nodes, table.params, table.state_index,
+                          (table.sources, table.targets))[0]
+
+
+@SETTINGS
+@given(st.one_of(domain_edge_tables(), domain_edge_tables(divides_by_zero=False)),
+       st.sampled_from([1.0, 3.0, 10.0]), st.sampled_from([1e-3, 0.1, 0.5, 3.0]),
+       st.data())
+def test_generated_rk4_step_equals_the_list_path_step(table, N, dt, data):
+    # no numpy warning may escape: the error state is held as integrate holds it
+    n = len(table.state_names)
+    kernel = plain_valued_drift(table)
+    for point in data.draw(st.lists(occupancies(n), min_size=1, max_size=3)):
+        y = point.tolist()
+        falls_back = []  # per stage point of the list path
+
+        def f(m):
+            try:
+                falls_back.append(kernel(N, m) is None)
+            except ZeroDivisionError:
+                falls_back.append(True)
+            return table.drift(N, m, held=True)
+
+        def reference():
+            k1 = f(y)
+            k2 = f(_stage(y, 0.5 * dt, k1))
+            k3 = f(_stage(y, 0.5 * dt, k2))
+            k4 = f(_stage(y, dt, k3))
+            c = dt / 6.0
+            return [a + c * (((p + 2.0 * q) + 2.0 * r) + s)
+                    for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+
+        with np.errstate(all="ignore"):
+            want = outcome(reference)
+            try:
+                got = table._fused_step(N, y, dt)
+            except ZeroDivisionError:
+                got = ZeroDivisionError
+        if got is None or got is ZeroDivisionError:
+            assert any(falls_back)
+        else:
+            assert isinstance(want, list)
+            assert [bits(x) for x in got] == [bits(x) for x in want]
 
 
 def law_bits(law):
