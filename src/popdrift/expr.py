@@ -21,7 +21,8 @@ nor ``m`` to float literals, writes occupancies as ``m[index]`` (as
 the locals ``m0, m1, ...`` in its RK4 step form), and the source reads
 nothing but those, ``N``, the counts ``c`` of its
 jump-law form, the point ``y`` and step ``dt`` of its RK4 step form
-and the names of ``_KERNEL_GLOBALS``, so no model name reaches it.  It
+and the names of ``_KERNEL_GLOBALS`` (and in the step form the arrays
+of folded constants it binds), so no model name reaches it.  It
 makes one straight-line function per table of expressions that
 computes a repeated subtree once and, written in plain operators and
 numpy ufuncs, serves a point of plain floats and arrays of points
@@ -404,11 +405,26 @@ def pretty(e: Expr) -> str:
     return _render(e, _text_leaf)
 
 
+# exponents at which np.power on one scalar exponent takes a shortcut
+# that an array of exponents does not: 1/x, sqrt(x) and x*x, each of
+# which can differ from the general power in the last bit
+_SHORTCUT_EXPONENTS = frozenset((-1.0, 0.5, 2.0))
+
+
+def _powers(bases, exponents) -> list:
+    """np.power over the pairs as plain floats, each equal to its scalar
+    call: one array call unless some exponent is a shortcut exponent."""
+    if _SHORTCUT_EXPONENTS.isdisjoint(exponents):
+        return np.power(bases, exponents).tolist()
+    return [float(np.power(b, x)) for b, x in zip(bases, exponents)]
+
+
 # Names the compiled source may read besides N and m.  Python's unary
 # minus and binary + - * / share the expression language's precedence
 # and associativity, so the rendered source is the same tree; a
 # negative parameter's literal is a unary minus, which binds like an
-# atom next to those operators.
+# atom next to those operators.  ``powers`` and ``pairwise_sum`` serve
+# the RK4 step form alone.
 _KERNEL_GLOBALS = {
     "__builtins__": {},
     "pow": np.power,
@@ -420,6 +436,8 @@ _KERNEL_GLOBALS = {
     "nan": math.nan,
     "fsum": math.fsum,
     "float": float,
+    "powers": _powers,
+    "pairwise_sum": np.sum,
 }
 
 
@@ -558,11 +576,12 @@ def _source_leaf(state_index: Mapping[str, int],
     return leaf
 
 
-def _define(body: Sequence[str], result: str, args: str = "N, m") -> Callable:
+def _define(body: Sequence[str], result: str, args: str = "N, m",
+            consts: Optional[Mapping[str, np.ndarray]] = None) -> Callable:
     """The function ``f(args)`` that runs the statements body and returns
-    result, with only the names of _KERNEL_GLOBALS in scope."""
+    result, with only the names of _KERNEL_GLOBALS and consts in scope."""
     lines = "".join(f"    {line}\n" for line in body)
-    namespace = dict(_KERNEL_GLOBALS)
+    namespace = dict(_KERNEL_GLOBALS, **(consts or {}))
     exec(f"def f({args}):\n{lines}    return {result}\n", namespace)
     # popped, so that f and the namespace it reads are no reference cycle
     return namespace.pop("f")
@@ -585,6 +604,28 @@ def compile_fn(
     """
     kernel, _ = _kernel([e], params, state_index)
     return lambda N, m: kernel(N, m)[0]
+
+
+def _pow_group(roots: Sequence[Expr], leaf) -> list:
+    """The pow calls of roots that the RK4 step form computes in one
+    array call, each text once, as (text, call): those whose arguments
+    hold no pow call and whose exponent is no constant shortcut exponent
+    (see ``_powers``, which would take their scalar calls every time).
+    Empty unless there are two or more."""
+    group: dict[str, Call] = {}
+
+    def visit(node: Expr, inner: list) -> bool:
+        if not (isinstance(node, Call) and node.func == "pow"):
+            return any(inner)
+        exponent = node.args[1]
+        if not (any(inner) or isinstance(exponent, Num)
+                and exponent.value in _SHORTCUT_EXPONENTS):
+            group.setdefault(_render(node, leaf), node)
+        return True
+
+    for root in roots:
+        _bottom_up(root, visit)
+    return list(group.items()) if len(group) > 1 else []
 
 
 def _kernel(
@@ -618,12 +659,19 @@ def _kernel(
       from the point y, a list of floats of which it reads the first
       len(state_index): the drift tail's body run at four stage points,
       each stage point y + h*k built and clipped as
-      ``odesolve._stage`` does, and the list y + (dt/6)*(((k1 + 2*k2)
-      + 2*k3) + k4).  It returns None if some stage's q_k is not in
-      [0, inf).  Each numpy call's value is made a plain float where it
-      is called, which is exact, so the rest of the step computes
-      plain floats; an x/0 among them raises ZeroDivisionError where
-      numpy scalars would give inf or nan.
+      ``odesolve._stage`` does, and the point z = y + (dt/6)*(((k1 +
+      2*k2) + 2*k3) + k4) settled as ``odesolve._settle`` settles it:
+      each component x made x if x > 0.0 else 0.0 and divided by their
+      sum, taken in ``odesolve._sum``'s order.  It returns None if some
+      stage's q_k is not in [0, inf), and where ``_settle`` raises: a
+      component of z not finite or below -``odesolve._SIMPLEX_SLACK``,
+      or a sum of 0.  Each stage first computes the pow calls of
+      ``_pow_group`` in one array call through ``_powers``, an
+      all-constant argument column as a read-only array bound once;
+      every other numpy call is a scalar call where it occurs.  Each
+      numpy call's value is made a plain float, which is exact, so the
+      rest of the step computes plain floats; an x/0 among them raises
+      ZeroDivisionError where numpy scalars would give inf or nan.
 
     Values follow numpy semantics, as the module docstring says.  Also
     returns whether the body calls a numpy function; one that does not
@@ -648,7 +696,9 @@ def _kernel(
                 stack.extend(a for a, _ in _operands(node))
 
     body: list[str] = []
-    names: dict[str, str] = {}  # text of a repeated subtree -> its local
+    # text of a repeated subtree, or of a call the step form hoists -> its local
+    names: dict[str, str] = {}
+    consts: dict[str, np.ndarray] = {}  # the step form's constant arguments
 
     def own(node: Expr) -> str:
         text = _compose(node, shared)
@@ -659,13 +709,29 @@ def _kernel(
         if text is not None:
             return text
         key = _render(node, leaf)
-        if uses[key] < 2:
-            return own(node)
         if key not in names:
+            if uses[key] < 2:
+                return own(node)
             names[key] = f"t{len(names)}"
             body.append(f"{names[key]} = {own(node)}")
         return names[key]
 
+    group = _pow_group(roots, leaf) if step else []
+    if group:
+        # argument columns first: their shared lines read no pow
+        columns = []
+        for p in (0, 1):
+            args = [node.args[p] for _, node in group]
+            if all(isinstance(a, Num) for a in args):
+                consts[f"C{p}"] = np.array([a.value for a in args])
+                consts[f"C{p}"].flags.writeable = False
+                columns.append(f"C{p}")
+            else:
+                columns.append(f"[{', '.join(map(shared, args))}]")
+        for key, _ in group:
+            names[key] = f"t{len(names)}"
+        targets = ", ".join(names[key] for key, _ in group)
+        body.append(f"{targets} = powers({', '.join(columns)})")
     rates = [f"q{k}" for k in range(len(roots))]
     body += [f"{q} = {shared(root)}" for q, root in zip(rates, roots)]
     del own, shared  # they refer to each other; freed now, they leave no cycle
@@ -705,6 +771,18 @@ def _kernel(
         lines += [f"    {m} = {m} if {m} > 0.0 else 0.0" for m in ms]
         lines += flows(f"k{s}_")
     lines.append("c = dt / 6.0")
-    result = ", ".join(
-        f"y{i} + c*(((k1_{i} + 2.0*k2_{i}) + 2.0*k3_{i}) + k4_{i})" for i in states)
-    return _define(lines, f"[{result}]", "N, y, dt"), calls_numpy
+    zs = [f"z{i}" for i in states]
+    lines += [f"z{i} = y{i} + c*(((k1_{i} + 2.0*k2_{i}) + 2.0*k3_{i}) + k4_{i})"
+              for i in states]
+    # odesolve._settle: None where it would raise, else clip and renormalize;
+    # odesolve owns the rule's constants (imported here, as it imports this module)
+    from .odesolve import _PAIRWISE_FROM, _SIMPLEX_SLACK
+    low = repr(-_SIMPLEX_SLACK)
+    lines += [f"if not ({' and '.join(f'{low} <= {z} < inf' for z in zs)}):",
+              "    return None"]
+    lines += [f"{z} = {z} if {z} > 0.0 else 0.0" for z in zs]
+    total = (" + ".join(zs) if len(zs) < _PAIRWISE_FROM
+             else f"float(pairwise_sum([{', '.join(zs)}]))")
+    lines += [f"total = {total}", "if total == 0.0:", "    return None"]
+    result = f"[{', '.join(f'{z} / total' for z in zs)}]"
+    return _define(lines, result, "N, y, dt", consts=consts), calls_numpy

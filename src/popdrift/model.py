@@ -514,9 +514,7 @@ class ModelSpec:
             except (TypeError, ValueError):
                 number = math.nan
             if math.isnan(number):
-                raise ModelError(
-                    f"param {pname!r} needs a numeric value, got {value!r}", entry
-                )
+                raise _not_numeric(pname, value)
         index = {s: i for i, s in enumerate(names)}
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_rate_table", self._compile_table(self.rates, "rate"))
@@ -829,6 +827,12 @@ _LINE_RATE = re.compile(
 )
 
 
+def _not_numeric(name: str, value) -> ModelError:
+    """The refusal of a parameter value that is no number, or NaN."""
+    return ModelError(f"param {name!r} needs a numeric value, got {value!r}",
+                      ("param", name))
+
+
 def load_model(document: str) -> ModelSpec:
     """Parse a model document into a ModelSpec.
 
@@ -839,6 +843,9 @@ def load_model(document: str) -> ModelSpec:
     rates: dict[tuple[str, str], ex.Expr] = {}
     limits: dict[tuple[str, str], ex.Expr] = {}
     lines: dict[tuple, int] = {}  # ModelError.entry -> its line
+
+    def located(err: ModelError) -> ModelError:
+        return ModelError(f"line {lines[err.entry]}: {err}", err.entry)
 
     for lineno, raw in enumerate(document.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -858,13 +865,9 @@ def load_model(document: str) -> ModelSpec:
                 raise ModelError(f"line {lineno}: duplicate param {name!r}")
             lines[("param", name)] = lineno
             try:
-                value = float(text)
+                params[name] = float(text)
             except ValueError:
-                raise ModelError(
-                    f"line {lineno}: param {name!r} needs a numeric value, "
-                    f"got {text!r}"
-                ) from None
-            params[name] = value
+                raise located(_not_numeric(name, text)) from None
             continue
         match = _LINE_RATE.fullmatch(line)
         if match:
@@ -890,7 +893,7 @@ def load_model(document: str) -> ModelSpec:
     except ModelError as err:
         if err.entry is None:
             raise
-        raise ModelError(f"line {lines[err.entry]}: {err}", err.entry) from None
+        raise located(err) from None
 
 
 def builtin_example_text() -> str:

@@ -98,10 +98,42 @@ def _step_boundaries(
     return merged(*grid, np.clip(extra, 0.0, t_end)), merged([0.0, t_end], extra)
 
 
+# The post-step rule, which ``_settle`` and the generated RK4 step form
+# of ``expr._kernel`` both apply: a component of a step's end below
+# -_SIMPLEX_SLACK is refused, and the sum that renormalizes it is taken as
+# numpy's y.sum() takes it, left to right below _PAIRWISE_FROM values and
+# pairwise from there up.
+_SIMPLEX_SLACK = 1e-9
+_PAIRWISE_FROM = 8
+
+
 def _sum(y: list) -> float:
-    # numpy's y.sum(): in order below 8 values, pairwise from 8 up (the
-    # builtin sum compensates its rounding from Python 3.12 on)
-    return functools.reduce(operator.add, y) if len(y) < 8 else float(np.sum(y))
+    # numpy's y.sum() (the builtin sum compensates its rounding from
+    # Python 3.12 on)
+    return functools.reduce(operator.add, y) if len(y) < _PAIRWISE_FROM else float(np.sum(y))
+
+
+def _settle(y: list, t: float) -> list:
+    """The point y a step reached at time t, back on the simplex:
+    components in [-_SIMPLEX_SLACK, 0] set to 0.0 (-0.0 too, as np.clip
+    sets it) and the whole divided by its sum.  A non-finite component,
+    one below -_SIMPLEX_SLACK or a sum of 0 raises NumericsError."""
+    if not all(map(math.isfinite, y)):
+        raise NumericsError(f"integration produced a non-finite state at t={t}")
+    low = min(y)
+    if low < -_SIMPLEX_SLACK:
+        raise NumericsError(f"integration left the simplex at t={t}: component {low}")
+    if low <= 0.0:
+        y = [x if x > 0.0 else 0.0 for x in y]
+    total = _sum(y)
+    if total == 0.0:
+        raise NumericsError(f"integration emptied the simplex at t={t}")
+    return [x / total for x in y]
+
+
+def _no_step(y: list, dt: float) -> None:
+    """The step form of a field that has none: every step on the list path."""
+    return None
 
 
 def _stage(y: list, h: float, k: list) -> list:
@@ -154,13 +186,17 @@ def integrate(
     A built-in field is stepped under ``np.errstate(all="ignore")``,
     entered once for the whole integration; a field given as a bare fn
     runs under the caller's error state, so its numpy warnings surface.
-    The drift and the declared limit take each step in one call of
-    their rate table's generated RK4 step, once phi0's length is checked
-    against the model; where it returns None, because some stage's rate
-    must be refused or excused at an empty source, or raises
-    ZeroDivisionError on plain floats, that step is taken again from its
-    start on the field's list kernel, which numpy scalars back.  The
-    other fields take every step on the list kernel.
+    The drift and the declared limit take each step, its clip and
+    renormalization included, in one call of their rate table's
+    generated RK4 step, once phi0's length is checked against the model;
+    where it returns None, because some stage's rate must be refused or
+    excused at an empty source or the step's end must be refused, or
+    raises ZeroDivisionError on plain floats, that step is taken again
+    from its start on the field's list kernel, which numpy scalars back,
+    and ``_settle`` refuses it there with its time.  The other fields
+    take every step on the list kernel.  The boundaries at which samples
+    are due are found before the first step, so a step that records
+    nothing costs one comparison besides the step itself.
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ModelError(f"t_end must be finite and positive, got {t_end}")
@@ -173,47 +209,35 @@ def integrate(
             f"horizon {t_end} at step {h} needs more than {STEP_CAP} steps"
         )
     bounds, record = _step_boundaries(t_end, h, sample_times)
-    bounds, record = bounds.tolist(), record.tolist()
+    # a sample time is recorded at the first boundary t with time <= t + slack
+    firsts = np.searchsorted(bounds + 1e-12 * max(1.0, t_end), record)
+    due = bounds[firsts[firsts < len(bounds)]].tolist() + [math.inf]
+    bounds = bounds.tolist()
     f = field._lists
     held = np.errstate(all="ignore") if f else contextlib.nullcontext()
     f = f or _on_lists(field, len(y))
-    step = field._step and field._step(y)
-    slack = 1e-12 * max(1.0, t_end)
-    times: list[float] = []
+    step = field._step(y) if field._step else _no_step
     states: list[list] = []
 
-    def keep(t: float) -> None:
-        while len(times) < len(record) and record[len(times)] <= t + slack:
-            times.append(record[len(times)])
+    def keep(t: float, y: list) -> float:
+        """Record y at each sample time due by t; the next one's boundary."""
+        while due[len(states)] <= t:
             states.append(y)
+        return due[len(states)]
 
-    keep(0.0)
+    next_due = keep(bounds[0], y)
     with held:
         for t0, t1 in zip(bounds, bounds[1:]):
             dt = t1 - t0
             try:
-                z = step(y, dt) if step else None
+                z = step(y, dt)
             except ZeroDivisionError:
                 z = None
-            y = _rk4(f, y, dt) if z is None else z
-            if not all(map(math.isfinite, y)):
-                raise NumericsError(
-                    f"integration produced a non-finite state at t={t1}"
-                )
-            low = min(y)
-            if low < -1e-9:
-                raise NumericsError(
-                    f"integration left the simplex at t={t1}: component {low}"
-                )
-            if low <= 0.0:  # as np.clip, also -0.0 becomes 0.0
-                y = [x if x > 0.0 else 0.0 for x in y]
-            total = _sum(y)
-            if total == 0.0:
-                raise NumericsError(f"integration emptied the simplex at t={t1}")
-            y = [x / total for x in y]
-            keep(t1)
+            y = _settle(_rk4(f, y, dt), t1) if z is None else z
+            if t1 >= next_due:
+                next_due = keep(t1, y)
     return Trajectory(
-        times=np.array(times),
+        times=record[:len(states)],
         states=np.array(states),
         kind=field.kind,
         N=field.N,

@@ -360,8 +360,9 @@ def test_ode_step_beyond_the_step_cap_exits_3_at_once(capsys, step):
     assert out == ""
 
 
-def run_python(*args):
-    """A fresh interpreter with this checkout's src/ on its path."""
+def fresh_python(*args):
+    """(exit code, stdout, stderr) of a fresh interpreter with this
+    checkout's src/ on its path."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -369,8 +370,38 @@ def run_python(*args):
         [sys.executable, *args], capture_output=True, text=True, env=env,
         timeout=120,
     )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+    return done.returncode, done.stdout, done.stderr
+
+
+def run_python(*args):
+    code, out, err = fresh_python(*args)
+    assert code == 0, err
+    return out
+
+
+def test_one_process_prints_what_a_fresh_process_prints(capsys, monkeypatch):
+    # main builds its parser once per process: each call must still print
+    # what the same argv prints alone, after any other call
+    monkeypatch.setenv("COLUMNS", "80")  # the help text's width
+    runs = [
+        ("simulate", "--N", "5", "--init", "1,0", "--t", "1", "--reps", "3",
+         "--hist", "0.5,idle"),
+        ("simulate", "--N", "5", "--init", "1,0", "--t", "1", "--reps", "3"),
+        ("drift", "--N", "10"),
+        ("ode", "--variant", "limit", "--init", "1,0", "--t", "2", "--points", "3"),
+        ("--help",),
+        ("drift", "--N", "10", "--m", "0.4,0.6"),
+    ]
+    codes = []
+    for argv in runs:
+        try:
+            codes.append(main(list(argv)))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        captured = capsys.readouterr()
+        want = fresh_python("-m", "popdrift", *argv)
+        assert (codes[-1], captured.out, captured.err) == want
+    assert codes == [0, 0, 1, 0, 0, 0]
 
 
 def test_python_m_popdrift_runs_the_cli():

@@ -10,7 +10,9 @@ import pytest
 from popdrift.expr import (
     _MAX_DEPTH,
     _MAX_TERMS,
+    _SHORTCUT_EXPONENTS,
     _fold,
+    _powers,
     _product_terms,
     BinOp,
     Call,
@@ -391,3 +393,31 @@ def test_product_terms_pull_constants_out_of_one_read_subtrees():
     assert _product_terms(parse("pow(0.5, N*m[a])/4"), {}) == [(0.25, (f,))]
     inv = (BinOp("/", Num(1.0), Occ("a")), {"a"})
     assert _product_terms(parse("0.3/m[a]"), {}) == [(0.3, (inv,))]
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+def test_array_calls_equal_scalar_calls_bit_for_bit():
+    # the RK4 step form takes a group of pow calls in one array call and
+    # must get each scalar call's value: np.power does wherever no
+    # exponent is a shortcut exponent, and _powers everywhere
+    rng = np.random.default_rng(2024)
+    edges = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -2.5, 3.0, math.inf, -math.inf,
+             math.nan, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308]
+    pool = np.concatenate([edges, rng.normal(scale=10.0, size=60),
+                           rng.integers(-4, 5, size=20), rng.random(20)])
+    shortcuts = 0
+    with np.errstate(all="ignore"):
+        for n in range(1, 6):
+            for _ in range(2000):
+                a, b = rng.choice(pool, size=(2, n)).tolist()
+                want = _bits([np.power(x, z) for x, z in zip(a, b)])
+                assert _bits(_powers(np.array(a), b)) == want
+                assert _bits(_powers(a, np.array(b))) == want
+                if _SHORTCUT_EXPONENTS.isdisjoint(b):
+                    assert _bits(np.power(a, b)) == want
+                else:
+                    shortcuts += 1
+    assert shortcuts > 1000

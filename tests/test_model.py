@@ -335,9 +335,9 @@ def test_only_the_table_kernels_are_compiled(monkeypatch):
     defined = []
     define = ex._define
 
-    def counted(body, result, *args):
+    def counted(body, result, *args, **consts):
         defined.append(args)
-        return define(body, result, *args)
+        return define(body, result, *args, **consts)
 
     def refused(*args):
         raise AssertionError("compile_fn called")
@@ -566,6 +566,21 @@ def test_a_nan_parameter_is_refused_at_load_and_inf_is_kept():
         load_model(doc.format("nan"))
     assert str(err.value) == "line 2: param 'p' needs a numeric value, got nan"
     assert load_model(doc.format("inf")).params == {"p": math.inf}
+
+
+@pytest.mark.parametrize("first, second, named", [
+    ("param p = x", "bogus", "line 2: param 'p' needs a numeric value, got 'x'"),
+    ("param p = nan", "param q = y", "line 3: param 'q' needs a numeric value, got 'y'"),
+    ("param p = nan", "bogus", "line 3: unrecognized directive 'bogus'"),
+    ("param p = nan", "param q = 1", "line 2: param 'p' needs a numeric value, got nan"),
+])
+def test_a_document_with_two_bad_lines_names_the_same_line_first(first, second, named):
+    # text that is no number is refused as its line is read; a NaN only
+    # once the whole document is read, by ModelSpec, with the same words
+    doc = f"states = a, b\n{first}\n{second}\nrate a -> b : m[a]\n"
+    with pytest.raises(ModelError) as err:
+        load_model(doc)
+    assert str(err.value) == named
 
 
 def test_load_errors_carry_line_numbers():

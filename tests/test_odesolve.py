@@ -11,7 +11,8 @@ from popdrift.drift import VectorField, drift, drift_field, limit_field
 from popdrift.errors import ModelError, NumericsError
 from popdrift.meandrift import mean_drift_field
 from popdrift.model import builtin_example, check_occupancy, load_model
-from popdrift.odesolve import Trajectory, _step_boundaries, integrate, solve
+from popdrift import odesolve
+from popdrift.odesolve import Trajectory, _rk4, _step_boundaries, integrate, solve
 
 MODELS_DIR = pathlib.Path(__file__).parents[1] / "perfbench" / "models"
 
@@ -271,6 +272,34 @@ def _stage_clip_table():
     return drift_field(model, 1), (0.05, 0.95)
 
 
+def _nested_calls():
+    # pow, min and max calls nested and repeated: the step form takes the
+    # five pow calls whose arguments hold no pow in one array call
+    model = load_model(
+        "states = a, b, c\nparam p = 0.3\n"
+        "rate a -> b : pow(min(m[a], 0.5), max(N*m[b], 1)) + exp(pow(0.9, N*m[a]))\n"
+        "rate b -> c : pow(m[b], 2)*min(m[c], p) + pow(0.8, N*m[c])*pow(min(m[a], 0.5), 3)\n"
+        "rate c -> a : max(m[a], 0.2)*ln(1 + m[c])/m[b] + max(pow(0.7, N*m[c]), m[b])\n"
+    )
+    return drift_field(model, 10), (0.5, 0.3, 0.2)
+
+
+def _pow_around_a_repeat():
+    # a repeated subtree is an argument of a grouped pow, and another
+    # holds one: each local is written before the lines that read it
+    model = load_model(
+        "states = a, b\n"
+        "rate a -> b : pow(0.9, N*max(m[a], 0.1)) + pow(0.9, N*pow(0.8, N*m[b]))\n"
+        "rate b -> a : N*max(m[a], 0.1) + N*pow(0.8, N*m[b])\n"
+    )
+    return drift_field(model, 3), (0.6, 0.4)
+
+
+# at step 0.05 the first step of 'a' at rate 40 lands just below 0, by
+# about 2.5e-10, and every later one on 0.0: the post-step clip's cases
+_DRAIN_TABLE = "states = a, b\nrate a -> b : 40.00000002\nrate b -> a : 0\n"
+
+
 ODE_CASES = {
     "bundled drift N=50": lambda: (drift_field(builtin_example(), 50), (1.0, 0.0)),
     "bundled declared limit": lambda: (limit_field(builtin_example()), (1.0, 0.0)),
@@ -296,6 +325,11 @@ ODE_CASES = {
     "nine states": _nine_states,
     "stage point clipped": _stage_clip,
     "stage point clipped, rate table": _stage_clip_table,
+    "nested calls": _nested_calls,
+    "pow around a repeated subtree": _pow_around_a_repeat,
+    "step lands below 0, rate table": lambda: (
+        drift_field(load_model(_DRAIN_TABLE), 1), (0.5, 0.5)
+    ),
     # on plain floats m[b]/m[a] raises ZeroDivisionError at the empty
     # source, and the step is taken again on numpy scalars
     "empty source divides by zero": lambda: (
@@ -362,6 +396,49 @@ def test_the_drift_and_declared_limit_take_the_step_form_on_every_step():
         spy, calls = _spied(ODE_CASES[case]()[0])
         integrate(spy, (0.0, 1.0), 10.0, step=0.1)
         assert calls == {"lists": 4, "step": 100}
+
+
+def test_the_step_form_clips_and_renormalizes_its_own_steps():
+    field, phi0 = ODE_CASES["step lands below 0, rate table"]()
+    with np.errstate(all="ignore"):
+        assert -1e-9 <= min(_rk4(field._lists, list(phi0), 0.05)) < 0.0
+    spy, calls = _spied(field)
+    traj = integrate(spy, phi0, 2.0, step=0.05)
+    assert calls == {"lists": 0, "step": 40}
+    assert traj.states[1:, 0].tolist() == [0.0] * 40
+    assert traj.states.tobytes() == reference_integrate(field, phi0, 2.0,
+                                                        step=0.05).states.tobytes()
+
+
+def test_the_step_form_reads_the_post_step_rule_from_odesolve(monkeypatch):
+    # one owner: below a tighter slack the first step's end, about
+    # -2.5e-10, is refused by the generated step and by _settle alike
+    monkeypatch.setattr(odesolve, "_SIMPLEX_SLACK", 1e-12)
+    spy, calls = _spied(ODE_CASES["step lands below 0, rate table"]()[0])
+    with pytest.raises(NumericsError, match="left the simplex at t=0.05"):
+        integrate(spy, (0.5, 0.5), 2.0, step=0.05)
+    assert calls == {"lists": 4, "step": 1}
+
+
+@pytest.mark.parametrize("doc, phi0, words", [
+    # stage points clipped, the step ends at a = 0.5*(1 - 4/2)
+    ("states = a, b\nrate a -> b : 80\nrate b -> a : 0\n", (0.5, 0.5),
+     "integration left the simplex at t=0.05: component -0.5"),
+    # finite flows whose RK4 sum k1 + 2*k2 + 2*k3 + k4 overflows
+    ("states = a, b\nrate a -> b : 1e308\nrate b -> a : 0\n", (1.0, 0.0),
+     "integration produced a non-finite state at t=0.05"),
+])
+def test_a_step_the_step_form_refuses_raises_the_list_paths_error(doc, phi0, words):
+    field = drift_field(load_model(doc), 1)
+    bare = VectorField(field.kind, field.N, field.fn)
+    for each in (field, bare):
+        with pytest.raises(NumericsError) as err:
+            integrate(each, phi0, 2.0, step=0.05)
+        assert str(err.value) == words
+    spy, calls = _spied(field)
+    with pytest.raises(NumericsError, match=words):
+        integrate(spy, phi0, 2.0, step=0.05)
+    assert calls == {"lists": 4, "step": 1}
 
 
 def test_a_field_given_as_fn_never_takes_the_step_form():
