@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -336,9 +337,9 @@ class SimStats:
     """Ensemble statistics over the configured sample grid.
 
     sup_distances and mse_sup are present only when a reference
-    trajectory was supplied; z_counts holds each successful
-    replication's cumulative jump-count matrix at t_end; histograms
-    maps (time, state index) to agent-count tallies over replications.
+    trajectory was supplied; z_counts sums the successful replications'
+    jump-count matrices at t_end; histograms maps (time, state index)
+    to agent-count tallies over replications.
     """
 
     sample_times: np.ndarray
@@ -361,8 +362,9 @@ def ensemble(
 
     Replication r uses the r-th spawn of the master seed.  Replications
     run in fixed chunks of 64; each chunk's moment sums are formed
-    first and then added to the totals in chunk order.  More than 1%
-    failed replications aborts.
+    first and then added to the totals in chunk order.  Of each
+    replication only its sup distance from a reference is kept.
+    More than 1% failed replications aborts.
     """
     for _, s in config.hist:
         if not 0 <= s < model.n_states:
@@ -377,19 +379,19 @@ def ensemble(
 
     total = np.zeros((grid.size, n))
     totalsq = np.zeros((grid.size, n))
-    sup_all = np.full(R, np.nan)
-    z_all = np.zeros((R, n, n), dtype=np.int64)
-    ok = np.zeros(R, dtype=bool)
+    jumps = np.zeros((n, n), dtype=np.int64)
+    sups = np.empty(R) if ref_vals is not None else None
+    n_ok = 0
     histograms = {
         key: np.zeros(config.N + 1, dtype=np.int64) for key in config.hist
     }
     hist_reads = [(h, np.searchsorted(at, t), s) for (t, s), h in histograms.items()]
     first_error = None
     path = _sampler(model, config)
-    for lo in range(0, R, _CHUNK_REPS):
+    for _ in range(0, R, _CHUNK_REPS):
         part = np.zeros((grid.size, n))
         partsq = np.zeros((grid.size, n))
-        for r, rng in zip(range(lo, min(R, lo + _CHUNK_REPS)), rngs):
+        for rng in islice(rngs, _CHUNK_REPS):
             try:
                 counts, jump_totals = path(rng, at)
             except (ModelError, NumericsError) as exc:
@@ -399,25 +401,21 @@ def ensemble(
             occ = counts[grid_pos] / float(config.N)
             part += occ
             partsq += occ * occ
-            if ref_vals is not None:
-                gaps = np.sqrt(((occ - ref_vals) ** 2).sum(axis=1))
-                sup_all[r] = gaps.max()
-            z_all[r] = jump_totals
+            if sups is not None:
+                sups[n_ok] = np.sqrt(((occ - ref_vals) ** 2).sum(axis=1)).max()
+            jumps += jump_totals
             for h, k, s in hist_reads:
                 h[counts[k, s]] += 1
-            ok[r] = True
+            n_ok += 1
         total += part
         totalsq += partsq
 
-    n_ok = int(ok.sum())
     failures = R - n_ok
     if failures > 0.01 * R:
         raise ModelError(
             f"{failures} of {R} replications failed; "
             f"first failure: {first_error}"
         )
-    if n_ok == 0:
-        raise ModelError("all replications failed")
 
     mean = total / n_ok
     if n_ok > 1:
@@ -426,13 +424,13 @@ def ensemble(
     else:
         stderr = np.zeros_like(mean)
 
-    sup = sup_all[ok] if ref_vals is not None else None
+    sup = sups[:n_ok] if sups is not None else None
     mse = float(np.mean(sup * sup)) if sup is not None else None
     return SimStats(
         sample_times=grid,
         mean=mean,
         stderr=stderr,
-        z_counts=z_all[ok],
+        z_counts=jumps,
         histograms=histograms,
         reps=R,
         failures=failures,

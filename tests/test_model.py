@@ -240,8 +240,9 @@ def test_no_module_imports_scipy_at_import_time():
 def test_each_shared_rule_has_one_owner():
     # replication streams, the Poisson-rate and tolerance checks, "variant
     # needs N", the sample-time vector check, the sampler horizon check,
-    # the refusal of an undeclared limit and that of a negative seed are
-    # each written once; the CLI takes the finiteness of N from the library's population check
+    # the refusal of an undeclared limit, that of a negative seed and that
+    # of too many failed replications are each written once; the CLI takes
+    # the finiteness of N from the library's population check
     from popdrift import cli, model as model_module
 
     source = "".join(
@@ -251,7 +252,8 @@ def test_each_shared_rule_has_one_owner():
     for phrase in ("SeedSequence(", "Poisson rate must be finite", "needs N",
                    "tail tolerance must be", "sample times must be finite",
                    "t_end must be finite and non-negative",
-                   "declares no limit rates", "seed must be non-negative"):
+                   "declares no limit rates", "seed must be non-negative",
+                   "replications failed"):
         assert source.count(phrase) == 1, phrase
     assert cli._check_positive_finite is model_module._check_population
     assert "_check_positive_finite(N)" in inspect.getsource(cli._check_population)

@@ -295,6 +295,21 @@ def _pow_around_a_repeat():
     return drift_field(model, 3), (0.6, 0.4)
 
 
+def _pow_on_a_shortcut(scale, base, exponent, phi0):
+    # two grouped pow calls, the first of whose exponents N*m[a] (or its
+    # negative) is a shortcut exponent at the first stage point, where at
+    # these bases the array call differs from the scalar call in the last
+    # bit.  The power-of-two scale carries that bit into the recorded
+    # steps; later steps contract it away, so only a run that records
+    # every step sees it
+    model = load_model(
+        "states = a, b\n"
+        f"rate a -> b : {scale}*pow({base!r}, {exponent})*pow(0.5, N*m[b])\n"
+        "rate b -> a : 1\n"
+    )
+    return lambda: (drift_field(model, 2), phi0)
+
+
 # at step 0.05 the first step of 'a' at rate 40 lands just below 0, by
 # about 2.5e-10, and every later one on 0.0: the post-step clip's cases
 _DRAIN_TABLE = "states = a, b\nrate a -> b : 40.00000002\nrate b -> a : 0\n"
@@ -327,6 +342,15 @@ ODE_CASES = {
     "stage point clipped, rate table": _stage_clip_table,
     "nested calls": _nested_calls,
     "pow around a repeated subtree": _pow_around_a_repeat,
+    "grouped pow at exponent 2": _pow_on_a_shortcut(
+        32, 0.8132702392002724, "N*m[a]", (1.0, 0.0)
+    ),
+    "grouped pow at exponent 0.5": _pow_on_a_shortcut(
+        32, 0.2831706320984486, "N*m[a]", (0.25, 0.75)
+    ),
+    "grouped pow at exponent -1": _pow_on_a_shortcut(
+        8, 0.15929919095284928, "-N*m[a]", (0.5, 0.5)
+    ),
     "step lands below 0, rate table": lambda: (
         drift_field(load_model(_DRAIN_TABLE), 1), (0.5, 0.5)
     ),
@@ -398,16 +422,29 @@ def test_the_drift_and_declared_limit_take_the_step_form_on_every_step():
         assert calls == {"lists": 4, "step": 100}
 
 
-def test_the_step_form_clips_and_renormalizes_its_own_steps():
-    field, phi0 = ODE_CASES["step lands below 0, rate table"]()
+def _clips_its_steps(field, phi0, k, t_end, step):
+    """The first step's end has component k in [-1e-9, 0); the step form
+    takes every step, sets k to 0.0 and keeps the reference's bits."""
     with np.errstate(all="ignore"):
-        assert -1e-9 <= min(_rk4(field._lists, list(phi0), 0.05)) < 0.0
+        assert -1e-9 <= min(_rk4(field._lists, list(phi0), step)) < 0.0
+    steps = round(t_end / step)
     spy, calls = _spied(field)
-    traj = integrate(spy, phi0, 2.0, step=0.05)
-    assert calls == {"lists": 0, "step": 40}
-    assert traj.states[1:, 0].tolist() == [0.0] * 40
-    assert traj.states.tobytes() == reference_integrate(field, phi0, 2.0,
-                                                        step=0.05).states.tobytes()
+    traj = integrate(spy, phi0, t_end, step=step)
+    assert calls == {"lists": 0, "step": steps}
+    assert traj.states[1:, k].tolist() == [0.0] * steps
+    assert traj.states.tobytes() == reference_integrate(field, phi0, t_end,
+                                                        step=step).states.tobytes()
+
+
+def test_the_step_form_clips_and_renormalizes_its_own_steps():
+    _clips_its_steps(ODE_CASES["step lands below 0, rate table"]()[0], (0.5, 0.5), 0, 2.0, 0.05)
+
+
+def test_a_shipped_model_takes_a_step_that_ends_just_below_0():
+    # the SIRS drift at a step past RK4's stable range drives a trace of
+    # infected to about -1.25e-11
+    field = drift_field(_pop_model("sir.pop"), 100)
+    _clips_its_steps(field, (0.0, 1e-10, 1.0 - 1e-10), 1, 30.0, 3.0)
 
 
 def test_the_step_form_reads_the_post_step_rule_from_odesolve(monkeypatch):

@@ -267,15 +267,20 @@ def test_ensemble_matches_manual_replications():
     streams = np.random.SeedSequence(77).spawn(5)
     occs = []
     sups = []
+    jumps = np.zeros((2, 2), dtype=np.int64)
     for ss in streams:
-        counts, _ = simulate_ctmc(
+        counts, z = simulate_ctmc(
             model, 15, (15, 0), 200.0, np.random.default_rng(ss), grid
         )
         occ = counts / 15.0
         occs.append(occ)
         sups.append(np.sqrt(((occ - ref_vals) ** 2).sum(axis=1)).max())
+        jumps += z
     assert np.allclose(stats.mean, np.mean(occs, axis=0), atol=1e-15)
     assert np.array_equal(stats.sup_distances, np.array(sups))
+    assert stats.z_counts.dtype == np.int64
+    assert np.array_equal(stats.z_counts, jumps)
+    assert jumps.sum() > 0
     assert stats.mse_sup == pytest.approx(np.mean(np.square(sups)), rel=1e-15)
 
 
@@ -375,6 +380,29 @@ def test_path_memory_does_not_grow_with_events():
         tracemalloc.stop()
     assert z.sum() > 20000
     assert peak < 0.5e6
+
+
+def test_ensemble_memory_does_not_grow_with_reps():
+    # an ensemble keeps running totals, so reps must not raise its peak;
+    # with a reference it keeps 8 bytes of sup distance a replication,
+    # and mse_sup squares them once more
+    model = builtin_example()
+    ref = solve(model, "drift", 1, (1.0, 0.0), 1e-6)
+
+    def peak(reps, reference):
+        config = SimConfig(N=1, init=(1, 0), t_end=1e-6, reps=reps, seed=3,
+                           sample_times=(0.0, 1e-6))
+        tracemalloc.start()
+        try:
+            ensemble(model, config, reference=reference)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10, ref)  # first-call imports and caches
+    for reference, per_rep in ((None, 0), (ref, 16)):
+        growth = peak(1050, reference) - peak(50, reference)
+        assert growth < 1000 * per_rep + 8000, reference
 
 
 def test_poisson_fit_exact_pmf_leaves_tail_only():
