@@ -346,6 +346,8 @@ def _compare_row(model, N, args, seed) -> dict:
 
 
 def _cmd_compare(args):
+    if args.reps < 0:  # 0 turns the simulation columns off
+        raise ModelError(f"--reps must be at least 0, got {args.reps}")
     model = _load(args)
     for N in args.Ns:
         _check_population(N)

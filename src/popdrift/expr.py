@@ -628,6 +628,15 @@ def _pow_group(roots: Sequence[Expr], leaf) -> list:
     return list(group.items()) if len(group) > 1 else []
 
 
+# The post-step rule, which the step form's tail below and
+# ``odesolve._settle`` both apply: a component of a step's end below
+# -_SIMPLEX_SLACK is refused, and the sum that renormalizes it is taken as
+# numpy's y.sum() takes it, left to right below _PAIRWISE_FROM values and
+# pairwise from there up.
+_SIMPLEX_SLACK = 1e-9
+_PAIRWISE_FROM = 8
+
+
 def _kernel(
     exprs: Sequence[Expr],
     params: Mapping[str, float],
@@ -664,7 +673,7 @@ def _kernel(
       each component x made x if x > 0.0 else 0.0 and divided by their
       sum, taken in ``odesolve._sum``'s order.  It returns None if some
       stage's q_k is not in [0, inf), and where ``_settle`` raises: a
-      component of z not finite or below -``odesolve._SIMPLEX_SLACK``,
+      component of z not finite or below -_SIMPLEX_SLACK,
       or a sum of 0.  Each stage first computes the pow calls of
       ``_pow_group`` in one array call through ``_powers``, an
       all-constant argument column as a read-only array bound once;
@@ -774,9 +783,7 @@ def _kernel(
     zs = [f"z{i}" for i in states]
     lines += [f"z{i} = y{i} + c*(((k1_{i} + 2.0*k2_{i}) + 2.0*k3_{i}) + k4_{i})"
               for i in states]
-    # odesolve._settle: None where it would raise, else clip and renormalize;
-    # odesolve owns the rule's constants (imported here, as it imports this module)
-    from .odesolve import _PAIRWISE_FROM, _SIMPLEX_SLACK
+    # odesolve._settle: None where it would raise, else clip and renormalize
     low = repr(-_SIMPLEX_SLACK)
     lines += [f"if not ({' and '.join(f'{low} <= {z} < inf' for z in zs)}):",
               "    return None"]

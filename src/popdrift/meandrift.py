@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expr as ex
 from .drift import VectorField, _field
 from .errors import ModelError, NumericsError, RateError
 from .model import ModelSpec, _check_length, _check_population
@@ -234,17 +235,18 @@ def _grown(box, lo, hi):
     return out_lo, out_hi
 
 
-def _whole_groups(table, ks) -> list:
-    """The transitions ks grouped by their axes, in order of first
-    appearance: (axes, group, the group's sources, the other coordinates)."""
+def _whole_groups(table, N: float, ks) -> list:
+    """The transitions ks grouped by their axes, in order of first appearance:
+    (axes, group, sources, rows(m, shape) of checked rates, other coordinates)."""
     groups: dict = {}
     for k in ks:
         groups.setdefault(table.axes[k], []).append(k)
     n = len(table.state_names)
     return [
-        (axes, tuple(group), [table.sources[k] for k in group],
+        (axes, group, [table.sources[k] for k in group],
+         functools.partial(table.rates, N, ks=group, occupied=True),
          [c for c in range(n) if c not in axes])
-        for axes, group in groups.items()
+        for axes, group in zip(groups, map(tuple, groups.values()))
     ]
 
 
@@ -257,18 +259,19 @@ def _lattice_sums(table, N: float):
     disjoint coordinates averages to the product of their averages, and
     a coordinate no factor reads sums to its window mass.  Transition k
     has the sub-rectangle of its axes, its source and ``table.reads[k]``.
-    Where that holds more than _WHOLE_POINTS points, ``table.split_flows``
-    averages the rates that split into such products group by group,
-    each group over its own axes' windows.  Every other transition whose
-    source window is not {0} is summed over its sub-rectangle as checked
-    rates, those with the same axes together.  A RateError names the
-    lattice point on the axes and m on the other coordinates.
+    Where that holds more than _WHOLE_POINTS points, a rate that splits
+    into such products is averaged group by group, each group over its
+    own axes' windows, where ``table.certified`` certifies it.  Every
+    other transition whose source window is not {0} is summed over its
+    sub-rectangle as checked rates, those with the same axes together.  A
+    RateError names the lattice point on the axes and m on the other
+    coordinates.
 
     ``build`` alone evaluates a block of rows, the checked rates of a
-    group of whole transitions or the group values ``split_flows`` asks
-    for.  A block depends only on N and the lattice point on its axes,
-    so its values are kept over a box of integer counts, one range per
-    axis, and a window inside the box is read as a slice of it.  A window
+    group of whole transitions or the group values of a split block.  A
+    block depends only on N and the lattice point on its axes, so its
+    values are kept over a box of integer counts, one range per axis, and
+    a window inside the box is read as a slice of it.  A window
     outside the box grows it, by _grown; past _BOX_POINTS points, or
     where its rates raise RateError, the window alone is the new box, so
     an error names the point a field with no box would name.  A window
@@ -282,8 +285,8 @@ def _lattice_sums(table, N: float):
     # -> (lo, hi, values over the box, rows first)
     boxes: dict = {}
     # without these two memos and the k/N grid, the mean-drift ODEs ran 5-15% slower
-    split_blocks = functools.cache(table.split_blocks)
-    whole_groups = functools.cache(functools.partial(_whole_groups, table))
+    split_blocks = functools.cache(functools.partial(table.split_blocks, N))
+    whole_groups = functools.cache(functools.partial(_whole_groups, table, N))
     grid = np.empty(0)  # k/N for k = 0, 1, ...
 
     def boxed(key, axes, lo, hi, build):
@@ -333,23 +336,23 @@ def _lattice_sums(table, N: float):
         weighted = [p * x for p, x in zip(probs, support(lo, hi))]
         masses = [float(np.add.reduce(p)) for p in probs]  # p.sum(), without its wrapper
 
-        def summed(key, axes, sources, block, bounded=False):
+        def summed(key, axes, sources, rows, bounded=False):
             """Each row's window-weighted sum of block key, with ``bounded``
-            as (sum, (min, max)); ``block(coords, shape)`` gives the rows'
+            as (sum, (min, max)); ``rows(coords, shape)`` gives the rows'
             values at the lattice points coords of the axes' windows."""
             def build(b_lo, b_hi):
                 coords, xs = list(m), support(b_lo, b_hi)
                 for a, (c, x) in enumerate(zip(axes, xs)):
                     coords[c] = _along(x, a, len(axes))
-                return block(coords, tuple(map(len, xs)))
+                return rows(coords, tuple(map(len, xs)))
 
             q = boxed(key, axes, lo, hi, build)
             chunks = [(q, slice(None))]
             if q is None:
                 _check_cap(windows, [axes])
                 w_lo, w_hi = [lo[c] for c in axes], [hi[c] for c in axes]
-                rows = _CHUNK // (_points(w_lo[1:], w_hi[1:]) * len(sources))
-                step = max(1, min(sizes[axes[0]], rows))
+                fit = _CHUNK // (_points(w_lo[1:], w_hi[1:]) * len(sources))
+                step = max(1, min(sizes[axes[0]], fit))
                 chunks = (
                     (build([k, *w_lo[1:]], [min(k + step - 1, w_hi[0]), *w_hi[1:]]),
                      slice(k - w_lo[0], k - w_lo[0] + step))
@@ -371,15 +374,16 @@ def _lattice_sums(table, N: float):
             k for k, axes in rectangles.items()
             if math.prod([sizes[c] for c in axes]) > _WHOLE_POINTS
         )
-        totals = table.split_flows(N, split_blocks(large), summed, masses)
+        split, blocks = split_blocks(large)
+        stats = {}
+        for axes, uses, sources, rows in blocks:
+            stats.update(zip(uses, summed(uses, axes, sources, rows, bounded=True)))
+        totals = table.certified(split, stats, masses)
         groups = whole_groups(tuple(k for k in rectangles if k not in totals))
         if large:  # only a rectangle past _WHOLE_POINTS can pass the cap
             _check_cap(windows, [axes for axes, *_ in groups])
-        for axes, group, sources, rest in groups:
-            got = summed(
-                group, axes, sources,
-                lambda coords, shape: table.rates(N, coords, shape, group, occupied=True),
-            )
+        for axes, group, sources, rows, rest in groups:
+            got = summed(group, axes, sources, rows)
             other = math.prod([masses[c] for c in rest])
             for k, total in zip(group, got):
                 totals[k] = total * other
@@ -389,10 +393,10 @@ def _lattice_sums(table, N: float):
 
 
 def _clamped(x: float) -> float:
-    # an occupancy a rounding error below the simplex boundary counts
-    # as boundary; reject anything worse
+    # an occupancy within the post-step rule's slack below the simplex
+    # boundary counts as boundary; reject anything worse
     if x < 0.0:
-        if x < -1e-9:
+        if x < -ex._SIMPLEX_SLACK:
             raise ModelError(f"occupancy coordinate {x} is negative")
         return 0.0
     return x
@@ -417,9 +421,10 @@ def poisson_mean_intensity(
     NumericsError when the rectangular enumeration would exceed the
     lattice point cap.
     """
-    (m, windows), k = model._single_pair(
-        N, m, s, t, check=lambda: _window_budget(model, tau),
-        at=lambda m, budget: (m, _windows(N, m, budget)))
+    _check_population(N)
+    budget = _window_budget(model, tau)
+    m, k = model._single_pair(N, m, s, t)
+    windows = _windows(N, m, budget)
     if k is None:
         return 0.0
     return _lattice_sums(model._rate_table, N)(m, windows, (k,))[0]

@@ -128,7 +128,7 @@ def _read_groups(factors, source) -> tuple:
 
 def _certified(terms, stats, masses) -> Optional[float]:
     """A split rate's average from its groups' (mean, (min, max)) stats,
-    or None when ``_RateTable.split_flows`` does not certify it."""
+    or None when ``_RateTable.certified`` does not certify it."""
     flow = low = size = 0.0
     for c, uses, rest in terms:
         lo = hi = mean = c
@@ -167,8 +167,8 @@ class _RateTable:
     ``jump_law`` are that call with the check's common case and their
     sums fused in; ``_fused_step`` runs the fused drift at the four stage
     points of one RK4 step of the drift ODE.
-    The mean drift takes the averages of the rates that ``plan`` splits
-    from ``split_flows``, which certifies them in place of ``check``.
+    The mean drift reads the rates that ``plan`` splits from
+    ``split_blocks``'s blocks, and ``certified`` stands in for ``check``.
     Compiled forms are built on first use.  ``entries[k]`` = (source,
     target, f) holds transition k's own ``compile_fn`` closure, which
     computes its rate alone: a view of the table kernel would compute
@@ -350,12 +350,14 @@ class _RateTable:
         kernel, _ = ex._kernel(products, self.params, index)
         return tuple(plan), tuple(axes for axes, _ in groups), kernel
 
-    def split_blocks(self, ks) -> tuple:
-        """What ``split_flows`` evaluates for the transitions among ks that
-        ``plan`` splits: (split, blocks), where split lists them and each
-        block (axes, uses, sources) holds the (group, source) uses of their
-        groups over the same axes, each use once, in order, and the source
-        of each use.  It depends on the table alone, so a caller may keep it.
+    def split_blocks(self, N, ks) -> tuple:
+        """What the mean drift evaluates at population N for the
+        transitions among ks that ``plan`` splits: (split, blocks), where
+        split lists them and each block (axes, uses, sources, rows) holds
+        the (group, source) uses of their groups over the same axes, each
+        use once, in order, the source of each use, and ``rows(m,
+        shape)``, the uses' values by ``_group_rows``.  It depends on the
+        table and N alone, so a caller may keep it.
         """
         terms, group_axes, _ = self.plan
         split = tuple(k for k in ks if terms[k] is not None)
@@ -365,44 +367,30 @@ class _RateTable:
                 for g, s in uses:
                     blocks.setdefault(group_axes[g], {})[g, s] = None
         return split, tuple(
-            (axes, tuple(uses), [s for _, s in uses]) for axes, uses in blocks.items()
+            (axes, uses, [s for _, s in uses], functools.partial(self._group_rows, N, uses))
+            for axes, uses in zip(blocks, map(tuple, blocks.values()))
         )
 
-    def split_flows(self, N, blocks, read, masses) -> dict:
-        """Poisson averages of the intensities of the transitions that
-        ``split_blocks`` gave as blocks, where the split is certified.
-
-        ``read(uses, axes, sources, block, bounded=True)`` is the mean
-        drift's block reader: for each row r of ``block(coords, shape)``,
-        the values of the groups ``uses`` at the lattice points coords of
-        the sub-rectangle of axes, it gives the row's window-weighted
-        sum, times k/N along axis ``sources[r]`` when that is not None,
-        and its (min, max).  ``masses[c]`` is coordinate c's window mass.
-        Each group is evaluated once per block.  Where the source
-        occupancy is zero there is no intensity, so a source group value
-        that is not finite is set to 0, as ``check`` does with
-        ``occupied``.  A split is certified when every group value is
-        finite, the interval lower bound of the term sum, from each
-        group's (min, max), is not negative, so no lattice point would
-        fail ``check``, and the terms cancel by at most _CANCELLATION.
-        Returns {k: average} for the certified transitions.
+    def certified(self, split, stats, masses) -> dict:
+        """{k: Poisson average of the intensity} for the transitions k in
+        split whose split is certified.  ``stats[use]`` is a use's window-
+        weighted sum over its block, times k/N along its source, and the
+        (min, max) of its values; ``masses[c]`` is coordinate c's window
+        mass.  A split is certified when every group value is finite, the
+        interval lower bound of the term sum, from each group's (min, max),
+        is not negative, so no lattice point would fail ``check``, and the
+        terms cancel by at most _CANCELLATION.
         """
         terms = self.plan[0]
-        split, blocks = blocks
-        stats = {}
-        for axes, uses, sources in blocks:
-            block = functools.partial(self._group_rows, N, uses)
-            stats.update(zip(uses, read(uses, axes, sources, block, bounded=True)))
-        flows = {}
-        for k in split:
-            flow = _certified(terms[k], stats, masses)
-            if flow is not None:
-                flows[k] = flow
-        return flows
+        flows = {k: _certified(terms[k], stats, masses) for k in split}
+        return {k: flow for k, flow in flows.items() if flow is not None}
 
     def _group_rows(self, N, uses, m, shape) -> np.ndarray:
         """Values of the (group, source) uses at occupancies m that
-        broadcast to shape, stacked, each group evaluated once."""
+        broadcast to shape, stacked, each group evaluated once.  Where the
+        source occupancy is zero there is no intensity, so a source group
+        value that is not finite is set to 0, as ``check`` does with
+        ``occupied``."""
         gids = list(dict.fromkeys(g for g, _ in uses))
         q = _batched(self.plan[2], gids, N, m, shape)
         if len(gids) < len(uses):
@@ -575,14 +563,11 @@ class ModelSpec:
             raise ModelError("rates are defined for distinct state pairs")
         return self._rate_table.index.get((self.index_of(s), self.index_of(t)))
 
-    def _single_pair(self, N, m, s: str, t: str, check=None, at=None):
-        """The single-pair preamble: check N, run check(), flatten m to a
-        list of one float per state, replace it by at(m, what check()
-        returned), resolve s -> t.  Returns m and _pair(s, t)."""
+    def _single_pair(self, N, m, s: str, t: str):
+        """The single-pair preamble: check N, flatten m to a list of one
+        float per state, resolve s -> t.  Returns m and _pair(s, t)."""
         _check_population(N)
-        checked = check() if check else None
-        m = _flat_occupancy(m, self.n_states).tolist()
-        return (at(m, checked) if at else m), self._pair(s, t)
+        return _flat_occupancy(m, self.n_states).tolist(), self._pair(s, t)
 
     def transitions(self) -> tuple:
         """Declared transitions as (source_index, target_index, rate_fn)."""
@@ -713,7 +698,9 @@ def slot_probability(
     in one slot exceeds 1 the slot width is too coarse and
     SlotResolutionError suggests a larger D.
     """
-    m, k = model._single_pair(N, m, s, t, check=lambda: _check_resolution(D))
+    _check_population(N)
+    _check_resolution(D)
+    m, k = model._single_pair(N, m, s, t)
     table = model._rate_table
     i = model.index_of(s)
     ks = table.out[i]

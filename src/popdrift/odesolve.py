@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import expr as ex
 from .drift import VectorField, drift_field, limit_field
 from .errors import ModelError, NumericsError
 from .meandrift import mean_drift_field
@@ -98,30 +99,22 @@ def _step_boundaries(
     return merged(*grid, np.clip(extra, 0.0, t_end)), merged([0.0, t_end], extra)
 
 
-# The post-step rule, which ``_settle`` and the generated RK4 step form
-# of ``expr._kernel`` both apply: a component of a step's end below
-# -_SIMPLEX_SLACK is refused, and the sum that renormalizes it is taken as
-# numpy's y.sum() takes it, left to right below _PAIRWISE_FROM values and
-# pairwise from there up.
-_SIMPLEX_SLACK = 1e-9
-_PAIRWISE_FROM = 8
-
-
 def _sum(y: list) -> float:
     # numpy's y.sum() (the builtin sum compensates its rounding from
     # Python 3.12 on)
-    return functools.reduce(operator.add, y) if len(y) < _PAIRWISE_FROM else float(np.sum(y))
+    return functools.reduce(operator.add, y) if len(y) < ex._PAIRWISE_FROM else float(np.sum(y))
 
 
 def _settle(y: list, t: float) -> list:
-    """The point y a step reached at time t, back on the simplex:
-    components in [-_SIMPLEX_SLACK, 0] set to 0.0 (-0.0 too, as np.clip
-    sets it) and the whole divided by its sum.  A non-finite component,
-    one below -_SIMPLEX_SLACK or a sum of 0 raises NumericsError."""
+    """The point y a step reached at time t, back on the simplex, by the
+    post-step rule the generated step form applies too: components in
+    [-expr._SIMPLEX_SLACK, 0] set to 0.0 (-0.0 too, as np.clip sets it)
+    and the whole divided by its sum.  A non-finite component, one below
+    the slack or a sum of 0 raises NumericsError."""
     if not all(map(math.isfinite, y)):
         raise NumericsError(f"integration produced a non-finite state at t={t}")
     low = min(y)
-    if low < -_SIMPLEX_SLACK:
+    if low < -ex._SIMPLEX_SLACK:
         raise NumericsError(f"integration left the simplex at t={t}: component {low}")
     if low <= 0.0:
         y = [x if x > 0.0 else 0.0 for x in y]

@@ -15,6 +15,7 @@ import pytest
 from popdrift import expr
 from popdrift.cli import main
 from popdrift.errors import ModelError
+from popdrift.exact import _MIN_ACTIVE, enumerate_states
 from popdrift.expr import _MAX_DEPTH
 from popdrift.model import load_model
 from popdrift.odesolve import STEP_CAP
@@ -297,6 +298,27 @@ POINTS_ARGV = pytest.mark.parametrize(
     ],
     ids=["ode", "simulate"],
 )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("compare", "--Ns", "2", "--t", "1", "--init", "1,0"),
+         "--reps must be at least 0, got -5"),
+        (("simulate", "--N", "2", "--init", "1,0", "--t", "1"),
+         "replication count must be at least 1"),
+        (("chaos", "--Ns", "2", "--t", "1", "--init", "1,0"),
+         "replication count must be at least 1"),
+    ],
+    ids=["compare", "simulate", "chaos"],
+)
+def test_negative_reps_exit_2_before_any_output(capsys, argv, message):
+    # compare printed its table without the simulation columns and exited
+    # 0; its --reps 0 still turns the simulation off
+    code, out, err = run(capsys, *argv, "--reps", "-5")
+    assert code == 2
+    assert err == f"error: model: {message}\n"
+    assert out == ""
 
 
 @POINTS_ARGV
@@ -891,9 +913,6 @@ GOLDEN_SWEEPS = {
 }
 
 
-CONTENTION_MODEL = str(
-    pathlib.Path(__file__).parents[1] / "perfbench" / "models" / "contention.pop"
-)
 # sha256 of the stdout of mean-drift ODEs: the benchmark's two (the
 # bundled model's split path at N=1000, SIRS's joint sum over two
 # coordinates) and a contention ODE that moves its windows at N=200
@@ -948,6 +967,44 @@ GOLDEN_DRIFT = {
         "ed039bf4d65ef675f81ed8d78cdf87bf4d46244d4762cfa05733b316b5e107c2",
     ),
 }
+
+
+# sha256 of the stdout of exact transients: the benchmark's three, and a
+# contention space of 496 states, past exact._MIN_ACTIVE, whose whole
+# law (--full) comes from the projected path
+GOLDEN_EXACT = {
+    "exact_contention_n200": (
+        ("exact", "--model", CONTENTION_MODEL, "--N", "200", "--init", "1,0,0",
+         "--t", "20", "--tol", "1e-10"),
+        "deefe4082223c542bfc59f1211274efae1b61fe612f3d4b8615854ebecffa7e1",
+    ),
+    "exact_contention_n400": (
+        ("exact", "--model", CONTENTION_MODEL, "--N", "400", "--init", "1,0,0",
+         "--t", "0.5", "--tol", "1e-10"),
+        "37dccc818aafa67663243db97cec06a1c4cb0dfbaed247075f72e61771b3dc20",
+    ),
+    "exact_bundled_n2000": (
+        ("exact", "--N", "2000", "--init", "1,0", "--t", "400", "--tol", "1e-10"),
+        "a2dd247b3659f0cc6fda1d535ca72167ded7b16fbcaed270f8c313763e841c26",
+    ),
+    "exact_contention_n30_full": (
+        ("exact", "--model", CONTENTION_MODEL, "--N", "30", "--init", "1,0,0",
+         "--t", "50", "--full"),
+        "245d57af10312e40131abaef9fbb38cbe48893a4b5d015913b337c2d01da982a",
+    ),
+}
+
+
+def test_the_full_exact_digest_runs_the_projected_path():
+    assert enumerate_states(3, 30).size == 496 > _MIN_ACTIVE
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXACT))
+def test_exact_output_matches_its_digest(capsys, name):
+    argv, digest = GOLDEN_EXACT[name]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DRIFT))

@@ -254,6 +254,24 @@ def test_poisson_mean_intensity_factorizes_over_independent_coordinates():
         assert full == pytest.approx(one_d, abs=2e-10)
 
 
+def test_poisson_mean_intensity_reports_a_bad_pair_before_a_window_refusal():
+    # N, then tau, then m and the pair in the shared preamble, then the
+    # windows, which an undeclared pair builds too: so an occupancy past
+    # the slack below 0 is refused only once the pair resolves
+    model = load_model("states = a, b\nrate a -> b : 0.5\n")
+    m = (-0.5, 1.5)
+    for N, tau, pair, words in [
+        (0, 2.0, ("a", "a"), "population size N must be positive"),
+        (4, 2.0, ("a", "a"), "tail tolerance must be in (0, 1)"),
+        (4, 1e-10, ("a", "a"), "rates are defined for distinct state pairs"),
+        (4, 1e-10, ("a", "c"), "unknown state 'c'"),
+        (4, 1e-10, ("b", "a"), "occupancy coordinate -0.5 is negative"),
+    ]:
+        with pytest.raises(ModelError) as err:
+            poisson_mean_intensity(model, N, m, *pair, tau=tau)
+        assert str(err.value).startswith(words)
+
+
 def test_poisson_mean_intensity_ignores_the_other_transitions():
     # b -> a is negative everywhere: only a -> b is evaluated
     doc = "states = a, b\nrate a -> b : 0.2\nrate b -> a : -1\n"
@@ -407,17 +425,17 @@ def rectangle_points(N, m):
     return math.prod(window_sizes(N, m))
 
 
-def spy_split_flows(monkeypatch):
-    """The dicts _RateTable.split_flows returns, in call order."""
+def spy_certified(monkeypatch):
+    """The dicts _RateTable.certified returns, in call order."""
     returned = []
-    split_flows = model_module._RateTable.split_flows
+    certified = model_module._RateTable.certified
 
     def record(self, *args):
-        flows = split_flows(self, *args)
+        flows = certified(self, *args)
         returned.append(dict(flows))
         return flows
 
-    monkeypatch.setattr(model_module._RateTable, "split_flows", record)
+    monkeypatch.setattr(model_module._RateTable, "certified", record)
     return returned
 
 
@@ -439,7 +457,7 @@ def test_rates_summed_whole_keep_their_value(monkeypatch, rate, flow):
     model = load_model(f"states = a, b\nrate a -> b : {rate}\n")
     N, m = 1000, (0.4, 0.6)
     assert rectangle_points(N, m) > _WHOLE_POINTS
-    returned = spy_split_flows(monkeypatch)
+    returned = spy_certified(monkeypatch)
     assert mean_drift(model, N, m).tolist() == [-flow, flow]
     assert returned == [{}]
 
@@ -450,7 +468,7 @@ def test_like_terms_are_one_term(monkeypatch):
     model = load_model("states = a, b\nrate a -> b : m[a]*m[b] - m[a]*m[b]*0.5\n")
     (term,) = model._rate_table.plan[0][0]
     assert term[0] == 0.5
-    returned = spy_split_flows(monkeypatch)
+    returned = spy_certified(monkeypatch)
     N, (ma, mb) = 1000, (0.4, 0.6)
     assert rectangle_points(N, (ma, mb)) > _WHOLE_POINTS
     got = mean_drift(model, N, (ma, mb))[1]
@@ -464,7 +482,7 @@ def test_rate_the_certificate_refuses_keeps_its_rate_error_and_point(monkeypatch
     assert model._rate_table.plan[0][0] is not None
     N, m = 4000, (0.999, 0.001)
     assert rectangle_points(N, m) > _WHOLE_POINTS
-    returned = spy_split_flows(monkeypatch)
+    returned = spy_certified(monkeypatch)
     with pytest.raises(RateError) as err:
         mean_drift(model, N, m)
     assert returned == [{}]
@@ -479,7 +497,7 @@ def test_split_source_factor_singular_at_an_empty_source_gives_no_nan(
     # intensity averages to c P(K_a >= 1) m_b m_c; at k_a = 0 the factor
     # is 1 or inf, and the split excuses it as the rate check does
     model = load_model(f"states = a, b, c\nrate a -> b : {rate}*m[b]*m[c]\n")
-    returned = spy_split_flows(monkeypatch)
+    returned = spy_certified(monkeypatch)
     N, m = 800, (0.005, 0.5, 0.495)
     assert rectangle_points(N, m) > _WHOLE_POINTS
     assert poisson_weights(N * m[0], 1e-10 / 6).k_min == 0
@@ -494,7 +512,7 @@ def test_split_source_factor_singular_at_an_empty_source_gives_no_nan(
 def test_only_rectangles_past_the_whole_points_are_split(monkeypatch):
     m = (0.3, 0.7)
     assert rectangle_points(100, m) <= _WHOLE_POINTS < rectangle_points(1000, m)
-    returned = spy_split_flows(monkeypatch)
+    returned = spy_certified(monkeypatch)
     for N in (100, 1000):
         mean_drift(builtin_example(), N, m)
     assert [sorted(flows) for flows in returned] == [[], [0, 1]]
@@ -699,29 +717,28 @@ def test_a_split_block_read_in_chunks_keeps_its_bounds(monkeypatch):
     # group falls along send's window: the bounds the certificate reads
     # are the first chunk's max and the last chunk's min
     model = load_model((MODELS_DIR / "contention.pop").read_text())
-    reads = []
-    split_flows = model_module._RateTable.split_flows
+    given = []  # the stats handed to _RateTable.certified: use -> (sum, bounds)
+    certified = model_module._RateTable.certified
 
-    def record(self, N, blocks, read, masses):
-        def recorded(*args, **kwargs):
-            reads.append(read(*args, **kwargs))
-            return reads[-1]
-        return split_flows(self, N, blocks, recorded, masses)
+    def record(self, split, stats, masses):
+        given.append(dict(stats))
+        return certified(self, split, stats, masses)
 
-    monkeypatch.setattr(model_module._RateTable, "split_flows", record)
+    monkeypatch.setattr(model_module._RateTable, "certified", record)
     monkeypatch.setattr(meandrift_module, "_BOX_POINTS", 0)
     mean_drift(model, 1000, (0.4, 0.3, 0.3))
-    one_chunk = reads[:]
-    reads.clear()
+    (one_chunk,) = given
+    given.clear()
     monkeypatch.setattr(meandrift_module, "_CHUNK", 20)
     shapes = spy_block_shapes(monkeypatch)
     mean_drift(model, 1000, (0.4, 0.3, 0.3))
+    (chunked,) = given
     assert len(shapes) >= 4 * len(one_chunk) > 0
-    assert [[bounds for _, bounds in block] for block in reads] == [
-        [bounds for _, bounds in block] for block in one_chunk]
-    for block, whole in zip(reads, one_chunk):
-        for (got, _), (want, _) in zip(block, whole):
-            assert abs(got - want) <= 4 * math.ulp(want)
+    assert list(chunked) == list(one_chunk)
+    assert [bounds for _, bounds in chunked.values()] == [
+        bounds for _, bounds in one_chunk.values()]
+    for (got, _), (want, _) in zip(chunked.values(), one_chunk.values()):
+        assert abs(got - want) <= 4 * math.ulp(want)
 
 
 @pytest.mark.parametrize("doc, N, init", [

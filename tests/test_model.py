@@ -202,7 +202,7 @@ def test_modelspec_refuses_a_parameter_that_is_not_a_number(value):
 
 def test_only_the_rate_table_pairs_evaluate_with_check():
     # every other module takes its rates checked from _RateTable.rates,
-    # and the mean drift its split rates certified from split_flows
+    # and the mean drift its split rates certified by _RateTable.certified
     for info in pkgutil.iter_modules(popdrift.__path__):
         if info.name == "model":
             continue
@@ -235,6 +235,28 @@ def test_no_module_imports_scipy_at_import_time():
             assert all(name.split(".")[0] != "scipy" for name in names), (
                 f"{path.name}:{node.lineno}"
             )
+
+
+# each src module's layer: a module imports only modules of lower layers
+LAYERS = {
+    "errors": 0, "expr": 1, "model": 2, "drift": 3, "meandrift": 4,
+    "odesolve": 5, "exact": 5, "sim": 6, "cli": 7, "__main__": 8, "__init__": 8,
+}
+
+
+def test_imports_go_only_down_the_layers():
+    # function bodies included: an import at call time is an edge too
+    paths = sorted(pathlib.Path(popdrift.__file__).parent.glob("*.py"))
+    assert {path.stem for path in paths} == set(LAYERS)
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            names = [node.module] if node.module else [a.name for a in node.names]
+            for name in names:
+                assert LAYERS[name] < LAYERS[path.stem], (
+                    f"{path.name}:{node.lineno} imports {name}"
+                )
 
 
 def test_each_shared_rule_has_one_owner():

@@ -11,7 +11,7 @@ from popdrift.drift import VectorField, drift, drift_field, limit_field
 from popdrift.errors import ModelError, NumericsError
 from popdrift.meandrift import mean_drift_field
 from popdrift.model import builtin_example, check_occupancy, load_model
-from popdrift import odesolve
+from popdrift import expr
 from popdrift.odesolve import Trajectory, _rk4, _step_boundaries, integrate, solve
 
 MODELS_DIR = pathlib.Path(__file__).parents[1] / "perfbench" / "models"
@@ -447,10 +447,10 @@ def test_a_shipped_model_takes_a_step_that_ends_just_below_0():
     _clips_its_steps(field, (0.0, 1e-10, 1.0 - 1e-10), 1, 30.0, 3.0)
 
 
-def test_the_step_form_reads_the_post_step_rule_from_odesolve(monkeypatch):
-    # one owner: below a tighter slack the first step's end, about
+def test_the_step_form_and_settle_read_one_post_step_rule(monkeypatch):
+    # one owner, expr: below a tighter slack the first step's end, about
     # -2.5e-10, is refused by the generated step and by _settle alike
-    monkeypatch.setattr(odesolve, "_SIMPLEX_SLACK", 1e-12)
+    monkeypatch.setattr(expr, "_SIMPLEX_SLACK", 1e-12)
     spy, calls = _spied(ODE_CASES["step lands below 0, rate table"]()[0])
     with pytest.raises(NumericsError, match="left the simplex at t=0.05"):
         integrate(spy, (0.5, 0.5), 2.0, step=0.05)
