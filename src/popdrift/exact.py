@@ -31,6 +31,7 @@ behind its sparse @, into reused buffers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -344,6 +345,8 @@ def transient(
         raise ModelError(f"time must be finite and non-negative, got {t}")
     if not 0 < tol < 1:
         raise ModelError(f"tolerance must be in (0, 1), got {tol}")
+    if not tol / 6.0 >= sys.float_info.min:  # a one-segment run's tail share
+        raise ModelError(f"tolerance must be at least {6.0 * sys.float_info.min:g}, got {tol}")
     size = init.space.size
     if isinstance(gen, ModelSpec):
         rows = _Rows(gen, init.space)

@@ -57,6 +57,10 @@ _WHOLE_POINTS = 1 << 14
 # one table of values per row: a box past it is not kept
 _BOX_POINTS = 1 << 14
 
+# most Poisson window candidates poisson_weights walks on floats: past
+# about this many, its array walk is faster
+_SHORT_WINDOW = 110
+
 
 @dataclass(frozen=True)
 class PoissonWeights:
@@ -115,6 +119,32 @@ def _check_tolerance(tau: float, parts: int = 1) -> float:
     raise ModelError(f"tail tolerance must be {bound}, got {tau}")
 
 
+def _walk(lam: float, mode: int, p_mode: float, target: float) -> tuple:
+    """The greedy walk from the mode on floats: (k_min, probs, total).
+
+    A neighbour's probability is the taken one's times k/lam (below) or
+    lam/k (above); a neighbour below 0 counts as 0.
+    """
+    lows, highs, total = [], [], p_mode
+    if total < target:  # so lam > 0
+        lo, hi = mode, mode + 1
+        below, above = p_mode * (mode / lam), p_mode * (lam / hi)
+        while total < target:
+            if below >= above:
+                if not below:  # both neighbours underflowed
+                    break
+                lows.append(below)
+                total += below
+                lo -= 1
+                below *= lo / lam
+            else:
+                highs.append(above)
+                total += above
+                hi += 1
+                above *= lam / hi
+    return mode - len(lows), np.array([*reversed(lows), p_mode, *highs]), total
+
+
 def poisson_weights(lam: float, tau: float) -> PoissonWeights:
     """Poisson pmf window covering at least 1-tau of the mass.
 
@@ -123,9 +153,15 @@ def poisson_weights(lam: float, tau: float) -> PoissonWeights:
     one on a tie) until the mass taken, summed in that order, reaches
     1-tau or both neighbours underflow to zero.  Probabilities are
     running products of the ratios lam/(k+1) and k/lam from the mode,
-    which stay in range for any lam a float can hold.  The candidates
-    span a Chernoff bound on the tails and widen when the walk runs
-    past them; more than LATTICE_POINT_CAP of them raise NumericsError.
+    which stay in range for any lam a float can hold.
+
+    Two paths take that walk and give the same bits.  Where a Chernoff
+    bound on the tails leaves at most _SHORT_WINDOW candidate counts,
+    the walk runs on floats, one step at a time.  Otherwise the
+    candidates are built as arrays, ordered by a stable sort and summed
+    by cumsum, which multiply and add in the walk's order; the
+    candidates widen when the walk runs past them, and more than
+    LATTICE_POINT_CAP of them raise NumericsError.
     """
     if not 0 <= lam < math.inf:
         raise ModelError(f"Poisson rate must be finite and non-negative, got {lam}")
@@ -135,6 +171,10 @@ def poisson_weights(lam: float, tau: float) -> PoissonWeights:
     p_mode = _mode_probability(lam, mode)
     nats = math.log(2.0 / tau)
     width = int(math.sqrt(2.0 * lam * nats) + nats) + 2
+    if min(width, mode) + 1 + width <= _SHORT_WINDOW:
+        k_min, probs, total = _walk(float(lam), mode, p_mode, 1.0 - tau)
+        return PoissonWeights(lam=lam, k_min=k_min, probs=probs,
+                              tail=max(0.0, 1.0 - total))
     while True:
         # candidates k = mode-n_low .. mode+width; p[n_low] is the mode
         n_low = min(width, mode)
@@ -147,17 +187,17 @@ def poisson_weights(lam: float, tau: float) -> PoissonWeights:
         p = np.empty(n_low + 1 + width)
         np.divide(ks[:n_low], lam, out=p[:n_low])  # p_{k-1}/p_k = k/lam
         np.divide(lam, ks[n_low:], out=p[n_low + 1:])  # p_k/p_{k-1} = lam/k
-        for side in (p[:n_low][::-1], p[n_low + 1:]):  # outward from the mode
-            if len(side):
-                side[0] *= p_mode
-                side.cumprod(out=side)
         p[n_low] = p_mode
+        # running products outward from the mode, the lower side in place
+        # on its reversed view
+        np.multiply.accumulate(p[n_low::-1], out=p[n_low::-1])
+        np.multiply.accumulate(p[n_low:], out=p[n_low:])
         # the walk takes the mode, then the larger neighbour, the lower
         # one on a tie: a stable sort by decreasing p in k order
         key = -p
         key[n_low] = -math.inf
         order = key.argsort(kind="stable")
-        total = p[order].cumsum()  # the mass taken, in the walk's order
+        total = p.take(order).cumsum()  # the mass taken, in the walk's order
         steps = int(total.searchsorted(1.0 - tau))
         if steps == len(p):  # 1-tau is out of reach: stop at underflow
             steps = int(np.count_nonzero(p)) - 1

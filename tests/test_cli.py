@@ -192,6 +192,21 @@ def test_tau_outside_the_unit_interval_exits_2(capsys, argv, tau):
     assert out == ""
 
 
+def test_exact_refuses_a_tol_too_small_for_its_tail_share(capsys):
+    # the error names --tol, not the share of it a segment's window gets
+    code, out, err = run(capsys, "exact", "--N", "10", "--init", "1,0", "--t", "1",
+                         "--tol", "1e-310")
+    assert code == 2
+    assert err == "error: model: tolerance must be at least 1.33504e-307, got 1e-310\n"
+    assert out == ""
+    code, out, err = run(capsys, "exact", "--N", "10", "--init", "1,0", "--t", "1",
+                         "--tol", "1e-300")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "98415e7ea6718545589d4697369f4a0e1f4c4973cbbac4525df38364e3ddb6a0"
+    )
+
+
 @pytest.mark.parametrize("tau", ["1.5", "0", "5e-324"])
 def test_compare_refuses_tau_before_any_cell(capsys, tau):
     # as meandrift and ode do, not one empty mean-drift cell per N
@@ -931,6 +946,21 @@ GOLDEN_MEAN_DRIFT = {
         ("ode", "--model", CONTENTION_MODEL, "--variant", "meandrift", "--N", "200",
          "--init", "1,0,0", "--t", "20", "--step", "0.1"),
         "0b2d0b810dad440c138b441de6a72f1e60677401af975c09989defa19dc93193",
+    ),
+    # small N: every window of the first and of the last, and half of
+    # N=50's, are short enough for poisson_weights' float walk
+    "ode_meandrift_n10": (
+        ("ode", "--variant", "meandrift", "--N", "10", "--init", "1,0", "--t", "200"),
+        "dc6bcb5b6bb72140da4566504a4948aaacd06eaef3cff95dbeab4f680b2cdac9",
+    ),
+    "ode_meandrift_n50": (
+        ("ode", "--variant", "meandrift", "--N", "50", "--init", "1,0", "--t", "200"),
+        "4f0c423bf3330793458d5e754d62929cb622a333471c8fae5b3e55a7cf6092e5",
+    ),
+    "ode_meandrift_sirs_n20": (
+        ("ode", "--model", SIR_MODEL, "--variant", "meandrift", "--N", "20",
+         "--init", "0.9,0.1,0", "--t", "5", "--step", "0.05"),
+        "98e79459ce337a21697ac46906a39964001760eb1a942da6bc2d11126d078b77",
     ),
 }
 # sha256 of the stdout of drift and limit ODEs: the benchmark's bundled

@@ -58,7 +58,7 @@ from popdrift.model import ModelSpec, _batched, builtin_example, load_model  # n
 from popdrift.odesolve import _settle, _stage  # noqa: E402
 from popdrift.sim import simulate_ctmc, simulate_slotted  # noqa: E402
 
-from oracle import rate_fns, rates_at  # noqa: E402
+from oracle import poisson_window, rate_fns, rates_at  # noqa: E402
 
 NAMES = ("a", "b", "c")
 
@@ -356,6 +356,23 @@ def test_poisson_windows_hold_the_mass_and_report_their_tail(lam, tau):
     # the two-sided quantile interval holds at least 1-tau of the mass
     span = poisson.isf(tau / 2, lam) - poisson.ppf(tau / 2, lam) + 1
     assert len(w.probs) <= 1.2 * span
+
+
+@SETTINGS
+@given(st.floats(0.0, 160.0), st.floats(-18.0, -1.0).map(lambda e: 10.0**e))
+@example(lam=0.0, tau=2.5e-11)
+@example(lam=7.0, tau=1e-10)  # p(6) == p(7): the walk takes 7, then 6
+@example(lam=39.0, tau=2.5e-11)  # the same tie on the array walk
+@example(lam=38.9, tau=2.5e-11)  # 110 candidates: the float walk
+@example(lam=39.0001, tau=2.5e-11)  # 111 candidates: the array walk
+@example(lam=3.0, tau=1e-10)  # the walk reaches k = 0
+@example(lam=1.25, tau=1e-17)  # 1 - tau == 1.0, out of reach: the walk stops at underflow
+@example(lam=1.25, tau=1e-300)  # the same on the array walk
+@example(lam=np.float64(37.5), tau=1.6e-11)
+def test_both_window_paths_give_the_reference_window_to_the_bit(lam, tau):
+    w = poisson_weights(lam, tau)
+    k_min, probs, tail = poisson_window(lam, tau)
+    assert (w.k_min, w.probs.tobytes(), w.tail) == (k_min, probs.tobytes(), tail)
 
 
 def mode_probability(lam):

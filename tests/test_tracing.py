@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from popdrift import cli, exact
+from popdrift import cli, exact, meandrift
 from popdrift.model import builtin_example
 from popdrift.sim import simulate_ctmc
 
@@ -41,6 +41,36 @@ def test_tracer_wraps_an_exact_and_a_compare_command(tracing, capsys):
     assert totals["exact.states"] == 21 + 3 + 6
     assert totals["exact.spmv"] > 0
     assert capsys.readouterr().out.count("\n") == 2 + 3
+
+
+def test_traced_lattice_points_count_the_windows_the_mean_drift_built(
+        tracing, monkeypatch, capsys):
+    # the tracer counts the windows built through meandrift.poisson_weights:
+    # a field that built them under another name would count one point
+    # per transition here and fail
+    sizes = []
+
+    def spy(lam, tau, built=meandrift.poisson_weights):
+        w = built(lam, tau)
+        sizes.append(len(w.probs))
+        return w
+
+    monkeypatch.setattr(meandrift, "poisson_weights", spy)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        argv = ["ode", "--variant", "meandrift", "--N", "40", "--init", "1,0",
+                "--t", "2", "--step", "0.5"]
+        assert tracer.span("cli.main", cli.main, argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    totals = tracing.layer_totals(tracer.take(), 1.0)
+    n_states, n_transitions = 2, len(builtin_example().transitions())
+    assert len(sizes) == totals["odesolve.field_evals"] * n_states > 0
+    want = sum(math.prod(sizes[i:i + n_states]) * n_transitions
+               for i in range(0, len(sizes), n_states))
+    assert totals["meandrift.lattice_points"] == want > len(sizes) // n_states * n_transitions
 
 
 def test_tracer_counts_the_events_and_slots_of_simulate_commands(tracing, tmp_path, capsys):
