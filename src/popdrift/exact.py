@@ -339,14 +339,13 @@ def transient(
     it.  The result's error is init.error plus twice that sum, at most
     tol above init.error; rounding, which each segment's mass check
     holds to 16 ulps per product (gen rows must sum to zero), is not in
-    it.
+    it.  A tol that leaves a segment a tail share below the smallest
+    normal float is refused.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ModelError(f"time must be finite and non-negative, got {t}")
     if not 0 < tol < 1:
         raise ModelError(f"tolerance must be in (0, 1), got {tol}")
-    if not tol / 6.0 >= sys.float_info.min:  # a one-segment run's tail share
-        raise ModelError(f"tolerance must be at least {6.0 * sys.float_info.min:g}, got {tol}")
     size = init.space.size
     if isinstance(gen, ModelSpec):
         rows = _Rows(gen, init.space)
@@ -390,7 +389,13 @@ def transient(
             last = lam * (t - done) <= _SEGMENT_JUMPS
             dt = t - done if last else _SEGMENT_JUMPS / lam
             kernel_t, sinks = _projected_kernel(rows, active, lam)
-            w = poisson_weights(lam * dt, share * (done + dt) - tails)
+            tail_share = share * (done + dt) - tails
+            if not tail_share >= sys.float_info.min:  # poisson_weights' bound
+                raise ModelError(
+                    f"tolerance {tol} is too small for t={t:g}: a segment's Poisson "
+                    f"tail share falls below {sys.float_info.min:g}"
+                )
+            w = poisson_weights(lam * dt, tail_share)
             v = np.zeros(kernel_t.shape[0])
             v[: len(active)] = pi[active]
             mass = float(v.sum())

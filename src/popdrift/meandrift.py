@@ -125,23 +125,21 @@ def _walk(lam: float, mode: int, p_mode: float, target: float) -> tuple:
     A neighbour's probability is the taken one's times k/lam (below) or
     lam/k (above); a neighbour below 0 counts as 0.
     """
-    lows, highs, total = [], [], p_mode
-    if total < target:  # so lam > 0
-        lo, hi = mode, mode + 1
-        below, above = p_mode * (mode / lam), p_mode * (lam / hi)
-        while total < target:
-            if below >= above:
-                if not below:  # both neighbours underflowed
-                    break
-                lows.append(below)
-                total += below
-                lo -= 1
-                below *= lo / lam
-            else:
-                highs.append(above)
-                total += above
-                hi += 1
-                above *= lam / hi
+    lows, highs, total, lo, hi = [], [], p_mode, mode, mode + 1
+    below, above = p_mode * (mode / lam) if mode else 0.0, p_mode * (lam / hi)
+    while total < target:
+        if below >= above:
+            if not below:  # both neighbours underflowed
+                break
+            lows.append(below)
+            total += below
+            lo -= 1
+            below *= lo / lam
+        else:
+            highs.append(above)
+            total += above
+            hi += 1
+            above *= lam / hi
     return mode - len(lows), np.array([*reversed(lows), p_mode, *highs]), total
 
 
@@ -155,13 +153,12 @@ def poisson_weights(lam: float, tau: float) -> PoissonWeights:
     running products of the ratios lam/(k+1) and k/lam from the mode,
     which stay in range for any lam a float can hold.
 
-    Two paths take that walk and give the same bits.  Where a Chernoff
-    bound on the tails leaves at most _SHORT_WINDOW candidate counts,
-    the walk runs on floats, one step at a time.  Otherwise the
-    candidates are built as arrays, ordered by a stable sort and summed
-    by cumsum, which multiply and add in the walk's order; the
-    candidates widen when the walk runs past them, and more than
-    LATTICE_POINT_CAP of them raise NumericsError.
+    Two paths take that walk to the same bits.  Where a Chernoff bound
+    on the tails leaves at most _SHORT_WINDOW candidate counts, it runs
+    on floats, a step at a time.  Otherwise every candidate is built at
+    once in arrays, then a stable sort orders them and cumsum adds them
+    in the walk's order; the candidates widen when the walk runs past
+    them, and more than LATTICE_POINT_CAP of them raise NumericsError.
     """
     if not 0 <= lam < math.inf:
         raise ModelError(f"Poisson rate must be finite and non-negative, got {lam}")
@@ -188,8 +185,7 @@ def poisson_weights(lam: float, tau: float) -> PoissonWeights:
         np.divide(ks[:n_low], lam, out=p[:n_low])  # p_{k-1}/p_k = k/lam
         np.divide(lam, ks[n_low:], out=p[n_low + 1:])  # p_k/p_{k-1} = lam/k
         p[n_low] = p_mode
-        # running products outward from the mode, the lower side in place
-        # on its reversed view
+        # running products outward from the mode, below it on a reversed view
         np.multiply.accumulate(p[n_low::-1], out=p[n_low::-1])
         np.multiply.accumulate(p[n_low:], out=p[n_low:])
         # the walk takes the mode, then the larger neighbour, the lower

@@ -197,7 +197,15 @@ def test_exact_refuses_a_tol_too_small_for_its_tail_share(capsys):
     code, out, err = run(capsys, "exact", "--N", "10", "--init", "1,0", "--t", "1",
                          "--tol", "1e-310")
     assert code == 2
-    assert err == "error: model: tolerance must be at least 1.33504e-307, got 1e-310\n"
+    assert err == ("error: model: tolerance 1e-310 is too small for t=1: a segment's "
+                   "Poisson tail share falls below 2.22507e-308\n")
+    assert out == ""
+    # a run of many segments gives each a smaller share
+    code, out, err = run(capsys, "exact", "--N", "2000", "--init", "1,0", "--t", "400",
+                         "--tol", "2e-307")
+    assert code == 2
+    assert err == ("error: model: tolerance 2e-307 is too small for t=400: a segment's "
+                   "Poisson tail share falls below 2.22507e-308\n")
     assert out == ""
     code, out, err = run(capsys, "exact", "--N", "10", "--init", "1,0", "--t", "1",
                          "--tol", "1e-300")

@@ -363,6 +363,7 @@ def test_poisson_windows_hold_the_mass_and_report_their_tail(lam, tau):
 @example(lam=0.0, tau=2.5e-11)
 @example(lam=7.0, tau=1e-10)  # p(6) == p(7): the walk takes 7, then 6
 @example(lam=39.0, tau=2.5e-11)  # the same tie on the array walk
+@example(lam=2000.0, tau=0.999999)  # the array walk stops at the mode, not at 1999
 @example(lam=38.9, tau=2.5e-11)  # 110 candidates: the float walk
 @example(lam=39.0001, tau=2.5e-11)  # 111 candidates: the array walk
 @example(lam=3.0, tau=1e-10)  # the walk reaches k = 0
