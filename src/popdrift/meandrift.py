@@ -140,7 +140,7 @@ def _walk(lam: float, mode: int, p_mode: float, target: float) -> tuple:
             total += above
             hi += 1
             above *= lam / hi
-    return mode - len(lows), np.array([*reversed(lows), p_mode, *highs]), total
+    return lo, np.array([*reversed(lows), p_mode, *highs]), total
 
 
 def poisson_weights(lam: float, tau: float) -> PoissonWeights:
