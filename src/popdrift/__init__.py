@@ -11,20 +11,19 @@ The package attribute ``drift`` is the function ``drift.drift``, which
 shadows the submodule of the same name: ``from popdrift import drift``
 and ``import popdrift.drift as module`` both give the function.  Reach
 the module with ``importlib.import_module("popdrift.drift")``.
+
+``errors``, ``expr``, ``model`` and ``drift`` load with the package;
+``exact``, ``meandrift``, ``odesolve`` and ``sim`` load on first use of
+one of their names.
 """
 
+import importlib
+
+# drift loads eagerly: its function popdrift.drift shadows the submodule,
+# and importing the submodule later (import popdrift.meandrift does) would
+# rebind the package attribute to the module
 from .drift import VectorField, drift, drift_field, intensity, limit_drift, limit_field
 from .errors import ModelError, NumericsError, RateError, SlotResolutionError
-from .exact import (
-    STATE_SPACE_CAP,
-    LumpedDistribution,
-    LumpedStateSpace,
-    enumerate_states,
-    expected_occupancy,
-    generator,
-    point_mass,
-    transient,
-)
 from .expr import (
     ExprError,
     ExprEvalError,
@@ -32,13 +31,6 @@ from .expr import (
     compile_fn,
     parse,
     pretty,
-)
-from .meandrift import (
-    PoissonWeights,
-    mean_drift,
-    mean_drift_field,
-    poisson_mean_intensity,
-    poisson_weights,
 )
 from .model import (
     ModelSpec,
@@ -54,17 +46,39 @@ from .model import (
     slot_probability,
     validate,
 )
-from .odesolve import Trajectory, integrate, solve
-from .sim import (
-    GeneratorCheck,
-    SimConfig,
-    SimStats,
-    ensemble,
-    generator_check,
-    poisson_marginal_fit,
-    simulate_ctmc,
-    simulate_slotted,
-)
+
+# public name -> submodule for the names bound on first use (PEP 562), so
+# a model load compiles only the modules it reads
+_LAZY = {
+    name: module
+    for module, names in (
+        ("exact", ("STATE_SPACE_CAP", "LumpedDistribution", "LumpedStateSpace",
+                   "enumerate_states", "expected_occupancy", "generator",
+                   "point_mass", "transient")),
+        ("meandrift", ("PoissonWeights", "mean_drift", "mean_drift_field",
+                       "poisson_mean_intensity", "poisson_weights")),
+        ("odesolve", ("Trajectory", "integrate", "solve")),
+        ("sim", ("GeneratorCheck", "SimConfig", "SimStats", "ensemble",
+                 "generator_check", "poisson_marginal_fit", "simulate_ctmc",
+                 "simulate_slotted")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

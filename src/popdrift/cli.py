@@ -23,8 +23,9 @@ import numpy as np
 
 from .drift import drift
 from .errors import ModelError, NumericsError
-# perfbench/tracing.py wraps enumerate_states, generator and transient
-# where this module looks them up, so all three stay bound here
+# perfbench/tracing.py wraps solve, enumerate_states, generator, transient,
+# ensemble, load_model and builtin_example where this module looks them
+# up, so all seven stay bound here and the CLI imports its solvers eagerly
 from .exact import (
     enumerate_states,
     expected_occupancy,

@@ -886,7 +886,8 @@ def load_model(document: str) -> ModelSpec:
 def builtin_example_text() -> str:
     """Document text of the bundled saturated-channel model."""
     return (
-        resources.files("popdrift.data")
+        resources.files("popdrift")
+        .joinpath("data")
         .joinpath("saturated_channel.pop")
         .read_text(encoding="utf-8")
     )

@@ -504,6 +504,39 @@ def test_import_loads_no_scipy():
     assert run_python("-c", code) == "[]\n"
 
 
+def test_a_model_load_imports_only_what_it_reads():
+    code = (
+        "import sys, popdrift\n"
+        "popdrift.builtin_example()\n"
+        f"popdrift.load_model(open({SIR_MODEL!r}, encoding='utf-8').read())\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('popdrift')))\n"
+    )
+    assert run_python("-c", code).split() == [
+        "popdrift", "popdrift.drift", "popdrift.errors", "popdrift.expr", "popdrift.model",
+    ]
+
+
+def test_submodule_imports_leave_the_package_names_bound():
+    # popdrift.drift is the function even after a side-effect import of
+    # the drift submodule, and each name loaded on first use is the
+    # object its module defines
+    code = (
+        "import popdrift.meandrift, popdrift.sim, popdrift.exact, popdrift.odesolve\n"
+        "import importlib, inspect, popdrift\n"
+        "assert set(popdrift.__all__) <= set(dir(popdrift))\n"
+        "assert inspect.isfunction(popdrift.drift)\n"
+        "assert popdrift.drift is importlib.import_module('popdrift.drift').drift\n"
+        "for name, module in popdrift._LAZY.items():\n"
+        "    owner = importlib.import_module(f'popdrift.{module}')\n"
+        "    assert getattr(popdrift, name) is getattr(owner, name), name\n"
+        "scope = {}\n"
+        "exec('from popdrift import *', scope)\n"
+        "assert all(scope[name] is getattr(popdrift, name) for name in popdrift.__all__)\n"
+        "print(*sorted(set(popdrift._LAZY.values())))\n"
+    )
+    assert run_python("-c", code) == "exact meandrift odesolve sim\n"
+
+
 @pytest.mark.parametrize("name", sorted(SCIPY_FREE_COMMANDS))
 def test_commands_without_exact_load_no_scipy(capsys, tmp_path, name):
     ref = tmp_path / "ref.csv"

@@ -282,6 +282,12 @@ def test_each_shared_rule_has_one_owner():
 
 
 def test_all_lists_every_public_name():
+    assert set(popdrift.__all__) <= set(dir(popdrift))
+    # the solvers' names are bound on first use: resolve them all first
+    for name in popdrift.__all__:
+        getattr(popdrift, name)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        popdrift.no_such_name
     exported = {
         name for name, value in vars(popdrift).items()
         if not name.startswith("_") and not inspect.ismodule(value)
